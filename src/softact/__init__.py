@@ -13,33 +13,27 @@ from .experiment import (DEFAULT_ALPHAS, AlphaGrid, Dataset, ExperimentConfig,
                          build_prior_for_kind, default_methods,
                          evaluate_model, generate_dataset, grid_search_alpha,
                          grid_to_csv, load_dataset, load_experiment_config,
-                         method_kind, run_comparison, run_trial, save_dataset,
-                         save_experiment_config, split_dataset,
-                         transition_counts_from_pairs, train_model)
+                         run_comparison, run_trial, save_dataset,
+                         save_experiment_config, split_dataset, train_model)
 from .metrics import (ManyShotSets, MetricCell, MetricsReport,
-                      aggregate_trials, build_report, compute_many_shot,
-                      macro_precision_recall, many_shot_from_labels,
-                      marginalize_to_verb_noun, parse_report_csv,
-                      report_to_csv, report_to_plotdata, report_to_table,
-                      top1_ids, topk_accuracy)
-from .priors import (EmbeddingTable, PriorMatrix, TransitionCounts,
-                     build_glove_prior, build_temporal_prior,
-                     build_uniform_prior, build_verb_noun_prior,
-                     count_transitions, embed_action, load_embeddings,
-                     load_prior, mix_priors, prior_from_transition_counts,
-                     save_prior)
-from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig,
-                       StepPredictions, adam_step, forward, forward_batch,
-                       init_params, load_checkpoint, loss_and_gradients,
-                       loss_and_gradients_batch, predict_topk,
-                       save_checkpoint, topk_ids, weight_shapes)
+                      aggregate_trials, build_report, macro_precision_recall,
+                      many_shot_from_labels, parse_report_csv, report_to_csv,
+                      report_to_plotdata, report_to_table, topk_accuracy)
+from .priors import (EmbeddingTable, PriorMatrix, build_glove_prior,
+                     build_prior, build_temporal_prior, build_uniform_prior,
+                     build_verb_noun_prior, load_embeddings, load_prior,
+                     mix_priors, save_prior, temporal_prior_from_pairs,
+                     transition_pairs)
+from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
+                       forward_batch, init_params, load_checkpoint,
+                       loss_and_gradients_batch, save_checkpoint,
+                       weight_shapes)
 from .smoothing import (SmoothingConfig, SoftLabel, one_hot, smooth_label,
                         smooth_label_matrix, soft_cross_entropy, softmax)
 from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, grammar_from_json_dict,
-                        read_features, sample_transition_pairs,
-                        write_features)
+                        read_features, write_features)
 from .vocab import (ActionInstance, ActionVocab, AnnotationSet, build_vocab,
                     format_annotations, parse_annotations)
 
@@ -52,27 +46,27 @@ __all__ = [
     "ManyShotSets",
     "MethodSpec", "MetricCell", "MetricsReport", "ModelConfig", "ModelParams",
     "ParseError", "PriorMatrix", "ProtocolConfig", "SmoothingConfig",
-    "SoftLabel", "StepPredictions", "SyntheticGrammar", "TrainResult",
-    "TrainingDiverged", "TransitionCounts", "adam_step", "aggregate_trials",
-    "build_glove_prior", "build_prior_for_kind", "build_report",
-    "build_temporal_prior", "build_uniform_prior", "build_verb_noun_prior",
-    "build_vocab", "compute_many_shot", "count_transitions",
-    "default_methods", "embed_action", "evaluate_model", "format_annotations",
-    "forward", "forward_batch", "gen_annotation_sequences", "gen_features",
+    "SoftLabel", "SyntheticGrammar", "TrainResult",
+    "TrainingDiverged", "adam_step", "aggregate_trials",
+    "build_glove_prior", "build_prior", "build_prior_for_kind",
+    "build_report", "build_temporal_prior", "build_uniform_prior",
+    "build_verb_noun_prior", "build_vocab",
+    "default_methods", "evaluate_model", "format_annotations",
+    "forward_batch", "gen_annotation_sequences", "gen_features",
     "gen_grammar", "gen_synthetic_embeddings", "generate_dataset",
     "grammar_from_json_dict", "grid_search_alpha", "grid_to_csv",
     "init_params", "load_checkpoint", "load_dataset", "load_embeddings",
-    "load_experiment_config", "load_prior", "loss_and_gradients",
+    "load_experiment_config", "load_prior",
     "loss_and_gradients_batch", "macro_precision_recall",
-    "many_shot_from_labels", "marginalize_to_verb_noun", "method_kind",
+    "many_shot_from_labels",
     "mix_priors", "one_hot", "parse_annotations", "parse_report_csv",
-    "predict_topk", "prior_from_transition_counts", "read_features",
+    "read_features",
     "report_to_csv", "report_to_plotdata", "report_to_table",
-    "run_comparison", "run_trial", "sample_transition_pairs",
+    "run_comparison", "run_trial",
     "save_checkpoint", "save_dataset", "save_experiment_config", "save_prior",
     "smooth_label", "smooth_label_matrix", "soft_cross_entropy", "softmax",
-    "split_dataset", "top1_ids",
-    "topk_accuracy", "topk_ids",
+    "split_dataset", "temporal_prior_from_pairs",
+    "topk_accuracy", "transition_pairs",
     "weight_shapes",
-    "transition_counts_from_pairs", "train_model", "write_features",
+    "train_model", "write_features",
 ]

@@ -19,27 +19,19 @@ from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
                          MethodSpec, build_prior_for_kind, default_methods,
                          evaluate_model, generate_dataset, grid_search_alpha,
                          grid_to_csv, load_dataset, load_experiment_config,
-                         method_kind, run_comparison, run_trial, save_dataset)
+                         run_comparison, run_trial, save_dataset)
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
                       report_to_table)
-from .priors import (build_glove_prior, build_temporal_prior,
-                     build_uniform_prior, build_verb_noun_prior,
-                     load_embeddings, mix_priors, save_prior)
+from .priors import (KINDS, build_prior, load_embeddings, save_prior,
+                     transition_pairs)
 from .seqmodel import ProtocolConfig, load_checkpoint, save_checkpoint
 from .synthdata import GrammarConfig
 from .vocab import ActionVocab, parse_annotations
 
-# CLI spellings for the prior/method kinds.
-_KIND_ALIASES = {
-    "onehot": "onehot",
-    "uniform": "uniform",
-    "vn": "verb_noun",
-    "glove": "glove",
-    "temporal": "temporal",
-    "mix": "glove+verb_noun",
-}
-_PRIOR_CHOICES = [k for k in _KIND_ALIASES if k != "onehot"]
+# CLI spelling -> library kind, from the kind table.
+_CLI_KINDS = {cli: kind for kind, (cli, _) in KINDS.items()}
+_PRIOR_CHOICES = [cli for cli in _CLI_KINDS if cli != "onehot"]
 
 
 def _parse_modalities(spec) -> tuple[tuple[str, int], ...]:
@@ -104,54 +96,49 @@ def _experiment_config(args, trials: int | None = None) -> ExperimentConfig:
     return replace(config, **overrides) if overrides else config
 
 
-_SYNTH_DEFAULTS = {
-    "verbs": 10, "nouns": 12, "density": 0.5, "videos": 200,
-    "video_length": 25, "noise": 0.25, "sigma_within": 0.25,
-    "sigma_between": 1.0, "markov_concentration": 1.0,
-    "modalities": "rgb:16,flow:16", "embed_dim": None,
-    "cohort_similarity": 0.6, "seed": 0, "stride": 0.25, "encode_steps": 6,
-    "decode_steps": 8, "snippet_len": 5,
-}
+# Settings the library has no default for (verbs, nouns) or that the CLI
+# sets on purpose (density); the others default in the library.
+_SYNTH_DEFAULTS = {"verbs": 10, "nouns": 12, "density": 0.5}
+
+# synth setting -> keyword of GrammarConfig, ProtocolConfig and
+# generate_dataset; ``seed`` seeds both the grammar and the rollout.
+_GRAMMAR_KEYS = {"verbs": "num_verbs", "nouns": "num_nouns",
+                 "density": "action_density", "sigma_within": "sigma_within",
+                 "sigma_between": "sigma_between",
+                 "markov_concentration": "markov_concentration",
+                 "modalities": "modalities", "seed": "seed"}
+_PROTOCOL_KEYS = {"stride": "snippet_stride", "encode_steps": "encode_steps",
+                  "decode_steps": "decode_steps", "snippet_len": "snippet_len"}
+_DATASET_KEYS = {"videos": "num_videos", "video_length": "video_length",
+                 "noise": "noise_sigma", "embed_dim": "embed_dim",
+                 "cohort_similarity": "cohort_similarity", "seed": "seed"}
 
 
 def _cmd_synth(args) -> int:
     settings = dict(_SYNTH_DEFAULTS)
+    known = {**_GRAMMAR_KEYS, **_PROTOCOL_KEYS, **_DATASET_KEYS}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{args.config}: invalid JSON ({exc})") from None
-        unknown = set(loaded) - set(settings)
+        unknown = set(loaded) - set(known)
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
         settings.update(loaded)
-    for key in settings:
+    for key in known:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    grammar_config = GrammarConfig(
-        num_verbs=settings["verbs"],
-        num_nouns=settings["nouns"],
-        action_density=settings["density"],
-        sigma_within=settings["sigma_within"],
-        sigma_between=settings["sigma_between"],
-        markov_concentration=settings["markov_concentration"],
-        modalities=_parse_modalities(settings["modalities"]),
-        seed=settings["seed"],
-    )
-    protocol = ProtocolConfig(snippet_stride=settings["stride"],
-                              encode_steps=settings["encode_steps"],
-                              decode_steps=settings["decode_steps"],
-                              snippet_len=settings["snippet_len"])
-    dataset = generate_dataset(
-        grammar_config, protocol,
-        num_videos=settings["videos"],
-        video_length=settings["video_length"],
-        noise_sigma=settings["noise"],
-        embed_dim=settings["embed_dim"],
-        cohort_similarity=settings["cohort_similarity"],
-        seed=settings["seed"],
-    )
+    if "modalities" in settings:
+        settings["modalities"] = _parse_modalities(settings["modalities"])
+
+    def pick(keys: dict) -> dict:
+        return {kw: settings[key] for key, kw in keys.items() if key in settings}
+
+    dataset = generate_dataset(GrammarConfig(**pick(_GRAMMAR_KEYS)),
+                               ProtocolConfig(**pick(_PROTOCOL_KEYS)),
+                               **pick(_DATASET_KEYS))
     save_dataset(dataset, args.out_dir)
     print(f"wrote dataset to {args.out_dir}: K={dataset.K}, "
           f"train={dataset.train.num_samples}, val={dataset.val.num_samples}, "
@@ -161,24 +148,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build_prior(args) -> int:
     vocab = ActionVocab.from_json(Path(args.vocab).read_text())
-    kind = _KIND_ALIASES[args.kind]
-    if kind in ("glove", "glove+verb_noun") and not args.embeddings:
-        raise ValueError(f"--kind {args.kind} requires --embeddings")
-    if kind == "temporal" and not args.annotations:
-        raise ValueError("--kind temporal requires --annotations")
-    if kind == "uniform":
-        prior = build_uniform_prior(vocab.K)
-    elif kind == "verb_noun":
-        prior = build_verb_noun_prior(vocab)
-    elif kind == "glove":
-        prior = build_glove_prior(vocab, _load_embeddings_file(args.embeddings))
-    elif kind == "temporal":
+    embeddings = (_load_embeddings_file(args.embeddings) if args.embeddings
+                  else None)
+    pairs = None
+    if args.annotations:
         annotations = parse_annotations(Path(args.annotations).read_text())
-        prior = build_temporal_prior(annotations, vocab)
-    else:
-        table = _load_embeddings_file(args.embeddings)
-        prior = mix_priors([build_glove_prior(vocab, table),
-                            build_verb_noun_prior(vocab)], [0.5, 0.5])
+        pairs = transition_pairs(annotations, vocab)
+    prior = build_prior(_CLI_KINDS[args.kind], vocab, embeddings, pairs)
     save_prior(prior, args.out, vocab_hash=vocab.content_hash())
     print(f"wrote prior {prior.kind} (K={prior.K}) to {args.out}")
     return 0
@@ -187,10 +163,10 @@ def _cmd_build_prior(args) -> int:
 def _method_and_alpha(args, config: ExperimentConfig) -> tuple[str, float]:
     """Resolve --method/--alpha flags against the config's smoothing."""
     if args.method:
-        kind = _KIND_ALIASES[args.method]
+        kind = _CLI_KINDS[args.method]
         alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHAS[kind]
     else:
-        kind = method_kind(config.smoothing)
+        kind = config.smoothing.prior_kind
         alpha = args.alpha if args.alpha is not None else config.smoothing.alpha
     return kind, alpha
 
@@ -228,8 +204,8 @@ def _cmd_train(args) -> int:
 def _cmd_grid_search(args) -> int:
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
-    kind = (_KIND_ALIASES[args.method] if args.method
-            else method_kind(config.smoothing))
+    kind = (_CLI_KINDS[args.method] if args.method
+            else config.smoothing.prior_kind)
     grid = config.alpha_grid
     grid_overrides = {}
     for field, value in [("start", args.alpha_start), ("stop", args.alpha_stop),
@@ -255,16 +231,16 @@ def _cmd_compare(args) -> int:
     overrides: dict[str, float] = {}
     for spec in args.set_alpha or []:
         name, _, value = spec.partition("=")
-        if name not in _KIND_ALIASES or not value:
+        if name not in _CLI_KINDS or not value:
             raise ValueError(f"bad --set-alpha {spec!r}; use kind=alpha")
-        overrides[_KIND_ALIASES[name]] = float(value)
+        overrides[_CLI_KINDS[name]] = float(value)
     if args.methods:
         names = [m.strip() for m in args.methods.split(",") if m.strip()]
-        bad = [m for m in names if m not in _KIND_ALIASES]
+        bad = [m for m in names if m not in _CLI_KINDS]
         if bad:
             raise ValueError(f"unknown methods {bad}; "
-                             f"choose from {sorted(_KIND_ALIASES)}")
-        kinds = [_KIND_ALIASES[m] for m in names]
+                             f"choose from {sorted(_CLI_KINDS)}")
+        kinds = [_CLI_KINDS[m] for m in names]
     else:
         kinds = [m.kind for m in default_methods()]
     methods = [MethodSpec(name=k, kind=k,
@@ -332,10 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default="",
                    help="JSON with the keys below; flags override it")
-    p.add_argument("--verbs", type=int, default=None)
-    p.add_argument("--nouns", type=int, default=None)
+    p.add_argument("--verbs", type=int, default=None,
+                   help="number of verbs (default 10)")
+    p.add_argument("--nouns", type=int, default=None,
+                   help="number of nouns (default 12)")
     p.add_argument("--density", type=float, default=None,
-                   help="fraction of verb-noun cells that are actions")
+                   help="fraction of verb-noun cells that are actions "
+                        "(default 0.5)")
     p.add_argument("--videos", type=int, default=None)
     p.add_argument("--video-length", type=int, default=None,
                    help="actions per video")
@@ -369,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model and score the test split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=sorted(_KIND_ALIASES), default="",
+    p.add_argument("--method", choices=sorted(_CLI_KINDS), default="",
                    help="smoothing method (default: the config's smoothing)")
     p.add_argument("--alpha", type=float, default=None,
                    help="smoothing strength (default: the method's tuned value)")

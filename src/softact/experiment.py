@@ -18,10 +18,8 @@ import numpy as np
 from .errors import FormatError, TrainingDiverged
 from .metrics import (MetricsReport, build_report, many_shot_from_labels,
                       report_to_csv, topk_accuracy)
-from .priors import (EmbeddingTable, PriorMatrix, TransitionCounts,
-                     build_glove_prior, build_uniform_prior,
-                     build_verb_noun_prior, load_embeddings, mix_priors,
-                     prior_from_transition_counts)
+from .priors import (KINDS, EmbeddingTable, PriorMatrix, build_prior,
+                     load_embeddings, transition_pairs)
 from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, loss_and_gradients_batch,
                        save_checkpoint)
@@ -29,24 +27,14 @@ from .smoothing import SmoothingConfig, smooth_label_matrix
 from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, grammar_from_json_dict,
-                        read_features, sample_transition_pairs, write_features)
+                        read_features, write_features)
 from .vocab import (ActionVocab, AnnotationSet, format_annotations,
                     parse_annotations)
 
 DATASET_FORMAT = "softact-dataset"
 DATASET_VERSION = 1
 
-# Smoothing strengths that worked best per prior in the reference runs.
-DEFAULT_ALPHAS = {
-    "onehot": 0.0,
-    "uniform": 0.1,
-    "verb_noun": 0.45,
-    "glove": 0.6,
-    "temporal": 0.6,
-    "glove+verb_noun": 0.5,
-}
-
-METHOD_KINDS = tuple(DEFAULT_ALPHAS)
+DEFAULT_ALPHAS = {kind: alpha for kind, (_, alpha) in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -208,7 +196,7 @@ def generate_dataset(grammar_config: GrammarConfig,
                                            seed=seed + 1)
     full = gen_features(grammar, annotations, protocol, noise_sigma,
                         seed=seed + 2)
-    pairs = sample_transition_pairs(annotations, grammar.vocab)
+    pairs = transition_pairs(annotations, grammar.vocab)
     train_idx, val_idx, test_idx = split_dataset(full.num_samples, fractions,
                                                  seed=seed + 3)
     if embed_dim is None:
@@ -289,6 +277,10 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if vocab.content_hash() != manifest["vocab_sha256"]:
         raise FormatError(f"{root}: vocab.json does not match the manifest hash")
     protocol = ProtocolConfig(**manifest["protocol"])
+    train_pairs = tuple((a, b) for a, b in manifest["train_pairs"])
+    if not all(0 <= k < vocab.K for pair in train_pairs for k in pair):
+        raise FormatError(f"{manifest_path}: a train pair has an action id "
+                          f"outside [0, {vocab.K})")
     splits = {name: read_features(root / f"{name}.feat", split=name)
               for name in ("train", "val", "test")}
     embeddings = None
@@ -310,7 +302,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         train=splits["train"],
         val=splits["val"],
         test=splits["test"],
-        train_pairs=tuple((a, b) for a, b in manifest["train_pairs"]),
+        train_pairs=train_pairs,
         embeddings=embeddings,
         grammar=grammar,
         annotations=annotations,
@@ -321,44 +313,10 @@ def load_dataset(in_dir: str | Path) -> Dataset:
 # Priors per method
 
 
-def transition_counts_from_pairs(pairs, K: int) -> TransitionCounts:
-    counts = np.zeros((K, K), dtype=np.int64)
-    for prev, tgt in pairs:
-        counts[prev, tgt] += 1
-    return TransitionCounts(counts)
-
-
-def method_kind(smoothing: SmoothingConfig) -> str:
-    """Map a smoothing prior kind to its method name (the generic
-    ``mixture`` means the equal glove+verb_noun blend here)."""
-    return "glove+verb_noun" if smoothing.prior_kind == "mixture" \
-        else smoothing.prior_kind
-
-
 def build_prior_for_kind(kind: str, dataset: Dataset) -> PriorMatrix | None:
-    """The prior a method name refers to; one-hot has none."""
-    if kind == "onehot":
-        return None
-    if kind == "uniform":
-        return build_uniform_prior(dataset.K)
-    if kind == "verb_noun":
-        return build_verb_noun_prior(dataset.vocab)
-    if kind == "glove":
-        if dataset.embeddings is None:
-            raise ValueError("dataset has no embeddings; cannot build the "
-                             "embedding-similarity prior")
-        return build_glove_prior(dataset.vocab, dataset.embeddings)
-    if kind == "temporal":
-        counts = transition_counts_from_pairs(dataset.train_pairs, dataset.K)
-        return prior_from_transition_counts(counts)
-    if kind == "glove+verb_noun":
-        return mix_priors(
-            [build_prior_for_kind("glove", dataset),
-             build_prior_for_kind("verb_noun", dataset)],
-            [0.5, 0.5],
-        )
-    raise ValueError(f"unknown method kind {kind!r}; "
-                     f"expected one of {METHOD_KINDS}")
+    """The prior a method kind names, from the dataset; onehot has none."""
+    return build_prior(kind, dataset.vocab, dataset.embeddings,
+                       dataset.train_pairs)
 
 
 @dataclass(frozen=True)
@@ -370,7 +328,7 @@ class MethodSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError
 from .seqmodel import ProtocolConfig
-from .vocab import ActionVocab, AnnotationSet
+from .vocab import ActionVocab
 
 PRIMARY_METRIC = "action_top5"
 
@@ -48,11 +48,6 @@ def topk_accuracy(predictions, labels, k: int) -> float:
     return float(_topk_hits(probs, labels, k).mean() * 100.0)
 
 
-def top1_ids(probs: np.ndarray) -> np.ndarray:
-    """Argmax with ties to the lower id (numpy argmax convention)."""
-    return np.asarray(probs).argmax(axis=1)
-
-
 def cohort_indicator(vocab: ActionVocab) -> tuple[np.ndarray, np.ndarray]:
     """(K, |verbs|) and (K, |nouns|) 0/1 matrices mapping actions to
     their verb and noun."""
@@ -65,16 +60,6 @@ def cohort_indicator(vocab: ActionVocab) -> tuple[np.ndarray, np.ndarray]:
     return mv, mn
 
 
-def marginalize_to_verb_noun(action_probs: np.ndarray,
-                             vocab: ActionVocab) -> tuple[np.ndarray, np.ndarray]:
-    """Sum action probabilities over verb and noun cohorts."""
-    p = np.asarray(action_probs, dtype=np.float64)
-    if p.shape != (vocab.K,):
-        raise ValueError(f"expected shape ({vocab.K},), got {p.shape}")
-    mv, mn = cohort_indicator(vocab)
-    return p @ mv, p @ mn
-
-
 @dataclass(frozen=True)
 class ManyShotSets:
     """Classes with at least ``threshold`` training occurrences, per task."""
@@ -83,26 +68,6 @@ class ManyShotSets:
     verbs: frozenset[int]
     nouns: frozenset[int]
     threshold: int
-
-
-def compute_many_shot(train_annotations: AnnotationSet, vocab: ActionVocab,
-                      threshold: int = 100) -> ManyShotSets:
-    """Count training occurrences and keep ids meeting the threshold."""
-    action_counts = np.zeros(vocab.K, dtype=np.int64)
-    verb_counts = np.zeros(len(vocab.verbs), dtype=np.int64)
-    noun_counts = np.zeros(len(vocab.nouns), dtype=np.int64)
-    for inst in train_annotations.instances:
-        k = vocab.action_id(inst.verb, inst.noun)
-        v, n = vocab.actions[k]
-        action_counts[k] += 1
-        verb_counts[v] += 1
-        noun_counts[n] += 1
-    return ManyShotSets(
-        actions=frozenset(np.flatnonzero(action_counts >= threshold).tolist()),
-        verbs=frozenset(np.flatnonzero(verb_counts >= threshold).tolist()),
-        nouns=frozenset(np.flatnonzero(noun_counts >= threshold).tolist()),
-        threshold=threshold,
-    )
 
 
 def many_shot_from_labels(labels, vocab: ActionVocab,
@@ -231,7 +196,8 @@ def build_report(trial_evals, protocol: ProtocolConfig, vocab: ActionVocab,
                 if many_shot is not None:
                     restrict = getattr(many_shot, task + "s")
                     if restrict:
-                        prec, rec = macro_precision_recall(top1_ids(p), y, restrict)
+                        prec, rec = macro_precision_recall(
+                            p.argmax(axis=1), y, restrict)
                         record(f"{task}_precision", s, trial, prec)
                         record(f"{task}_recall", s, trial, rec)
 

@@ -27,6 +27,17 @@ from .vocab import ActionVocab, AnnotationSet
 
 ROW_SUM_TOL = 1e-12
 
+# Library kind -> (CLI spelling, default alpha); the alphas worked best per
+# prior in the reference runs. build_prior turns a kind into its matrix.
+KINDS = {
+    "onehot": ("onehot", 0.0),
+    "uniform": ("uniform", 0.1),
+    "verb_noun": ("vn", 0.45),
+    "glove": ("glove", 0.6),
+    "temporal": ("temporal", 0.6),
+    "glove+verb_noun": ("mix", 0.5),
+}
+
 _WORD_SPLIT = re.compile(r"[^a-zA-Z]+")
 
 
@@ -99,12 +110,6 @@ class EmbeddingTable:
                     f"expected ({self.dimension},)"
                 )
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def load_embeddings(text: str, dimension: int) -> EmbeddingTable:
     """Parse plain-text embeddings: one ``word v1 ... vd`` line per word.
@@ -132,14 +137,6 @@ def load_embeddings(text: str, dimension: int) -> EmbeddingTable:
     return EmbeddingTable(dimension, vectors)
 
 
-@dataclass(frozen=True)
-class ActionEmbedding:
-    """Concatenated verb and noun embedding of one action (length 2d)."""
-
-    action_id: int
-    vector: np.ndarray
-
-
 def _embed_token(token: str, table: EmbeddingTable) -> np.ndarray:
     """Mean of the embeddings of the token's alphabetic words.
 
@@ -154,22 +151,12 @@ def _embed_token(token: str, table: EmbeddingTable) -> np.ndarray:
     return np.mean(found, axis=0)
 
 
-def embed_action(vocab: ActionVocab, table: EmbeddingTable,
-                 action_id: int) -> ActionEmbedding:
-    """Verb embedding concatenated with noun embedding (length 2d)."""
-    if not (0 <= action_id < vocab.K):
-        raise IndexError(f"action_id {action_id} out of range (K={vocab.K})")
-    v, n = vocab.actions[action_id]
-    vec = np.concatenate([
-        _embed_token(vocab.verbs[v], table),
-        _embed_token(vocab.nouns[n], table),
-    ])
-    return ActionEmbedding(action_id, vec)
-
-
 def action_embedding_matrix(vocab: ActionVocab, table: EmbeddingTable) -> np.ndarray:
-    """(K, 2d) matrix of all action embeddings."""
-    return np.stack([embed_action(vocab, table, k).vector for k in range(vocab.K)])
+    """(K, 2d) matrix; row k is action k's verb embedding concatenated
+    with its noun embedding."""
+    return np.array([np.concatenate([_embed_token(vocab.verbs[v], table),
+                                     _embed_token(vocab.nouns[n], table)])
+                     for v, n in vocab.actions])
 
 
 def build_glove_prior(vocab: ActionVocab, table: EmbeddingTable) -> PriorMatrix:
@@ -184,24 +171,11 @@ def build_glove_prior(vocab: ActionVocab, table: EmbeddingTable) -> PriorMatrix:
     return _normalize_rows(sims, vocab.K, kind="glove")
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
-    """counts[i, k] = number of observed transitions action i -> action k."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError(f"counts must be square, got shape {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts.astype(np.int64))
-
-
-def count_transitions(annotations: AnnotationSet, vocab: ActionVocab) -> TransitionCounts:
-    """Count consecutive action pairs within each video (never across videos)."""
-    counts = np.zeros((vocab.K, vocab.K), dtype=np.int64)
+def transition_pairs(annotations: AnnotationSet,
+                     vocab: ActionVocab) -> list[tuple[int, int]]:
+    """(previous, next) action ids of consecutive instances within each
+    video (never across videos), videos in annotation order."""
+    pairs: list[tuple[int, int]] = []
     for video in annotations.videos():
         ids = []
         for inst in video:
@@ -212,24 +186,29 @@ def count_transitions(annotations: AnnotationSet, vocab: ActionVocab) -> Transit
                     f"unknown action ({inst.verb!r}, {inst.noun!r}) in video "
                     f"{inst.video_id!r} at t={inst.start_time}"
                 ) from None
-        for prev, nxt in zip(ids, ids[1:]):
-            counts[prev, nxt] += 1
-    return TransitionCounts(counts)
+        pairs.extend(zip(ids, ids[1:]))
+    return pairs
 
 
-def prior_from_transition_counts(counts: TransitionCounts) -> PriorMatrix:
-    """Row k entry i = counts[i, k] / sum_j counts[j, k].
+def temporal_prior_from_pairs(pairs, K: int) -> PriorMatrix:
+    """Row k entry i = #(i -> k) / #(any -> k) over the (previous, next)
+    action-id pairs.
 
     Row k is the predecessor distribution of action k; actions never seen
     as a successor get a uniform row.
     """
-    preceder = counts.counts.T.astype(np.float64)
-    return _normalize_rows(preceder, preceder.shape[0], kind="temporal")
+    ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if ids.size and (ids.min() < 0 or ids.max() >= K):
+        raise ValueError(f"transition pair action id outside [0, {K})")
+    preceder = np.zeros((K, K))
+    np.add.at(preceder, (ids[:, 1], ids[:, 0]), 1.0)
+    return _normalize_rows(preceder, K, kind="temporal")
 
 
 def build_temporal_prior(annotations: AnnotationSet, vocab: ActionVocab) -> PriorMatrix:
     """Predecessor-frequency prior estimated from consecutive annotations."""
-    return prior_from_transition_counts(count_transitions(annotations, vocab))
+    return temporal_prior_from_pairs(transition_pairs(annotations, vocab),
+                                     vocab.K)
 
 
 def _normalize_rows(weights: np.ndarray, K: int, kind: str) -> PriorMatrix:
@@ -264,6 +243,35 @@ def mix_priors(priors: list[PriorMatrix], weights: list[float]) -> PriorMatrix:
         rows += weight * p.rows
     kind = "+".join(p.kind for p in priors)
     return PriorMatrix(rows, kind=kind)
+
+
+def build_prior(kind: str, vocab: ActionVocab,
+                embeddings: EmbeddingTable | None = None,
+                pairs=None) -> PriorMatrix | None:
+    """The prior a library kind names (see :data:`KINDS`); onehot has none.
+
+    ``glove`` and ``glove+verb_noun`` need the word ``embeddings``;
+    ``temporal`` needs the (previous, next) action-id ``pairs``.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown prior kind {kind!r}; "
+                         f"expected one of {tuple(KINDS)}")
+    if kind in ("glove", "glove+verb_noun") and embeddings is None:
+        raise ValueError(f"the {kind} prior needs word embeddings")
+    if kind == "temporal" and pairs is None:
+        raise ValueError("the temporal prior needs transition pairs")
+    if kind == "onehot":
+        return None
+    if kind == "uniform":
+        return build_uniform_prior(vocab.K)
+    if kind == "verb_noun":
+        return build_verb_noun_prior(vocab)
+    if kind == "glove":
+        return build_glove_prior(vocab, embeddings)
+    if kind == "temporal":
+        return temporal_prior_from_pairs(pairs, vocab.K)
+    return mix_priors([build_glove_prior(vocab, embeddings),
+                       build_verb_noun_prior(vocab)], [0.5, 0.5])
 
 
 def save_prior(prior: PriorMatrix, path: str | Path,

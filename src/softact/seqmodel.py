@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .smoothing import PROB_EPS, SoftLabel, softmax
+from .smoothing import PROB_EPS, softmax
 
 CHECKPOINT_MAGIC = b"LSAM"
 CHECKPOINT_VERSION = 1
@@ -133,14 +133,6 @@ class ModelParams:
             adam_v=[v.copy() for v in self.adam_v],
             adam_step=self.adam_step,
         )
-
-
-@dataclass(frozen=True)
-class StepPredictions:
-    """Per-decode-step logits and probabilities for one sample."""
-
-    logits: np.ndarray  # (decode_steps, K)
-    probs: np.ndarray   # (decode_steps, K)
 
 
 def weight_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
@@ -269,14 +261,6 @@ def forward_batch(params: ModelParams, features,
     return logits, probs
 
 
-def forward(params: ModelParams, features,
-            protocol: ProtocolConfig = ProtocolConfig()) -> StepPredictions:
-    """Forward one sample; features is a per-modality list of (T, D) arrays."""
-    batched = [np.asarray(x)[None, :, :] for x in features]
-    logits, probs = forward_batch(params, batched, protocol)
-    return StepPredictions(logits=logits[0], probs=probs[0])
-
-
 def loss_and_gradients_batch(params: ModelParams, features,
                              targets: np.ndarray,
                              protocol: ProtocolConfig = ProtocolConfig()):
@@ -339,18 +323,9 @@ def loss_and_gradients_batch(params: ModelParams, features,
     return loss, grads
 
 
-def loss_and_gradients(params: ModelParams, features, target: SoftLabel,
-                       protocol: ProtocolConfig = ProtocolConfig()):
-    """Single-sample convenience wrapper around the batch version."""
-    batched = [np.asarray(x)[None, :, :] for x in features]
-    return loss_and_gradients_batch(params, batched, target.values[None, :],
-                                    protocol)
-
-
-def adam_step(params: ModelParams, grads: list[np.ndarray],
-              config: ModelConfig | None = None) -> ModelParams:
+def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
     """One in-place Adam update with bias correction."""
-    cfg = config if config is not None else params.config
+    cfg = params.config
     if len(grads) != len(params.weights):
         raise ValueError("gradient list does not match parameter list")
     params.adam_step += 1
@@ -366,22 +341,6 @@ def adam_step(params: ModelParams, grads: list[np.ndarray],
         w -= cfg.learning_rate * (m / correction1) \
             / (np.sqrt(v / correction2) + cfg.adam_eps)
     return params
-
-
-def topk_ids(probs: np.ndarray, k: int) -> list[int]:
-    """Top-k class ids by descending probability, ties to the lower id."""
-    p = np.asarray(probs)
-    if k > p.shape[0]:
-        raise ValueError(f"k={k} exceeds number of classes {p.shape[0]}")
-    order = np.lexsort((np.arange(p.shape[0]), -p))
-    return [int(i) for i in order[:k]]
-
-
-def predict_topk(preds: StepPredictions, step: int, k: int) -> list[int]:
-    """Top-k predictions at one decode step."""
-    if not (0 <= step < preds.probs.shape[0]):
-        raise IndexError(f"step {step} out of range")
-    return topk_ids(preds.probs[step], k)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

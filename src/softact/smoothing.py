@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PriorMatrix
+from .priors import KINDS, PriorMatrix
 
 PROB_EPS = 1e-12
-
-PRIOR_KINDS = ("onehot", "uniform", "verb_noun", "glove", "temporal", "mixture")
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing factor plus the prior family it applies to.
+    """Smoothing factor plus the prior family (library kind) it applies to.
 
     ``onehot`` means no smoothing; alpha is forced to 0 in that case.
     """
@@ -31,9 +29,9 @@ class SmoothingConfig:
     prior_kind: str = "onehot"
 
     def __post_init__(self):
-        if self.prior_kind not in PRIOR_KINDS:
+        if self.prior_kind not in KINDS:
             raise ValueError(
-                f"prior_kind must be one of {PRIOR_KINDS}, got {self.prior_kind!r}"
+                f"prior_kind must be one of {tuple(KINDS)}, got {self.prior_kind!r}"
             )
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")

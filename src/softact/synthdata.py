@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .priors import EmbeddingTable
+from .priors import EmbeddingTable, transition_pairs
 from .seqmodel import ProtocolConfig
 from .vocab import ActionInstance, ActionVocab, AnnotationSet
 
@@ -271,7 +271,7 @@ def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,
     T = protocol.total_steps
     lam = np.linspace(0.0, 1.0, T)[:, None]
 
-    pairs = sample_transition_pairs(annotations, vocab)
+    pairs = transition_pairs(annotations, vocab)
     targets = np.array([tgt for _, tgt in pairs], dtype=np.int64)
     blocks = []
     for means in grammar.class_means:
@@ -285,17 +285,6 @@ def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,
         blocks.append(block)
     return FeatureSet(dims=tuple(d for _, d in grammar.config.modalities),
                       features=tuple(blocks), targets=targets, split=split)
-
-
-def sample_transition_pairs(annotations: AnnotationSet,
-                            vocab: ActionVocab) -> list[tuple[int, int]]:
-    """(previous, target) action ids in sample order: per video, every
-    instance except the first, videos in annotation order."""
-    pairs: list[tuple[int, int]] = []
-    for video in annotations.videos():
-        ids = [vocab.action_id(i.verb, i.noun) for i in video]
-        pairs.extend(zip(ids, ids[1:]))
-    return pairs
 
 
 def gen_synthetic_embeddings(grammar: SyntheticGrammar, d: int,

@@ -198,10 +198,6 @@ class ActionVocab:
     def noun_of(self, action_id: int) -> int:
         return self.actions[action_id][1]
 
-    def action_name(self, action_id: int) -> str:
-        v, n = self.actions[action_id]
-        return f"{self.verbs[v]} {self.nouns[n]}"
-
     def action_id(self, verb: str, noun: str) -> int:
         """Id of the action with the given (normalized) tokens; KeyError if absent."""
         key = (self._verb_ids[normalize_token(verb)],

@@ -1,11 +1,14 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from softact import (build_verb_noun_prior, format_annotations, load_dataset,
+from softact import (GrammarConfig, ProtocolConfig, build_verb_noun_prior,
+                     format_annotations, generate_dataset, load_dataset,
                      load_prior, save_dataset)
 from softact.cli import main
+from softact.priors import KINDS
 
 from conftest import make_annotations
 
@@ -146,6 +149,20 @@ def test_synth_config_file_with_overrides(tmp_path, capsys):
     assert total == 8 * 4  # the flag overrode the config file
 
 
+def test_synth_defaults_match_the_library(tmp_path, capsys):
+    # the CLI sets only verbs, nouns and density; the rest is the library's
+    assert main(["synth", "--out-dir", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    dataset = generate_dataset(GrammarConfig(10, 12, action_density=0.5),
+                               ProtocolConfig())
+    save_dataset(dataset, tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+    for name in names:
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "lib" / name).read_bytes()), name
+
+
 def test_synth_config_errors(tmp_path, capsys):
     bad = tmp_path / "synth.json"
     bad.write_text('{"verbz": 3}')
@@ -183,6 +200,52 @@ def test_train_uses_config_file_smoothing(tmp_path, data_dir, capsys):
     assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
                  "--config", str(config)]) == 0
     assert "uniform alpha=0.2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, cli", [(k, c) for k, (c, _) in KINDS.items()])
+def test_train_every_method_spelling(tmp_path, data_dir, capsys, kind, cli):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--method", cli, *FAST_FLAGS]) == 0
+    assert capsys.readouterr().out.startswith(f"{kind} alpha=")
+
+
+def test_train_rejects_unknown_spellings(tmp_path, data_dir, capsys):
+    for name in ("mixture", "verb_noun", "glove+verb_noun"):
+        assert main(["train", "--data", str(data_dir), "--out-dir",
+                     str(tmp_path / "run"), "--method", name,
+                     *FAST_FLAGS]) == 1
+    capsys.readouterr()
+
+
+def test_train_config_uses_library_kind_names(tmp_path, data_dir, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "smoothing": {"alpha": 0.5, "prior_kind": "mixture"}}))
+    assert main(["train", "--data", str(data_dir), "--out-dir",
+                 str(tmp_path / "run"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "'mixture'" in err
+    for kind in KINDS:
+        assert repr(kind) in err
+
+
+@pytest.mark.parametrize("past_end", [True, False])
+def test_train_rejects_out_of_range_train_pairs(tmp_path, data_dir, capsys,
+                                                past_end):
+    # id K used to crash the temporal prior; -1 wrapped to action K - 1
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    K = load_dataset(bundle).K
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["train_pairs"][0][0] = K if past_end else -1
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["train", "--data", str(bundle), "--out-dir",
+                 str(tmp_path / "run"), "--method", "temporal",
+                 *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "train pair" in err and f"[0, {K})" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):
@@ -239,6 +302,17 @@ def test_compare_and_report_roundtrip(tmp_path, data_dir, capsys):
                  "--out", str(saved)]) == 0
     capsys.readouterr()
     assert "onehot" in saved.read_text()
+
+
+def test_compare_accepts_every_method_spelling(tmp_path, data_dir, capsys):
+    spellings = [cli for cli, _ in KINDS.values()]
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(out),
+                 "--methods", ",".join(spellings), *FAST_FLAGS]) == 0
+    capsys.readouterr()
+    methods = json.loads((out / "methods.json").read_text())
+    assert [m["kind"] for m in methods] == list(KINDS)
+    assert [m["alpha"] for m in methods] == [a for _, a in KINDS.values()]
 
 
 def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):

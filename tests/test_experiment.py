@@ -8,10 +8,9 @@ from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      build_uniform_prior, build_verb_noun_prior,
                      default_methods, evaluate_model, generate_dataset,
                      grid_search_alpha, grid_to_csv, load_dataset,
-                     load_experiment_config, method_kind, mix_priors,
-                     prior_from_transition_counts, run_comparison, run_trial,
-                     save_dataset, save_experiment_config, split_dataset,
-                     topk_accuracy, train_model, transition_counts_from_pairs)
+                     load_experiment_config, mix_priors, run_comparison,
+                     run_trial, save_dataset, save_experiment_config,
+                     split_dataset, topk_accuracy, train_model)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
 
 from conftest import SMALL_PROTOCOL
@@ -174,9 +173,13 @@ def test_build_prior_for_kind(tiny_dataset):
     np.testing.assert_array_equal(build_prior_for_kind("verb_noun", ds).rows,
                                   build_verb_noun_prior(ds.vocab).rows)
     temporal = build_prior_for_kind("temporal", ds)
-    counts = transition_counts_from_pairs(ds.train_pairs, ds.K)
-    np.testing.assert_array_equal(
-        temporal.rows, prior_from_transition_counts(counts).rows)
+    preceder = np.zeros((ds.K, ds.K))
+    for prev, nxt in ds.train_pairs:
+        preceder[nxt, prev] += 1
+    seen = preceder.sum(axis=1) > 0
+    want = preceder[seen] / preceder[seen].sum(axis=1)[:, None]
+    np.testing.assert_array_equal(temporal.rows[seen], want)
+    np.testing.assert_array_equal(temporal.rows[~seen], 1.0 / ds.K)
     glove = build_prior_for_kind("glove", ds)
     mixed = build_prior_for_kind("glove+verb_noun", ds)
     want = mix_priors([glove, build_verb_noun_prior(ds.vocab)], [0.5, 0.5])
@@ -195,8 +198,10 @@ def test_build_prior_requires_embeddings(tiny_dataset):
 
 
 def test_method_kind_and_specs():
-    assert method_kind(SmoothingConfig(0.5, "mixture")) == "glove+verb_noun"
-    assert method_kind(SmoothingConfig(0.45, "verb_noun")) == "verb_noun"
+    # configs name kinds by their library names, as methods do
+    assert SmoothingConfig(0.5, "glove+verb_noun").prior_kind in DEFAULT_ALPHAS
+    with pytest.raises(ValueError, match="glove\\+verb_noun"):
+        SmoothingConfig(0.5, "mixture")
     methods = default_methods()
     assert [m.name for m in methods] == list(DEFAULT_ALPHAS)
     assert all(m.alpha == DEFAULT_ALPHAS[m.kind] for m in methods)

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from softact import (ActionVocab, MetricsReport, ParseError, ProtocolConfig,
-                     aggregate_trials, build_report, compute_many_shot,
-                     macro_precision_recall, many_shot_from_labels,
-                     marginalize_to_verb_noun, parse_report_csv,
-                     report_to_csv, report_to_plotdata, report_to_table,
-                     softmax, top1_ids, topk_accuracy, topk_ids)
+                     aggregate_trials, build_report, macro_precision_recall,
+                     many_shot_from_labels, parse_report_csv, report_to_csv,
+                     report_to_plotdata, report_to_table, softmax,
+                     topk_accuracy)
 from softact.metrics import cohort_indicator
-
-from conftest import make_annotations
 
 
 # ----------------------------------------------------------------- top-k
@@ -36,8 +33,10 @@ def test_topk_accuracy_matches_topk_ids_on_ties():
     probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1)
     probs[probs.sum(axis=1) == 0] = 1 / 6
     labels = rng.integers(0, 6, size=40)
+    # oracle: ids by descending probability, ties to the lower id
+    order = [np.lexsort((np.arange(6), -probs[i])) for i in range(40)]
     for k in (1, 3, 5):
-        want = np.array([labels[i] in topk_ids(probs[i], k)
+        want = np.array([labels[i] in order[i][:k]
                          for i in range(40)]).mean() * 100
         assert topk_accuracy(probs, labels, k) == pytest.approx(want)
 
@@ -54,27 +53,35 @@ def test_topk_accuracy_errors():
         topk_accuracy(np.zeros(3), np.array([0]), 1)
 
 
-def test_top1_ids_ties_to_lower():
-    probs = np.array([[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]])
-    np.testing.assert_array_equal(top1_ids(probs), [0, 2])
+def test_top1_ids_ties_to_lower(toy_vocab):
+    # the report's top-1 prediction breaks ties to the lower id: predicted
+    # 0 and 2 hit both labels (full recall); 1 and 3 would miss both
+    protocol = ProtocolConfig(encode_steps=1, decode_steps=1)
+    probs = np.array([[[0.4, 0.4, 0.1, 0.1]], [[0.1, 0.2, 0.35, 0.35]]])
+    labels = np.array([0, 2])
+    shots = many_shot_from_labels(labels, toy_vocab, threshold=1)
+    report = build_report([(probs, labels)], protocol, toy_vocab, shots)
+    assert report.cell("action_recall", 0).mean == 100.0
+    assert report.cell("action_precision", 0).mean == 100.0
 
 
 # ---------------------------------------------------------- marginalizing
 
 
 def test_marginalize_uniform_toy(toy_vocab):
-    verb_p, noun_p = marginalize_to_verb_noun(np.full(4, 0.25), toy_vocab)
+    mv, mn = cohort_indicator(toy_vocab)
+    verb_p, noun_p = np.full(4, 0.25) @ mv, np.full(4, 0.25) @ mn
     np.testing.assert_array_equal(verb_p, [0.5, 0.5])
     np.testing.assert_array_equal(noun_p, [0.5, 0.5])
 
 
 def test_marginalize_concentrated(toy_vocab):
-    verb_p, noun_p = marginalize_to_verb_noun(np.array([0.6, 0.3, 0.1, 0.0]),
-                                              toy_vocab)
-    np.testing.assert_allclose(verb_p, [0.9, 0.1], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(noun_p, [0.7, 0.3], rtol=0, atol=1e-15)
+    mv, mn = cohort_indicator(toy_vocab)
+    p = np.array([0.6, 0.3, 0.1, 0.0])
+    np.testing.assert_allclose(p @ mv, [0.9, 0.1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p @ mn, [0.7, 0.3], rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        marginalize_to_verb_noun(np.full(3, 1 / 3), toy_vocab)
+        np.full(3, 1 / 3) @ mv
 
 
 def test_cohort_indicator_rows(toy_vocab):
@@ -89,25 +96,16 @@ def test_cohort_indicator_rows(toy_vocab):
 
 def test_compute_many_shot(toy_vocab):
     # 3x action 0 (cut,onion), 2x action 3 (wash,carrot), 1x action 1
-    annotations = make_annotations(toy_vocab, [[0, 0, 0, 3, 3, 1]])
-    shots = compute_many_shot(annotations, toy_vocab, threshold=2)
+    labels = [0, 0, 0, 3, 3, 1]
+    shots = many_shot_from_labels(labels, toy_vocab, threshold=2)
     assert shots.actions == {0, 3}
     assert shots.verbs == {0, 1}       # cut 4x, wash 2x
     assert shots.nouns == {0, 1}       # onion 3x, carrot 3x
     assert shots.threshold == 2
-    strict = compute_many_shot(annotations, toy_vocab, threshold=3)
+    strict = many_shot_from_labels(labels, toy_vocab, threshold=3)
     assert strict.actions == {0}
     assert strict.verbs == {0}
     assert strict.nouns == {0, 1}
-
-
-def test_many_shot_from_labels_matches_annotations(toy_vocab):
-    videos = [[0, 0, 1, 2, 3, 3, 3], [1, 1, 0]]
-    annotations = make_annotations(toy_vocab, videos)
-    labels = [k for video in videos for k in video]
-    a = compute_many_shot(annotations, toy_vocab, threshold=3)
-    b = many_shot_from_labels(labels, toy_vocab, threshold=3)
-    assert (a.actions, a.verbs, a.nouns) == (b.actions, b.verbs, b.nouns)
     with pytest.raises(ValueError):
         many_shot_from_labels([4], toy_vocab)
 

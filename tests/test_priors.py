@@ -3,12 +3,11 @@ import pytest
 
 from softact import (ActionInstance, ActionVocab, AnnotationSet,
                      EmbeddingTable, ParseError, PriorMatrix,
-                     build_glove_prior, build_temporal_prior,
+                     build_glove_prior, build_prior, build_temporal_prior,
                      build_uniform_prior, build_verb_noun_prior,
-                     count_transitions, embed_action, load_embeddings,
-                     load_prior, mix_priors, prior_from_transition_counts,
-                     save_prior)
-from softact.priors import ROW_SUM_TOL, action_embedding_matrix
+                     load_embeddings, load_prior, mix_priors, save_prior,
+                     temporal_prior_from_pairs, transition_pairs)
+from softact.priors import KINDS, ROW_SUM_TOL, action_embedding_matrix
 
 from conftest import make_annotations, random_vocab
 
@@ -91,10 +90,10 @@ def test_verb_noun_prior_support_property():
 
 def test_load_embeddings():
     table = load_embeddings("cat 1 2\n\ndog 3 4\ncat 5 6\n", dimension=2)
-    assert len(table) == 2
+    assert len(table.vectors) == 2
     np.testing.assert_array_equal(table.vectors["cat"], [5.0, 6.0])
     np.testing.assert_array_equal(table.vectors["dog"], [3.0, 4.0])
-    assert "cat" in table and "fish" not in table
+    assert "cat" in table.vectors and "fish" not in table.vectors
 
 
 def test_load_embeddings_errors():
@@ -110,20 +109,18 @@ def test_load_embeddings_errors():
 
 def test_embed_action_concatenates_verb_and_noun(toy_vocab):
     table = load_embeddings("cut 1 0\nonion 0 2\n", dimension=2)
-    emb = embed_action(toy_vocab, table, 0)
-    np.testing.assert_array_equal(emb.vector, [1.0, 0.0, 0.0, 2.0])
+    phi = action_embedding_matrix(toy_vocab, table)
+    assert phi.shape == (4, 4)
+    np.testing.assert_array_equal(phi[0], [1.0, 0.0, 0.0, 2.0])
     # unknown words embed as zero
-    oov = embed_action(toy_vocab, table, 3)  # (wash, carrot)
-    np.testing.assert_array_equal(oov.vector, np.zeros(4))
-    with pytest.raises(IndexError):
-        embed_action(toy_vocab, table, 4)
+    np.testing.assert_array_equal(phi[3], np.zeros(4))  # (wash, carrot)
 
 
 def test_embed_action_multiword_token_mean():
     vocab = ActionVocab(("cut",), ("pumpkin:seeds",), ((0, 0),))
     table = load_embeddings("cut 1 0\npumpkin 2 0\nseeds 0 2\n", dimension=2)
-    emb = embed_action(vocab, table, 0)
-    np.testing.assert_array_equal(emb.vector, [1.0, 0.0, 1.0, 1.0])
+    phi = action_embedding_matrix(vocab, table)
+    np.testing.assert_array_equal(phi, [[1.0, 0.0, 1.0, 1.0]])
 
 
 # ------------------------------------------------------------------ glove
@@ -190,9 +187,9 @@ def test_temporal_prior_ignores_video_boundaries(ab_vocab):
     # videos [A,B] and [B,A]: the B->B pair across the boundary must not
     # count, so B's predecessor row stays exactly [1, 0]
     annotations = make_annotations(ab_vocab, [[0, 1], [1, 0]])
-    counts = count_transitions(annotations, ab_vocab)
-    np.testing.assert_array_equal(counts.counts, [[0, 1], [1, 0]])
-    p = prior_from_transition_counts(counts)
+    pairs = transition_pairs(annotations, ab_vocab)
+    assert pairs == [(0, 1), (1, 0)]
+    p = temporal_prior_from_pairs(pairs, ab_vocab.K)
     np.testing.assert_array_equal(p.rows, [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -211,8 +208,18 @@ def test_count_transitions_unknown_action(ab_vocab):
         ActionInstance("vid0", 0.0, "va", "na"),
         ActionInstance("vid0", 1.0, "jump", "rope"),
     ))
+    with pytest.raises(ValueError, match="jump.*'vid0' at t=1.0"):
+        transition_pairs(annotations, ab_vocab)
     with pytest.raises(ValueError, match="jump"):
-        count_transitions(annotations, ab_vocab)
+        build_temporal_prior(annotations, ab_vocab)
+
+
+def test_temporal_prior_from_pairs_rejects_out_of_range_ids():
+    for bad in ([(0, 2)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="outside"):
+            temporal_prior_from_pairs(bad, 2)
+    np.testing.assert_array_equal(temporal_prior_from_pairs([], 2).rows,
+                                  np.full((2, 2), 0.5))
 
 
 def test_temporal_prior_matches_count_columns():
@@ -223,7 +230,9 @@ def test_temporal_prior_matches_count_columns():
         videos = [rng.integers(0, vocab.K, size=rng.integers(1, 8)).tolist()
                   for _ in range(rng.integers(1, 5))]
         annotations = make_annotations(vocab, videos)
-        counts = count_transitions(annotations, vocab).counts
+        counts = np.zeros((vocab.K, vocab.K))
+        for prev, nxt in transition_pairs(annotations, vocab):
+            counts[prev, nxt] += 1
         p = build_temporal_prior(annotations, vocab)
         for k in range(vocab.K):
             col = counts[:, k].astype(np.float64)
@@ -265,6 +274,39 @@ def test_mix_priors_errors(toy_vocab):
         mix_priors([vn, vn], [1.0, -1.0])
     with pytest.raises(ValueError):
         mix_priors([vn, vn], [0.0, 0.0])
+
+
+# ------------------------------------------------------------- dispatch
+
+
+def test_build_prior_dispatches_every_kind(toy_vocab):
+    table = load_embeddings("cut 1 0\nwash 0 1\nonion 1 0\n", dimension=2)
+    pairs = [(0, 1), (1, 3), (3, 1)]
+    built = {kind: build_prior(kind, toy_vocab, table, pairs)
+             for kind in KINDS}
+    assert built["onehot"] is None
+    want = {
+        "uniform": build_uniform_prior(4),
+        "verb_noun": build_verb_noun_prior(toy_vocab),
+        "glove": build_glove_prior(toy_vocab, table),
+        "temporal": temporal_prior_from_pairs(pairs, 4),
+        "glove+verb_noun": mix_priors([build_glove_prior(toy_vocab, table),
+                                       build_verb_noun_prior(toy_vocab)],
+                                      [0.5, 0.5]),
+    }
+    for kind, prior in want.items():
+        assert built[kind].kind == prior.kind == kind
+        np.testing.assert_array_equal(built[kind].rows, prior.rows)
+
+
+def test_build_prior_missing_inputs(toy_vocab):
+    for kind in ("glove", "glove+verb_noun"):
+        with pytest.raises(ValueError, match="embeddings"):
+            build_prior(kind, toy_vocab, pairs=[])
+    with pytest.raises(ValueError, match="pairs"):
+        build_prior("temporal", toy_vocab)
+    with pytest.raises(ValueError, match="mixture"):
+        build_prior("mixture", toy_vocab)
 
 
 # ------------------------------------------------------------------- i/o

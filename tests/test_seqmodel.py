@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from softact import (FormatError, ModelConfig, ProtocolConfig, SoftLabel,
-                     adam_step, forward, forward_batch, init_params,
-                     load_checkpoint, loss_and_gradients,
-                     loss_and_gradients_batch, one_hot, predict_topk,
-                     save_checkpoint, topk_ids, weight_shapes)
+                     adam_step, forward_batch, init_params, load_checkpoint,
+                     loss_and_gradients_batch, one_hot, save_checkpoint,
+                     topk_accuracy, weight_shapes)
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -112,10 +111,12 @@ def test_forward_single_sample_matches_batch():
     feats = random_features(cfg, batch=4, steps=5, seed=2)
     logits, probs = forward_batch(params, feats, protocol)
     for i in range(4):
-        single = forward(params, [x[i] for x in feats], protocol)
-        np.testing.assert_allclose(single.logits, logits[i], rtol=0,
+        single_logits, single_probs = forward_batch(
+            params, [x[i:i + 1] for x in feats], protocol)
+        np.testing.assert_allclose(single_logits[0], logits[i], rtol=0,
                                    atol=1e-12)
-        np.testing.assert_allclose(single.probs, probs[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single_probs[0], probs[i], rtol=0,
+                                   atol=1e-12)
 
 
 def test_forward_shape_errors():
@@ -239,8 +240,8 @@ def test_gradients_match_finite_differences_single():
     rng = np.random.default_rng(8)
     feats = [rng.normal(size=(1, 5, d)) for d in cfg.feature_dims]
     target = SoftLabel(np.array([0.6, 0.3, 0.1]))
-    loss, grads = loss_and_gradients(params, [x[0] for x in feats], target,
-                                     protocol)
+    loss, grads = loss_and_gradients_batch(params, feats,
+                                           target.values[None, :], protocol)
     assert np.isfinite(loss)
     numeric = numerical_gradients(params, feats, target.values[None, :],
                                   protocol)
@@ -320,24 +321,17 @@ def test_adam_gradient_list_length_error():
 
 
 def test_topk_ids():
-    assert topk_ids(np.array([0.1, 0.5, 0.2, 0.2]), 2) == [1, 2]
-    assert topk_ids(np.array([0.25, 0.25, 0.25, 0.25]), 3) == [0, 1, 2]
-    assert topk_ids(np.array([0.2, 0.8]), 1) == [1]
+    def topk_ids(probs, k):
+        """Ids whose label topk_accuracy counts as a top-k hit."""
+        probs = np.array([probs])
+        return [i for i in range(probs.shape[1])
+                if topk_accuracy(probs, [i], k) == 100.0]
+
+    assert topk_ids([0.1, 0.5, 0.2, 0.2], 2) == [1, 2]
+    assert topk_ids([0.25, 0.25, 0.25, 0.25], 3) == [0, 1, 2]
+    assert topk_ids([0.2, 0.8], 1) == [1]
     with pytest.raises(ValueError):
-        topk_ids(np.array([0.5, 0.5]), 3)
-
-
-def test_predict_topk():
-    cfg = tiny_config()
-    params = init_params(cfg)
-    protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
-    feats = [x[0] for x in random_features(cfg, batch=1, steps=5)]
-    preds = forward(params, feats, protocol)
-    ids = predict_topk(preds, 0, 2)
-    assert len(ids) == 2 and len(set(ids)) == 2
-    assert ids == topk_ids(preds.probs[0], 2)
-    with pytest.raises(IndexError):
-        predict_topk(preds, 3, 1)
+        topk_ids([0.5, 0.5], 3)
 
 
 # ------------------------------------------------------------ checkpoints

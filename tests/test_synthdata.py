@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
-                     build_glove_prior, count_transitions, gen_annotation_sequences,
+                     build_glove_prior, gen_annotation_sequences,
                      gen_features, gen_grammar, gen_synthetic_embeddings,
-                     grammar_from_json_dict, read_features,
-                     sample_transition_pairs, write_features)
+                     grammar_from_json_dict, read_features, transition_pairs,
+                     write_features)
 
 from conftest import SMALL_PROTOCOL, make_annotations
 
@@ -144,7 +144,9 @@ def test_transition_frequencies_match_chain():
     grammar = gen_grammar(small_grammar(num_verbs=2, num_nouns=2, seed=9))
     annotations = gen_annotation_sequences(grammar, num_videos=8,
                                            length=1500, seed=4)
-    counts = count_transitions(annotations, grammar.vocab).counts
+    counts = np.zeros((grammar.K, grammar.K))
+    for prev, nxt in transition_pairs(annotations, grammar.vocab):
+        counts[prev, nxt] += 1
     rowsum = counts.sum(axis=1, keepdims=True)
     assert np.all(rowsum > 0)
     empirical = counts / rowsum
@@ -156,7 +158,7 @@ def test_transition_frequencies_match_chain():
 
 def test_sample_transition_pairs(ab_vocab):
     annotations = make_annotations(ab_vocab, [[0, 1, 0], [1, 1]])
-    assert sample_transition_pairs(annotations, ab_vocab) == [
+    assert transition_pairs(annotations, ab_vocab) == [
         (0, 1), (1, 0), (1, 1)]
 
 
@@ -170,7 +172,7 @@ def test_gen_features_counts_and_targets():
     assert fs.timesteps == SMALL_PROTOCOL.total_steps
     assert fs.dims == (6, 5)
     assert fs.split == "train"
-    pairs = sample_transition_pairs(annotations, grammar.vocab)
+    pairs = transition_pairs(annotations, grammar.vocab)
     np.testing.assert_array_equal(fs.targets, [tgt for _, tgt in pairs])
 
 
@@ -208,7 +210,7 @@ def test_synthetic_embeddings_cosine():
     d = 4 + 3 + 2  # enough for the exact orthonormal construction
     table = gen_synthetic_embeddings(grammar, d, cohort_similarity=0.6, seed=0)
     vocab = grammar.vocab
-    assert len(table) == 7
+    assert len(table.vectors) == 7
     for tokens in (vocab.verbs, vocab.nouns):
         for i, a in enumerate(tokens):
             va = table.vectors[a]

@@ -89,7 +89,6 @@ def test_build_vocab_first_appearance():
     assert vocab.K == 4
     assert vocab.action_id("cut", "carrot") == 1
     assert vocab.verb_of(2) == 1 and vocab.noun_of(2) == 0
-    assert vocab.action_name(3) == "wash carrot"
     with pytest.raises(KeyError):
         vocab.action_id("cut", "pan")
 
