@@ -281,8 +281,21 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if not all(0 <= k < vocab.K for pair in train_pairs for k in pair):
         raise FormatError(f"{manifest_path}: a train pair has an action id "
                           f"outside [0, {vocab.K})")
-    splits = {name: read_features(root / f"{name}.feat", split=name)
-              for name in ("train", "val", "test")}
+    modalities = tuple((n, d) for n, d in manifest["modalities"])
+    dims = tuple(d for _, d in modalities)
+    splits = {}
+    for name in ("train", "val", "test"):
+        path = root / f"{name}.feat"
+        split = splits[name] = read_features(path, split=name)
+        if split.dims != dims:
+            raise FormatError(f"{path}: feature dims {split.dims} do not "
+                              f"match the manifest's modalities {dims}")
+        if split.timesteps != protocol.total_steps:
+            raise FormatError(f"{path}: {split.timesteps} timesteps, the "
+                              f"protocol has {protocol.total_steps}")
+        if np.any((split.targets < 0) | (split.targets >= vocab.K)):
+            raise FormatError(f"{path}: a target action id is outside "
+                              f"[0, {vocab.K})")
     embeddings = None
     if manifest.get("embedding_dimension") is not None:
         embeddings = load_embeddings((root / "embeddings.txt").read_text(),
@@ -298,7 +311,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     return Dataset(
         vocab=vocab,
         protocol=protocol,
-        modalities=tuple((n, d) for n, d in manifest["modalities"]),
+        modalities=modalities,
         train=splits["train"],
         val=splits["val"],
         test=splits["test"],

@@ -182,7 +182,7 @@ def transition_pairs(annotations: AnnotationSet,
             try:
                 ids.append(vocab.action_id(inst.verb, inst.noun))
             except KeyError:
-                raise ValueError(
+                raise ParseError(
                     f"unknown action ({inst.verb!r}, {inst.noun!r}) in video "
                     f"{inst.video_id!r} at t={inst.start_time}"
                 ) from None

@@ -10,6 +10,18 @@ action: ``(decode_steps - s) * snippet_stride`` seconds.
 Everything is float64 numpy. Gradients are exact backpropagation through
 time with the fused softmax cross-entropy output gradient ``p - y_soft``;
 they are verified against central finite differences in the test suite.
+
+The LSTM step kernel is bit-identical by contract to the plain per-step
+formulation (concatenate ``[x_t | h]``, one GEMM, a two-branch sigmoid on
+each gate slice, then BPTT with freshly built ``dz``): every floating-point
+operation and GEMM is the same, in the same order, so a seeded run gives
+the same bytes. Only where results are stored changed: one preallocated
+step-input buffer, whole-block gate activations and ``out=`` ufuncs.
+Training results, checkpoints and the benchmark's recorded reference scores
+depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
+formulation to check them. A faster but different formulation (hoisting
+the input projection, one stacked ``dW`` GEMM, a ``tanh``-based sigmoid,
+float32) is a change of results and must come with new reference scores.
 """
 
 from __future__ import annotations
@@ -104,6 +116,10 @@ class ModelParams:
     adam_m: list[np.ndarray] = field(default_factory=list)
     adam_v: list[np.ndarray] = field(default_factory=list)
     adam_step: int = 0
+    # Scratch, never saved or copied: the training forward's backward-cache
+    # arrays per modality, reused from batch to batch (see _cache_arrays).
+    _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if not self.adam_m:
@@ -168,12 +184,21 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config=config, weights=weights)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, branch-free and overflow-free.
+
+    ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + exp(-x))`` for
+    x >= 0 (the numerator is exactly ``exp(0) = 1``) and
+    ``exp(x) / (1 + exp(x))`` for x < 0 (``-|x|`` is exactly ``x``), so it
+    gives the bits of the two-branch formula without a data-dependent mask.
+    ``out`` may be ``x``.
+    """
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.exp(np.minimum(x, 0.0, out=out), out=out)
+    out /= den
     return out
 
 
@@ -195,33 +220,71 @@ def _check_features(params: ModelParams, features) -> int:
     return batch
 
 
-def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray, keep_cache: bool):
-    """Run one LSTM over (B, T, D) input from zero state.
+def _cache_arrays(params: ModelParams, m: int, B: int, T: int):
+    """Modality m's backward-cache arrays for a (B, T) batch:
+    ``(xh, gates, cs, tanh_cs)`` as :func:`_run_lstm` fills them.
 
-    Returns the hidden states (B, T, H) and, when requested, the per-step
-    cache needed for the backward pass.
+    At B=256, H=64 they take about 13 MB per modality. Arrays that size
+    come back from the allocator as fresh pages on every call, because it
+    hands freed memory of that size back to the system, and faulting them
+    in again cost about 15 ms of a 100 ms training batch. So ``params``
+    keeps the arrays of the largest batch seen, and a smaller batch uses
+    their leading rows (each step's (B, .) block stays C-contiguous).
     """
-    B, T, _ = x.shape
+    D = params.config.modalities[m][1]
+    H = params.config.hidden_size
+    held = params._step_arrays.get(m)
+    if held is None or held[0].shape[1] < B or held[1].shape[0] != T:
+        held = tuple(np.empty((n, B, w)) for n, w in
+                     ((T + 1, D + H), (T, 4 * H), (T + 1, H), (T, H)))
+        params._step_arrays[m] = held
+    return tuple(a[:, :B] for a in held)
+
+
+def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
+              h_out: np.ndarray, cache=None) -> None:
+    """Run one LSTM over (B, T, D) input from zero state and write the
+    hidden states of the last S steps into ``h_out``, (B, S, H).
+
+    ``cache`` (from :func:`_cache_arrays`) is filled for the backward pass:
+    ``xh`` (T+1, B, D+H) with ``[x_t | h_{t-1}]`` in row t, the (T, B, 4H)
+    gate activations packed [i | f | g | o], the (T+1, B, H) cell states
+    from the zero start and the (T, B, H) ``tanh(c_t)``. Without it the
+    same arrays have two rows (or one), which every step reuses, so a
+    forward-only pass holds nothing that grows with T.
+    """
+    B, T, D = x.shape
     H = b.shape[0] // 4
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    hs = np.empty((B, T, H))
-    cache = [] if keep_cache else None
+    S = h_out.shape[1]
+    if cache is None:
+        cache = (np.empty((2, B, D + H)), np.empty((1, B, 4 * H)),
+                 np.empty((2, B, H)), np.empty((1, B, H)))
+    xh, gates, cs, tanh_cs = cache
+    n_rows, n_steps = xh.shape[0], gates.shape[0]
+    xh[0, :, D:] = 0.0
+    cs[0] = 0.0
+    gg = np.empty((B, H))
+    gi_gg = np.empty((B, H))
     for t in range(T):
-        xh = np.concatenate([x[:, t, :], h], axis=1)
-        z = xh @ W + b
-        gi = _sigmoid(z[:, :H])
-        gf = _sigmoid(z[:, H:2 * H])
-        gg = np.tanh(z[:, 2 * H:3 * H])
-        go = _sigmoid(z[:, 3 * H:])
-        c_prev = c
-        c = gf * c_prev + gi * gg
-        tanh_c = np.tanh(c)
-        h = go * tanh_c
-        hs[:, t, :] = h
-        if keep_cache:
-            cache.append((xh, gi, gf, gg, go, c_prev, tanh_c))
-    return hs, cache
+        row = xh[t % n_rows]
+        row[:, :D] = x[:, t, :]
+        z = gates[t % n_steps]
+        np.matmul(row, W, out=z)
+        z += b
+        np.tanh(z[:, 2 * H:3 * H], out=gg)
+        _sigmoid(z, out=z)
+        z[:, 2 * H:3 * H] = gg
+        c_prev = cs[t % n_rows]
+        c = cs[(t + 1) % n_rows]
+        tanh_c = tanh_cs[t % n_steps]
+        np.multiply(z[:, H:2 * H], c_prev, out=c)
+        np.multiply(z[:, :H], gg, out=gi_gg)
+        c += gi_gg
+        np.tanh(c, out=tanh_c)
+        h = xh[(t + 1) % n_rows, :, D:]
+        np.multiply(z[:, 3 * H:], tanh_c, out=h)
+        if t >= T - S:
+            h_out[:, t - (T - S)] = h
 
 
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
@@ -235,19 +298,19 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
             f"({protocol.encode_steps}+{protocol.decode_steps}), got {T}"
         )
     S = protocol.decode_steps
-    hs_all, caches = [], []
+    H = cfg.hidden_size
+    hcat = np.empty((B, S, len(cfg.modalities) * H))
+    caches = []
     for m in range(len(cfg.modalities)):
-        hs, cache = _run_lstm(params.lstm_weight(m), params.lstm_bias(m),
-                              np.asarray(features[m], dtype=np.float64),
-                              keep_cache)
-        hs_all.append(hs)
+        cache = _cache_arrays(params, m, B, T) if keep_cache else None
+        _run_lstm(params.lstm_weight(m), params.lstm_bias(m), features[m],
+                  hcat[:, :, m * H:(m + 1) * H], cache)
         caches.append(cache)
-    hcat = np.concatenate([hs[:, T - S:, :] for hs in hs_all], axis=2)
     logits = hcat @ params.fusion_weight + params.fusion_bias
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
     probs = softmax(logits)
-    return logits, probs, hs_all, hcat, caches
+    return logits, probs, hcat, caches
 
 
 def forward_batch(params: ModelParams, features,
@@ -256,8 +319,8 @@ def forward_batch(params: ModelParams, features,
 
     Returns (logits, probs), each (B, decode_steps, K).
     """
-    logits, probs, _, _, _ = _forward_full(params, features, protocol,
-                                           keep_cache=False)
+    logits, probs, _, _ = _forward_full(params, features, protocol,
+                                        keep_cache=False)
     return logits, probs
 
 
@@ -270,8 +333,8 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample.
     """
-    logits, probs, hs_all, hcat, caches = _forward_full(params, features,
-                                                        protocol, keep_cache=True)
+    logits, probs, hcat, caches = _forward_full(params, features, protocol,
+                                                keep_cache=True)
     cfg = params.config
     B, S, K = probs.shape
     T = features[0].shape[1]
@@ -294,32 +357,64 @@ def loss_and_gradients_batch(params: ModelParams, features,
     grads[2 * M + 1] = dlogits.sum(axis=(0, 1))
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
+    dz = np.empty((B, 4 * H))
+    dz_i, dz_f = dz[:, :H], dz[:, H:2 * H]
+    dz_g, dz_o = dz[:, 2 * H:3 * H], dz[:, 3 * H:]
+    dh_sum = np.empty((B, H))
+    dc = np.empty((B, H))
+    tmp = np.empty((B, H))
     for m in range(M):
         dim = cfg.modalities[m][1]
         W = params.lstm_weight(m)
         dW = grads[2 * m]
         db = grads[2 * m + 1]
+        dW_t = np.empty_like(W)
+        dxh = np.empty((B, dim + H))
         dh_out = dhcat[:, :, m * H:(m + 1) * H]
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
-        cache = caches[m]
+        xh, gates, cs, tanh_cs = caches[m]
         for t in range(T - 1, -1, -1):
-            xh, gi, gf, gg, go, c_prev, tanh_c = cache[t]
+            z = gates[t]
+            gi, gf = z[:, :H], z[:, H:2 * H]
+            gg, go = z[:, 2 * H:3 * H], z[:, 3 * H:]
+            c_prev, tanh_c = cs[t], tanh_cs[t]
             dh = dh_next
             if t >= T - S:
-                dh = dh + dh_out[:, t - (T - S), :]
-            dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
-            dz = np.concatenate([
-                dc * gg * gi * (1.0 - gi),          # input gate
-                dc * c_prev * gf * (1.0 - gf),      # forget gate
-                dc * gi * (1.0 - gg * gg),          # cell candidate
-                dh * tanh_c * go * (1.0 - go),      # output gate
-            ], axis=1)
-            dW += xh.T @ dz
+                dh = np.add(dh_next, dh_out[:, t - (T - S), :], out=dh_sum)
+            # dc = dc_next + dh * go * (1 - tanh_c**2)
+            np.multiply(dh, go, out=dc)
+            np.multiply(tanh_c, tanh_c, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dc *= tmp
+            dc += dc_next
+            # input gate: dc * gg * gi * (1 - gi)
+            np.multiply(dc, gg, out=dz_i)
+            dz_i *= gi
+            np.subtract(1.0, gi, out=tmp)
+            dz_i *= tmp
+            # forget gate: dc * c_prev * gf * (1 - gf)
+            np.multiply(dc, c_prev, out=dz_f)
+            dz_f *= gf
+            np.subtract(1.0, gf, out=tmp)
+            dz_f *= tmp
+            # cell candidate: dc * gi * (1 - gg**2)
+            np.multiply(dc, gi, out=dz_g)
+            np.multiply(gg, gg, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dz_g *= tmp
+            # output gate: dh * tanh_c * go * (1 - go)
+            np.multiply(dh, tanh_c, out=dz_o)
+            dz_o *= go
+            np.subtract(1.0, go, out=tmp)
+            dz_o *= tmp
+            np.matmul(xh[t].T, dz, out=dW_t)
+            dW += dW_t
             db += dz.sum(axis=0)
-            dxh = dz @ W.T
-            dh_next = dxh[:, dim:]
-            dc_next = dc * gf
+            if t:  # step 0 has no earlier step to pass gradients to
+                np.matmul(dz, W.T, out=dxh)
+                dh_next = dxh[:, dim:]
+                np.multiply(dc, gf, out=dc_next)
     return loss, grads
 
 

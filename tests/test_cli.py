@@ -4,9 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from softact import (GrammarConfig, ProtocolConfig, build_verb_noun_prior,
-                     format_annotations, generate_dataset, load_dataset,
-                     load_prior, save_dataset)
+from softact import (ActionInstance, AnnotationSet, GrammarConfig,
+                     ProtocolConfig, build_verb_noun_prior, format_annotations,
+                     generate_dataset, load_dataset, load_prior, read_features,
+                     save_dataset, write_features)
 from softact.cli import main
 from softact.priors import KINDS
 
@@ -48,7 +49,13 @@ def test_exit_codes(tmp_path, toy_vocab, capsys):
     assert main(["build-prior", "--kind", "uniform",
                  "--vocab", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "p.csv")]) == 2  # unreadable input
-    capsys.readouterr()
+    ann_path = tmp_path / "annotations.csv"
+    ann_path.write_text(format_annotations(AnnotationSet(
+        (ActionInstance("v1", 0.0, "jump", "rope"),))))
+    assert main(["build-prior", "--kind", "temporal", "--vocab",
+                 str(vocab_path), "--annotations", str(ann_path),
+                 "--out", str(tmp_path / "p.csv")]) == 2  # unknown action
+    assert "unknown action ('jump', 'rope')" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ build-prior
@@ -246,6 +253,43 @@ def test_train_rejects_out_of_range_train_pairs(tmp_path, data_dir, capsys,
     err = capsys.readouterr().err
     assert "train pair" in err and f"[0, {K})" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_out_of_range_split_target(tmp_path, data_dir, capsys):
+    # used to train the whole run, then fail in build_report (IndexError)
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    K = load_dataset(bundle).K
+    test = read_features(bundle / "test.feat")
+    test.targets[0] = K
+    write_features(test, bundle / "test.feat")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "test.feat" in err and f"[0, {K})" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("section,key,message", [
+    ("modalities", 0, "do not match the manifest's modalities"),
+    ("protocol", "encode_steps", "timesteps, the protocol has"),
+])
+def test_train_rejects_splits_unlike_manifest(tmp_path, data_dir, capsys,
+                                              section, key, message):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    if section == "modalities":
+        manifest["modalities"][key][1] += 1
+    else:
+        manifest["protocol"][key] += 1
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):

@@ -5,6 +5,8 @@ from softact import (FormatError, ModelConfig, ProtocolConfig, SoftLabel,
                      adam_step, forward_batch, init_params, load_checkpoint,
                      loss_and_gradients_batch, one_hot, save_checkpoint,
                      topk_accuracy, weight_shapes)
+from softact.seqmodel import _sigmoid
+from softact.smoothing import PROB_EPS, softmax
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -260,6 +262,140 @@ def test_gradients_match_finite_differences_batch():
     _, grads = loss_and_gradients_batch(params, feats, targets, protocol)
     numeric = numerical_gradients(params, feats, targets, protocol)
     assert max_rel_error(grads, numeric) <= 1e-4
+
+
+# ----------------------------------------------- step kernel reference
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_loss_and_gradients(params, features, targets, protocol):
+    """The per-step LSTM forward and BPTT that the step kernel replaced,
+    kept operation for operation: (probs, loss, grads)."""
+    cfg = params.config
+    H, M = cfg.hidden_size, len(cfg.modalities)
+    T, S = protocol.total_steps, protocol.decode_steps
+    B = features[0].shape[0]
+    hs_all, caches = [], []
+    for m in range(M):
+        W, b = params.lstm_weight(m), params.lstm_bias(m)
+        x = np.asarray(features[m], dtype=np.float64)
+        h, c = np.zeros((B, H)), np.zeros((B, H))
+        hs, cache = np.empty((B, T, H)), []
+        for t in range(T):
+            xh = np.concatenate([x[:, t, :], h], axis=1)
+            z = xh @ W + b
+            gi, gf = _masked_sigmoid(z[:, :H]), _masked_sigmoid(z[:, H:2 * H])
+            gg, go = np.tanh(z[:, 2 * H:3 * H]), _masked_sigmoid(z[:, 3 * H:])
+            c_prev = c
+            c = gf * c_prev + gi * gg
+            tanh_c = np.tanh(c)
+            h = go * tanh_c
+            hs[:, t, :] = h
+            cache.append((xh, gi, gf, gg, go, c_prev, tanh_c))
+        hs_all.append(hs)
+        caches.append(cache)
+    hcat = np.concatenate([hs[:, T - S:, :] for hs in hs_all], axis=2)
+    probs = softmax(hcat @ params.fusion_weight + params.fusion_bias)
+    if targets is None:
+        return probs, None, None
+    K = probs.shape[2]
+    loss = float(-(targets[:, None, :]
+                   * np.log(np.maximum(probs, PROB_EPS))).sum() / (B * S))
+    dlogits = (probs - targets[:, None, :]) / (B * S)
+    grads = [np.zeros_like(w) for w in params.weights]
+    grads[2 * M] = hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K)
+    grads[2 * M + 1] = dlogits.sum(axis=(0, 1))
+    dhcat = dlogits @ params.fusion_weight.T
+    for m in range(M):
+        dim, W = cfg.modalities[m][1], params.lstm_weight(m)
+        dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            xh, gi, gf, gg, go, c_prev, tanh_c = caches[m][t]
+            dh = dh_next
+            if t >= T - S:
+                dh = dh + dhcat[:, t - (T - S), m * H:(m + 1) * H]
+            dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
+            dz = np.concatenate([dc * gg * gi * (1.0 - gi),
+                                 dc * c_prev * gf * (1.0 - gf),
+                                 dc * gi * (1.0 - gg * gg),
+                                 dh * tanh_c * go * (1.0 - go)], axis=1)
+            grads[2 * m] += xh.T @ dz
+            grads[2 * m + 1] += dz.sum(axis=0)
+            dh_next = (dz @ W.T)[:, dim:]
+            dc_next = dc * gf
+    return probs, loss, grads
+
+
+def test_sigmoid_matches_masked_formula_bitwise():
+    x = np.array([-800.0, -1.0, -0.0, 0.0, 1.0, 800.0, np.inf, -np.inf,
+                  np.nan])
+    np.testing.assert_array_equal(_sigmoid(x).view(np.uint64),
+                                  _masked_sigmoid(x).view(np.uint64))
+    finite = np.concatenate([x[:6], np.random.default_rng(0).normal(
+        scale=20.0, size=(64, 256)).ravel()])
+    with np.errstate(over="raise"):
+        got = _sigmoid(finite)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  _masked_sigmoid(finite).view(np.uint64))
+    inplace = finite.copy()
+    assert _sigmoid(inplace, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace, got)
+
+
+@pytest.mark.parametrize("batch,hidden,dims,classes,weight_scale,dtype", [
+    (256, 64, (16, 16), 60, 1.0, np.float32),  # a (B, H) block is 128 KiB
+    (256, 64, (16, 16), 60, 4.0, np.float64),  # saturated gates
+    (3, 4, (3, 2), 3, 1.0, np.float64),
+])
+def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
+                                                    classes, weight_scale,
+                                                    dtype):
+    modalities = tuple((f"m{i}", d) for i, d in enumerate(dims))
+    cfg = ModelConfig(modalities=modalities, num_classes=classes,
+                      hidden_size=hidden, seed=4)
+    params = init_params(cfg)
+    for m in range(len(dims)):
+        params.lstm_weight(m)[...] *= weight_scale
+    protocol = ProtocolConfig()
+    rng = np.random.default_rng(11)
+    feats = [rng.normal(size=(batch, protocol.total_steps, d)).astype(dtype)
+             for d in dims]
+    targets = rng.random((batch, classes))
+    targets /= targets.sum(axis=1, keepdims=True)
+    # the second, smaller batch reuses the first one's cache arrays
+    for n in (batch, batch // 2 + 1):
+        x, y = [f[:n] for f in feats], targets[:n]
+        ref_probs, ref_loss, ref_grads = reference_loss_and_gradients(
+            params, x, y, protocol)
+        _, probs = forward_batch(params, x, protocol)
+        loss, grads = loss_and_gradients_batch(params, x, y, protocol)
+        assert np.array_equal(probs, ref_probs)
+        assert loss == ref_loss
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes()
+
+
+def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                      num_classes=1200, hidden_size=64, seed=2)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    rng = np.random.default_rng(12)
+    shape = (512, protocol.total_steps, 16)
+    feats = [rng.normal(size=shape).astype(np.float32) for _ in range(2)]
+    ref_probs, _, _ = reference_loss_and_gradients(params, feats, None,
+                                                   protocol)
+    _, probs = forward_batch(params, feats, protocol)
+    assert probs.tobytes() == ref_probs.tobytes()
 
 
 # ------------------------------------------------------------------- adam
