@@ -33,6 +33,7 @@ from .vocab import (ActionVocab, AnnotationSet, format_annotations,
 
 DATASET_FORMAT = "softact-dataset"
 DATASET_VERSION = 1
+_MANIFEST_KEYS = ("protocol", "vocab_sha256", "modalities", "train_pairs")
 
 DEFAULT_ALPHAS = {kind: alpha for kind, (_, alpha) in KINDS.items()}
 
@@ -121,11 +122,15 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path):
     try:
-        d = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    d = _read_json(path)
     if not isinstance(d, dict):
         raise FormatError(f"{path}: expected a JSON object")
     try:
@@ -219,7 +224,8 @@ def generate_dataset(grammar_config: GrammarConfig,
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     """Write the bundle: manifest.json, vocab.json, the three .feat splits,
-    plus embeddings.txt, grammar.json and annotations.csv when present."""
+    plus embeddings.txt, grammar.json (generator parameters and vocab) and
+    annotations.csv when present."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "vocab.json").write_text(dataset.vocab.to_json() + "\n")
@@ -257,31 +263,44 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
-    """Inverse of :func:`save_dataset`; validates the manifest and the
-    vocabulary hash."""
+    """Inverse of :func:`save_dataset`. Checks the manifest, the vocabulary
+    hash, the grammar and every split, so a bad bundle raises FormatError
+    (ParseError for malformed text) here, not part-way through a run."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise FormatError(f"{root}: not a dataset directory (no manifest.json)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise FormatError(f"{manifest_path}: unrecognized format "
                           f"{manifest.get('format')!r}")
     if manifest.get("version") != DATASET_VERSION:
         raise FormatError(f"{manifest_path}: unsupported version "
                           f"{manifest.get('version')!r}")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise FormatError(f"{manifest_path}: missing keys {missing}")
     vocab = ActionVocab.from_json((root / "vocab.json").read_text())
     if vocab.content_hash() != manifest["vocab_sha256"]:
         raise FormatError(f"{root}: vocab.json does not match the manifest hash")
-    protocol = ProtocolConfig(**manifest["protocol"])
-    train_pairs = tuple((a, b) for a, b in manifest["train_pairs"])
-    if not all(0 <= k < vocab.K for pair in train_pairs for k in pair):
+    try:
+        protocol = ProtocolConfig(**manifest["protocol"])
+        train_pairs = tuple((a, b) for a, b in manifest["train_pairs"])
+        pairs_in_range = all(0 <= k < vocab.K for pair in train_pairs
+                             for k in pair)
+        modalities = tuple((n, d) for n, d in manifest["modalities"])
+        embedding_dim = manifest.get("embedding_dimension")
+        if embedding_dim is not None and not (
+                type(embedding_dim) is int and embedding_dim >= 1):
+            raise ValueError(f"embedding_dimension {embedding_dim!r}")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{manifest_path}: malformed manifest ({exc})"
+                          ) from None
+    if not pairs_in_range:
         raise FormatError(f"{manifest_path}: a train pair has an action id "
                           f"outside [0, {vocab.K})")
-    modalities = tuple((n, d) for n, d in manifest["modalities"])
     dims = tuple(d for _, d in modalities)
     splits = {}
     for name in ("train", "val", "test"):
@@ -297,13 +316,20 @@ def load_dataset(in_dir: str | Path) -> Dataset:
             raise FormatError(f"{path}: a target action id is outside "
                               f"[0, {vocab.K})")
     embeddings = None
-    if manifest.get("embedding_dimension") is not None:
+    if embedding_dim is not None:
         embeddings = load_embeddings((root / "embeddings.txt").read_text(),
-                                     manifest["embedding_dimension"])
+                                     embedding_dim)
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
-        grammar = grammar_from_json_dict(json.loads(grammar_path.read_text()))
+        doc = _read_json(grammar_path)
+        try:
+            if doc["vocab"] != json.loads(vocab.to_json()):
+                raise ValueError("its vocab differs from vocab.json")
+            grammar = grammar_from_json_dict(doc)
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{grammar_path}: not this bundle's grammar "
+                              f"({exc!r})") from None
     annotations = None
     annotations_path = root / "annotations.csv"
     if annotations_path.exists():

@@ -27,6 +27,7 @@ float32) is a change of results and must come with new reference scores.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,9 @@ from .smoothing import PROB_EPS, softmax
 
 CHECKPOINT_MAGIC = b"LSAM"
 CHECKPOINT_VERSION = 1
+# Config fields a checkpoint must store as JSON integers, and as numbers.
+_CHECKPOINT_INTS = ("num_classes", "hidden_size", "seed", "adam_step")
+_CHECKPOINT_FLOATS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps")
 
 
 @dataclass(frozen=True)
@@ -479,22 +483,33 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         doc = json.loads(data[12:12 + blob_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad checkpoint config: {exc}") from None
-    config = ModelConfig(
-        modalities=tuple((n, d) for n, d in doc["modalities"]),
-        num_classes=doc["num_classes"],
-        hidden_size=doc["hidden_size"],
-        learning_rate=doc["learning_rate"],
-        adam_beta1=doc["adam_beta1"],
-        adam_beta2=doc["adam_beta2"],
-        adam_eps=doc["adam_eps"],
-        seed=doc["seed"],
-    )
+    if not isinstance(doc, dict):
+        raise FormatError("bad checkpoint config: not a JSON object")
+    try:
+        if not all(type(doc[k]) is int for k in _CHECKPOINT_INTS):
+            raise TypeError(f"{', '.join(_CHECKPOINT_INTS)} must be integers")
+        if not all(type(doc[k]) in (int, float) for k in _CHECKPOINT_FLOATS):
+            raise TypeError(f"{', '.join(_CHECKPOINT_FLOATS)} must be numbers")
+        config = ModelConfig(
+            modalities=tuple((n, d) for n, d in doc["modalities"]),
+            num_classes=doc["num_classes"],
+            hidden_size=doc["hidden_size"],
+            learning_rate=doc["learning_rate"],
+            adam_beta1=doc["adam_beta1"],
+            adam_beta2=doc["adam_beta2"],
+            adam_eps=doc["adam_eps"],
+            seed=doc["seed"],
+        )
+    except KeyError as exc:
+        raise FormatError(f"bad checkpoint config: no key {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad checkpoint config: {exc}") from None
     offset = 12 + blob_len
     groups = []
     for _ in range(3):
         arrays = []
         for shape in weight_shapes(config):
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             end = offset + 8 * n
             if end > len(data):
                 raise FormatError("truncated checkpoint payload")

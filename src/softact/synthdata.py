@@ -69,6 +69,11 @@ class GrammarConfig:
         if self.markov_concentration <= 0:
             raise ValueError("markov_concentration must be positive")
 
+    @property
+    def num_actions(self) -> int:
+        """Actions the grammar draws: the density's share of the grid."""
+        return int(np.ceil(self.action_density * self.num_verbs * self.num_nouns))
+
 
 @dataclass(frozen=True)
 class SyntheticGrammar:
@@ -85,6 +90,8 @@ class SyntheticGrammar:
         return self.vocab.K
 
     def to_json_dict(self) -> dict:
+        """The generator parameters and the vocabulary, without the arrays:
+        :func:`grammar_from_json_dict` regenerates those."""
         return {
             "num_verbs": self.config.num_verbs,
             "num_nouns": self.config.num_nouns,
@@ -95,13 +102,15 @@ class SyntheticGrammar:
             "modalities": [[n, d] for n, d in self.config.modalities],
             "seed": self.config.seed,
             "vocab": json.loads(self.vocab.to_json()),
-            "transition": self.transition.tolist(),
-            "class_means": [m.tolist() for m in self.class_means],
         }
 
 
 def grammar_from_json_dict(d: dict) -> SyntheticGrammar:
-    """Rebuild a grammar saved via :meth:`SyntheticGrammar.to_json_dict`."""
+    """Regenerate a grammar saved via :meth:`SyntheticGrammar.to_json_dict`
+    with :func:`gen_grammar`, a pure function of the parameters; stored
+    ``transition``/``class_means`` arrays are ignored. Raises ValueError if
+    the parameters do not give the stored vocabulary (say, under a numpy
+    whose random stream changed); its size is checked before generating."""
     config = GrammarConfig(
         num_verbs=d["num_verbs"],
         num_nouns=d["num_nouns"],
@@ -113,13 +122,13 @@ def grammar_from_json_dict(d: dict) -> SyntheticGrammar:
         seed=d["seed"],
     )
     vocab = ActionVocab.from_json(json.dumps(d["vocab"]))
-    return SyntheticGrammar(
-        config=config,
-        vocab=vocab,
-        transition=np.array(d["transition"], dtype=np.float64),
-        class_means=tuple(np.array(m, dtype=np.float64)
-                          for m in d["class_means"]),
-    )
+    if config.num_actions != vocab.K:
+        raise ValueError(f"grammar parameters give another action count "
+                         f"than its {vocab.K}-action vocabulary")
+    grammar = gen_grammar(config)
+    if grammar.vocab != vocab:
+        raise ValueError("grammar parameters do not regenerate its vocabulary")
+    return grammar
 
 
 def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
@@ -127,7 +136,7 @@ def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
     chain, and their feature means."""
     rng = np.random.default_rng(config.seed)
     V, N = config.num_verbs, config.num_nouns
-    count = int(np.ceil(config.action_density * V * N))
+    count = config.num_actions
     if count < 2:
         raise ValueError(f"realized action count {count} < 2; raise density or grid")
     cells = rng.choice(V * N, size=count, replace=False)
@@ -321,6 +330,13 @@ def gen_synthetic_embeddings(grammar: SyntheticGrammar, d: int,
     return EmbeddingTable(d, vectors)
 
 
+def _record_dtype(dims, timesteps: int) -> np.dtype:
+    """One sample on disk, packed: a u32 target, then each modality's
+    (T, D) float32 block."""
+    return np.dtype([("target", "<u4")] + [(f"m{m}", "<f4", (timesteps, d))
+                                            for m, d in enumerate(dims)])
+
+
 def write_features(feature_set: FeatureSet, sink) -> None:
     """Serialize to the binary feature format.
 
@@ -329,34 +345,29 @@ def write_features(feature_set: FeatureSet, sink) -> None:
     u32 followed by each modality's (T, D) float32 block, little-endian,
     timestep-major.
     """
-    close = False
+    targets = feature_set.targets
+    if targets.size and not (0 <= targets.min() and targets.max() <= 0xFFFFFFFF):
+        raise ValueError("a target does not fit in u32")
     if isinstance(sink, (str, Path)):
-        sink = open(sink, "wb")
-        close = True
-    try:
-        n = feature_set.num_samples
-        sink.write(FEATURE_MAGIC)
-        sink.write(struct.pack("<I", FEATURE_VERSION))
-        sink.write(struct.pack("<I", n))
-        sink.write(struct.pack("<I", len(feature_set.dims)))
-        for d in feature_set.dims:
-            sink.write(struct.pack("<I", d))
-        sink.write(struct.pack("<I", feature_set.timesteps))
-        for i in range(n):
-            target = int(feature_set.targets[i])
-            if not (0 <= target <= 0xFFFFFFFF):
-                raise ValueError(f"target {target} does not fit in u32")
-            sink.write(struct.pack("<I", target))
-            for block in feature_set.features:
-                sink.write(np.ascontiguousarray(block[i], dtype="<f4").tobytes())
-    finally:
-        if close:
-            sink.close()
+        with open(sink, "wb") as f:
+            return write_features(feature_set, f)
+    dims = feature_set.dims
+    records = np.empty(feature_set.num_samples,
+                       _record_dtype(dims, feature_set.timesteps))
+    records["target"] = targets
+    for m, block in enumerate(feature_set.features):
+        records[f"m{m}"] = block
+    header = struct.pack(f"<4sIII{len(dims)}II", FEATURE_MAGIC, FEATURE_VERSION,
+                         feature_set.num_samples, len(dims), *dims,
+                         feature_set.timesteps)
+    sink.write(header)
+    sink.write(records.data)
 
 
 def read_features(source, split: str = "") -> FeatureSet:
     """Inverse of :func:`write_features`; the split tag is not stored on
-    disk, so pass it back in if you need it."""
+    disk, so pass it back in if you need it. The payload size the header
+    implies is checked against the data before anything is allocated."""
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
     else:
@@ -365,37 +376,25 @@ def read_features(source, split: str = "") -> FeatureSet:
         raise FormatError(f"bad feature-file magic {data[:4]!r}")
     if len(data) < 16:
         raise FormatError("truncated feature-file header")
-    (version,) = struct.unpack_from("<I", data, 4)
+    version, n, num_modalities = struct.unpack_from("<III", data, 4)
     if version != FEATURE_VERSION:
         raise FormatError(f"unsupported feature-file version {version}")
-    (n,) = struct.unpack_from("<I", data, 8)
-    (num_modalities,) = struct.unpack_from("<I", data, 12)
-    offset = 16
-    if len(data) < offset + 4 * (num_modalities + 1):
+    offset = 16 + 4 * (num_modalities + 1)
+    if len(data) < offset:
         raise FormatError("truncated feature-file header")
-    dims = []
-    for _ in range(num_modalities):
-        (d,) = struct.unpack_from("<I", data, offset)
-        dims.append(int(d))
-        offset += 4
-    (timesteps,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    targets = np.empty(n, dtype=np.int64)
-    blocks = [np.empty((n, timesteps, d), dtype=np.float32) for d in dims]
-    for i in range(n):
-        if offset + 4 > len(data):
-            raise FormatError(f"truncated feature file at sample {i}")
-        (targets[i],) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        for m, d in enumerate(dims):
-            count = timesteps * d
-            end = offset + 4 * count
-            if end > len(data):
-                raise FormatError(f"truncated feature file at sample {i}")
-            blocks[m][i] = np.frombuffer(data[offset:end], dtype="<f4") \
-                .reshape(timesteps, d)
-            offset = end
-    if offset != len(data):
-        raise FormatError(f"{len(data) - offset} trailing bytes in feature file")
-    return FeatureSet(dims=tuple(dims), features=tuple(blocks),
-                      targets=targets, split=split)
+    *dims, timesteps = struct.unpack_from(f"<{num_modalities + 1}I", data, 16)
+    size = offset + n * (4 + 4 * timesteps * sum(dims))
+    if len(data) < size:
+        raise FormatError(f"truncated feature file: {len(data)} bytes, the "
+                          f"header implies {size}")
+    if len(data) > size:
+        raise FormatError(f"{len(data) - size} trailing bytes in feature file")
+    try:
+        dtype = _record_dtype(dims, timesteps)
+    except ValueError as exc:
+        raise FormatError(f"unsupported feature-file shape: {exc}") from None
+    records = np.frombuffer(data, dtype, count=n, offset=offset)
+    return FeatureSet(dims=tuple(dims),
+                      features=tuple(records[f"m{m}"].copy()
+                                     for m in range(num_modalities)),
+                      targets=records["target"], split=split)

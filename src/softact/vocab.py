@@ -226,12 +226,16 @@ class ActionVocab:
 
     @classmethod
     def from_json(cls, text: str) -> "ActionVocab":
-        doc = json.loads(text)
-        return cls(
-            verbs=tuple(doc["verbs"]),
-            nouns=tuple(doc["nouns"]),
-            actions=tuple((int(v), int(n)) for v, n in doc["actions"]),
-        )
+        """Inverse of :meth:`to_json`; ParseError for anything else."""
+        try:
+            doc = json.loads(text)
+            verbs, nouns = tuple(doc["verbs"]), tuple(doc["nouns"])
+            if not all(isinstance(t, str) for t in verbs + nouns):
+                raise TypeError("verb and noun tokens must be strings")
+            return cls(verbs=verbs, nouns=nouns,
+                       actions=tuple((int(v), int(n)) for v, n in doc["actions"]))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"not a vocabulary: {exc!r}") from None
 
     def content_hash(self) -> str:
         """sha256 of the canonical JSON form, used in prior sidecars."""

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from softact import (ActionInstance, AnnotationSet, GrammarConfig,
                      save_dataset, write_features)
 from softact.cli import main
 from softact.priors import KINDS
+from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 from conftest import make_annotations
 
@@ -49,6 +51,10 @@ def test_exit_codes(tmp_path, toy_vocab, capsys):
     assert main(["build-prior", "--kind", "uniform",
                  "--vocab", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "p.csv")]) == 2  # unreadable input
+    (tmp_path / "junk.json").write_text("{}")
+    assert main(["build-prior", "--kind", "uniform",
+                 "--vocab", str(tmp_path / "junk.json"),
+                 "--out", str(tmp_path / "p.csv")]) == 2  # not a vocabulary
     ann_path = tmp_path / "annotations.csv"
     ann_path.write_text(format_annotations(AnnotationSet(
         (ActionInstance("v1", 0.0, "jump", "rope"),))))
@@ -168,6 +174,34 @@ def test_synth_defaults_match_the_library(tmp_path, capsys):
     for name in names:
         assert ((tmp_path / "cli" / name).read_bytes()
                 == (tmp_path / "lib" / name).read_bytes()), name
+
+
+def test_synth_k1200_grammar_is_parameters_only(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out-dir", str(out), "--verbs", "40", "--nouns",
+                 "60", "--videos", "2", "--video-length", "6"]) == 0
+    assert "K=1200" in capsys.readouterr().out
+    assert (out / "grammar.json").stat().st_size < 64 * 1024
+    assert load_dataset(out).grammar.transition.shape == (1200, 1200)
+
+
+@pytest.mark.parametrize("edit", ["seed", "num_verbs", "vocab"])
+def test_train_rejects_grammar_unlike_bundle(tmp_path, data_dir, capsys, edit):
+    # another seed draws another vocabulary, as would a numpy whose random
+    # stream changed; another grid size or stored vocab is a foreign grammar
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    grammar = json.loads((bundle / "grammar.json").read_text())
+    if edit == "vocab":
+        grammar["vocab"]["nouns"][0] = "nzz"
+    else:
+        grammar[edit] += 1
+    (bundle / "grammar.json").write_text(json.dumps(grammar))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    assert "grammar.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_config_errors(tmp_path, capsys):
@@ -402,6 +436,20 @@ def test_eval_mismatched_dataset(tmp_path, data_dir, capsys):
     assert main(["eval", "--data", str(other), "--checkpoint",
                  str(run / "checkpoint.bin")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config, message", [
+    (b"[1,2]", "not a JSON object"),
+    (b'{"modalities": [["rgb", 4]]}', "no key 'num_classes'"),
+])
+def test_eval_rejects_bad_checkpoint_config(tmp_path, data_dir, capsys,
+                                            config, message):
+    ckpt = tmp_path / "model.bin"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                                    len(config)) + config)
+    assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                 str(ckpt)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- report

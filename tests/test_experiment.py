@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,28 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
     assert loaded.embeddings.dimension == tiny_dataset.embeddings.dimension
     for token, vec in tiny_dataset.embeddings.vectors.items():
         np.testing.assert_array_equal(loaded.embeddings.vectors[token], vec)
+    assert loaded.grammar.config == tiny_dataset.grammar.config
     np.testing.assert_array_equal(loaded.grammar.transition,
                                   tiny_dataset.grammar.transition)
+    for ma, mb in zip(loaded.grammar.class_means,
+                      tiny_dataset.grammar.class_means, strict=True):
+        np.testing.assert_array_equal(ma, mb)
+
+
+def test_dataset_loads_grammar_with_stored_arrays(tmp_path, tiny_dataset):
+    # bundles used to store the arrays in grammar.json; they are ignored
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    grammar = tiny_dataset.grammar
+    doc = json.loads((out / "grammar.json").read_text())
+    assert "transition" not in doc and "class_means" not in doc
+    doc["transition"] = grammar.transition.tolist()
+    doc["class_means"] = [m.tolist() for m in grammar.class_means]
+    (out / "grammar.json").write_text(json.dumps(doc))
+    loaded = load_dataset(out).grammar
+    np.testing.assert_array_equal(loaded.transition, grammar.transition)
+    for ma, mb in zip(loaded.class_means, grammar.class_means, strict=True):
+        np.testing.assert_array_equal(ma, mb)
 
 
 def test_load_dataset_errors(tmp_path, tiny_dataset):
@@ -151,6 +173,9 @@ def test_load_dataset_errors(tmp_path, tiny_dataset):
     manifest.write_text("{broken")
     with pytest.raises(FormatError, match="JSON"):
         load_dataset(out)
+    manifest.write_text("[1, 2]")
+    with pytest.raises(FormatError, match="JSON object"):
+        load_dataset(out)
     manifest.write_text(good.replace("softact-dataset", "other-format"))
     with pytest.raises(FormatError, match="format"):
         load_dataset(out)
@@ -159,6 +184,45 @@ def test_load_dataset_errors(tmp_path, tiny_dataset):
     tampered = vocab_file.read_text().replace("va", "vz")
     vocab_file.write_text(tampered)
     with pytest.raises(FormatError, match="hash"):
+        load_dataset(out)
+
+
+@pytest.mark.parametrize("key", ["protocol", "vocab_sha256", "modalities",
+                                 "train_pairs"])
+def test_load_dataset_rejects_manifest_without_key(tmp_path, tiny_dataset,
+                                                   key):
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest[key]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"missing keys \\['{key}'\\]"):
+        load_dataset(out)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("protocol", [1, 2]), ("protocol", {"encode_steps": "six"}),
+    ("train_pairs", 7), ("train_pairs", [[0, 1, 2]]), ("train_pairs", [["a", 0]]),
+    ("modalities", [["rgb"]]), ("embedding_dimension", "8"),
+])
+def test_load_dataset_rejects_malformed_manifest(tmp_path, tiny_dataset, key,
+                                                 value):
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest[key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="malformed manifest"):
+        load_dataset(out)
+
+
+@pytest.mark.parametrize("text", ["{broken", "[1, 2]", "{}",
+                                  '{"vocab": null}'])
+def test_load_dataset_rejects_bad_grammar(tmp_path, tiny_dataset, text):
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    (out / "grammar.json").write_text(text)
+    with pytest.raises(FormatError, match="grammar.json"):
         load_dataset(out)
 
 

@@ -324,6 +324,31 @@ def test_prior_save_load_roundtrip(tmp_path, toy_vocab):
     assert load_prior(path).kind == "custom"
 
 
+def _per_entry_csv(prior: PriorMatrix) -> str:
+    """The earlier save_prior body: one f-string per entry."""
+    lines = [",".join(f"{x:.17g}" for x in row) for row in prior.rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_save_prior_bytes_match_per_entry_formatting(tmp_path, toy_vocab):
+    rng = np.random.default_rng(4)
+    dense = rng.random((37, 37)) + 1e-3
+    tiny = 2.2250738585072014e-308  # smallest normal; the rest are below it
+    edge = [[1.0, 5e-324, 1e-310, tiny / 3, -0.0],
+            [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0],
+            [0.1, 0.2, 0.3, 0.4, 0.0],
+            [0.2] * 5,
+            [1e-17, 1.0, 0.0, tiny, 123e-320]]
+    for prior in (PriorMatrix(dense / dense.sum(axis=1, keepdims=True)),
+                  build_verb_noun_prior(toy_vocab),
+                  build_verb_noun_prior(random_vocab(rng)),
+                  PriorMatrix(edge)):
+        path = tmp_path / "prior.csv"
+        save_prior(prior, path)
+        assert path.read_text() == _per_entry_csv(prior)
+        np.testing.assert_array_equal(load_prior(path).rows, prior.rows)
+
+
 def test_load_prior_errors(tmp_path):
     bad = tmp_path / "prior.csv"
     bad.write_text("0.5,0.5\n0.5,oops\n")

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -517,6 +520,16 @@ def test_checkpoint_format_errors(tmp_path):
     bad.write_bytes(data + b"\x00" * 8)
     with pytest.raises(FormatError, match="trailing"):
         load_checkpoint(bad)
+    # config values of the wrong type; they used to load and fail in use
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    doc = json.loads(data[12:12 + blob_len])
+    for key, value in (("learning_rate", "x"), ("hidden_size", 2.5),
+                       ("adam_step", None)):
+        blob = json.dumps({**doc, key: value}).encode()
+        bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                        + data[12 + blob_len:])
+        with pytest.raises(FormatError, match="must be"):
+            load_checkpoint(bad)
 
 
 def test_params_copy_is_deep():

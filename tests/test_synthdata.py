@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -130,8 +132,7 @@ def test_gen_annotation_deterministic_chain_cycles():
     K = grammar.K
     cycle = np.zeros((K, K))
     cycle[np.arange(K), (np.arange(K) + 1) % K] = 1.0
-    rigged = grammar_from_json_dict({**grammar.to_json_dict(),
-                                     "transition": cycle.tolist()})
+    rigged = dataclasses.replace(grammar, transition=cycle)
     annotations = gen_annotation_sequences(rigged, 2, 7, seed=5)
     for video in annotations.videos():
         ids = [rigged.vocab.action_id(i.verb, i.noun) for i in video]
@@ -294,6 +295,31 @@ def test_feature_file_roundtrip(tmp_path):
     assert buf.getvalue() == path.read_bytes()
 
 
+def _per_sample_feature_bytes(fs: FeatureSet) -> bytes:
+    """The earlier write_features body: one struct/tobytes write per sample."""
+    parts = [b"FEAT", struct.pack("<III", 1, fs.num_samples, len(fs.dims)),
+             *(struct.pack("<I", d) for d in fs.dims),
+             struct.pack("<I", fs.timesteps)]
+    for i in range(fs.num_samples):
+        parts.append(struct.pack("<I", int(fs.targets[i])))
+        for block in fs.features:
+            parts.append(np.ascontiguousarray(block[i], dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
+def test_feature_file_bytes_match_per_sample_layout(tmp_path):
+    rng = np.random.default_rng(3)
+    for dims, n, steps in (((6, 5), 7, 4), ((3,), 1, 2), ((2, 1, 4), 0, 3)):
+        fs = FeatureSet(dims=dims,
+                        features=tuple(rng.normal(size=(n, steps, d))
+                                       for d in dims),
+                        targets=rng.integers(0, 2 ** 32, size=n))
+        path = tmp_path / "x.feat"
+        write_features(fs, path)
+        assert path.read_bytes() == _per_sample_feature_bytes(fs)
+        assert read_features(path) == fs
+
+
 def test_feature_file_empty_roundtrip(tmp_path):
     fs = FeatureSet(dims=(3,), features=(np.zeros((0, 4, 3), np.float32),),
                     targets=np.zeros(0, dtype=np.int64))
@@ -322,7 +348,9 @@ def test_feature_file_format_errors(tmp_path):
     bad.write_bytes(data + b"\x00\x00\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         read_features(bad)
+    unwritten = tmp_path / "unwritten.feat"
     with pytest.raises(ValueError):
         write_features(FeatureSet(dims=(2,),
                                   features=(np.ones((1, 3, 2), np.float32),),
-                                  targets=np.array([-1])), bad)
+                                  targets=np.array([-1])), unwritten)
+    assert not unwritten.exists()
