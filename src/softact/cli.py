@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import FormatError, ParseError, TrainingDiverged
 from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
-                         MethodSpec, build_prior_for_kind, default_methods,
-                         evaluate_model, generate_dataset, grid_search_alpha,
-                         grid_to_csv, load_dataset, load_experiment_config,
-                         run_comparison, run_trial, save_dataset)
+                         MethodSpec, _read_json, build_prior_for_kind,
+                         default_methods, evaluate_model, generate_dataset,
+                         grid_search_alpha, grid_to_csv, load_dataset,
+                         load_experiment_config, run_comparison, run_trial,
+                         save_dataset)
+from .jsonconfig import config_from_json, json_value
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
                       report_to_table)
@@ -34,10 +36,8 @@ _CLI_KINDS = {cli: kind for kind, (cli, _) in KINDS.items()}
 _PRIOR_CHOICES = [cli for cli in _CLI_KINDS if cli != "onehot"]
 
 
-def _parse_modalities(spec) -> tuple[tuple[str, int], ...]:
-    """'rgb:16,flow:16' (or a [[name, dim], ...] list) -> ((name, dim), ...)."""
-    if not isinstance(spec, str):
-        return tuple((str(n), int(d)) for n, d in spec)
+def _parse_modalities(spec: str) -> tuple[tuple[str, int], ...]:
+    """'rgb:16,flow:16' -> (('rgb', 16), ('flow', 16))."""
     out = []
     for part in spec.split(","):
         name, _, dim = part.partition(":")
@@ -79,29 +79,24 @@ def _add_training_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--many-shot-threshold", type=int, default=None)
 
 
+def _given_flags(args, cls, prefix: str = "") -> dict:
+    """The ``--<prefix><field>`` flags given for the fields of ``cls``."""
+    given = {f.name: getattr(args, prefix + f.name, None) for f in fields(cls)}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _experiment_config(args, trials: int | None = None) -> ExperimentConfig:
     config = (load_experiment_config(args.config) if args.config
               else ExperimentConfig())
-    overrides = {}
-    for field, value in [
-        ("epochs", args.epochs), ("batch_size", args.batch_size),
-        ("trials", trials if trials is not None else args.trials),
-        ("hidden_size", args.hidden_size),
-        ("learning_rate", args.learning_rate), ("seed", args.seed),
-        ("early_stop_time", args.early_stop_time),
-        ("many_shot_threshold", args.many_shot_threshold),
-    ]:
-        if value is not None:
-            overrides[field] = value
-    return replace(config, **overrides) if overrides else config
+    overrides = _given_flags(args, ExperimentConfig)
+    if trials is not None:
+        overrides["trials"] = trials
+    return replace(config, **overrides)
 
-
-# Settings the library has no default for (verbs, nouns) or that the CLI
-# sets on purpose (density); the others default in the library.
-_SYNTH_DEFAULTS = {"verbs": 10, "nouns": 12, "density": 0.5}
 
 # synth setting -> keyword of GrammarConfig, ProtocolConfig and
-# generate_dataset; ``seed`` seeds both the grammar and the rollout.
+# generate_dataset (with the JSON type of generate_dataset's counts, which
+# have no config class); ``seed`` seeds both the grammar and the rollout.
 _GRAMMAR_KEYS = {"verbs": "num_verbs", "nouns": "num_nouns",
                  "density": "action_density", "sigma_within": "sigma_within",
                  "sigma_between": "sigma_between",
@@ -109,36 +104,44 @@ _GRAMMAR_KEYS = {"verbs": "num_verbs", "nouns": "num_nouns",
                  "modalities": "modalities", "seed": "seed"}
 _PROTOCOL_KEYS = {"stride": "snippet_stride", "encode_steps": "encode_steps",
                   "decode_steps": "decode_steps", "snippet_len": "snippet_len"}
-_DATASET_KEYS = {"videos": "num_videos", "video_length": "video_length",
-                 "noise": "noise_sigma", "embed_dim": "embed_dim",
-                 "cohort_similarity": "cohort_similarity", "seed": "seed"}
+_DATASET_KEYS = {"videos": ("num_videos", int),
+                 "video_length": ("video_length", int),
+                 "noise": ("noise_sigma", float),
+                 "embed_dim": ("embed_dim", int),
+                 "cohort_similarity": ("cohort_similarity", float),
+                 "seed": ("seed", int)}
+# Unset grammar settings come from here: the library has no default for
+# verbs and nouns, and the CLI sets density on purpose; the rest, and every
+# protocol and dataset setting, default in the library.
+_SYNTH_GRAMMAR = GrammarConfig(num_verbs=10, num_nouns=12, action_density=0.5)
 
 
 def _cmd_synth(args) -> int:
-    settings = dict(_SYNTH_DEFAULTS)
+    where = args.config or "synth flags"
+    settings = _read_json(args.config) if args.config else {}
+    if not isinstance(settings, dict):
+        raise FormatError(f"{where}: not a JSON object")
     known = {**_GRAMMAR_KEYS, **_PROTOCOL_KEYS, **_DATASET_KEYS}
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.config}: invalid JSON ({exc})") from None
-        unknown = set(loaded) - set(known)
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        settings.update(loaded)
+    unknown = set(settings) - set(known)
+    if unknown:
+        raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
     for key in known:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    if "modalities" in settings:
+    if isinstance(settings.get("modalities"), str):
         settings["modalities"] = _parse_modalities(settings["modalities"])
 
     def pick(keys: dict) -> dict:
         return {kw: settings[key] for key, kw in keys.items() if key in settings}
 
-    dataset = generate_dataset(GrammarConfig(**pick(_GRAMMAR_KEYS)),
-                               ProtocolConfig(**pick(_PROTOCOL_KEYS)),
-                               **pick(_DATASET_KEYS))
+    grammar = config_from_json(GrammarConfig, pick(_GRAMMAR_KEYS), where,
+                               defaults=_SYNTH_GRAMMAR)
+    protocol = config_from_json(ProtocolConfig, pick(_PROTOCOL_KEYS), where,
+                                defaults=ProtocolConfig())
+    counts = {kw: json_value(tp, settings[key], where, key)
+              for key, (kw, tp) in _DATASET_KEYS.items() if key in settings}
+    dataset = generate_dataset(grammar, protocol, **counts)
     save_dataset(dataset, args.out_dir)
     print(f"wrote dataset to {args.out_dir}: K={dataset.K}, "
           f"train={dataset.train.num_samples}, val={dataset.val.num_samples}, "
@@ -206,14 +209,8 @@ def _cmd_grid_search(args) -> int:
     config = _experiment_config(args)
     kind = (_CLI_KINDS[args.method] if args.method
             else config.smoothing.prior_kind)
-    grid = config.alpha_grid
-    grid_overrides = {}
-    for field, value in [("start", args.alpha_start), ("stop", args.alpha_stop),
-                         ("step", args.alpha_step)]:
-        if value is not None:
-            grid_overrides[field] = value
-    if grid_overrides:
-        grid = replace(grid, **grid_overrides)
+    grid = replace(config.alpha_grid,
+                   **_given_flags(args, AlphaGrid, prefix="alpha_"))
     log = print if args.verbose else None
     result = grid_search_alpha(dataset, kind, config, grid, log=log)
     out = Path(args.out_dir)

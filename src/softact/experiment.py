@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, TrainingDiverged
+from .jsonconfig import config_from_json, config_to_json, json_value
 from .metrics import (MetricsReport, build_report, many_shot_from_labels,
                       report_to_csv, topk_accuracy)
 from .priors import (KINDS, EmbeddingTable, PriorMatrix, build_prior,
@@ -96,31 +97,6 @@ class ExperimentConfig:
         if self.many_shot_threshold < 1:
             raise ValueError("many_shot_threshold must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "smoothing":
-                value = {"alpha": value.alpha, "prior_kind": value.prior_kind}
-            elif f.name == "alpha_grid":
-                value = {"start": value.start, "stop": value.stop,
-                         "step": value.step}
-            d[f.name] = value
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "smoothing" in kwargs:
-            kwargs["smoothing"] = SmoothingConfig(**kwargs["smoothing"])
-        if "alpha_grid" in kwargs:
-            kwargs["alpha_grid"] = AlphaGrid(**kwargs["alpha_grid"])
-        return cls(**kwargs)
-
 
 def _read_json(path: str | Path):
     try:
@@ -130,17 +106,14 @@ def _read_json(path: str | Path):
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    d = _read_json(path)
-    if not isinstance(d, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    try:
-        return ExperimentConfig.from_json_dict(d)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    """Read a config file; omitted keys, nested ones too, keep their
+    defaults."""
+    return config_from_json(ExperimentConfig, _read_json(path), str(path),
+                            defaults=ExperimentConfig())
 
 
 def save_experiment_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_json_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(config_to_json(config), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +185,9 @@ def generate_dataset(grammar_config: GrammarConfig,
         vocab=grammar.vocab,
         protocol=protocol,
         modalities=grammar.config.modalities,
-        train=full.subset(train_idx, "train"),
-        val=full.subset(val_idx, "val"),
-        test=full.subset(test_idx, "test"),
+        train=full.subset(train_idx),
+        val=full.subset(val_idx),
+        test=full.subset(test_idx),
         train_pairs=tuple(pairs[i] for i in train_idx),
         embeddings=embeddings,
         grammar=grammar,
@@ -243,16 +216,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     if dataset.grammar is not None:
         (out / "grammar.json").write_text(
             json.dumps(dataset.grammar.to_json_dict()) + "\n")
-    p = dataset.protocol
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
-        "protocol": {
-            "snippet_stride": p.snippet_stride,
-            "encode_steps": p.encode_steps,
-            "decode_steps": p.decode_steps,
-            "snippet_len": p.snippet_len,
-        },
+        "protocol": config_to_json(dataset.protocol),
         "modalities": [[n, d] for n, d in dataset.modalities],
         "vocab_sha256": dataset.vocab.content_hash(),
         "embedding_dimension": (dataset.embeddings.dimension
@@ -285,27 +252,31 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     vocab = ActionVocab.from_json((root / "vocab.json").read_text())
     if vocab.content_hash() != manifest["vocab_sha256"]:
         raise FormatError(f"{root}: vocab.json does not match the manifest hash")
+    where = f"{manifest_path}: malformed manifest"
+    protocol = config_from_json(ProtocolConfig, manifest["protocol"],
+                                f"{where} protocol")
+    modalities = json_value(tuple[tuple[str, int], ...],
+                            manifest["modalities"], where, "modalities")
+    embedding_dim = manifest.get("embedding_dimension")
+    if embedding_dim is not None and not (
+            type(embedding_dim) is int and embedding_dim >= 1):
+        raise FormatError(f"{where}: 'embedding_dimension' must be an "
+                          f"integer >= 1, got {embedding_dim!r}")
+    # A bundle holds thousands of pairs, so they are checked here in one
+    # pass rather than item by item by json_value.
     try:
-        protocol = ProtocolConfig(**manifest["protocol"])
         train_pairs = tuple((a, b) for a, b in manifest["train_pairs"])
-        pairs_in_range = all(0 <= k < vocab.K for pair in train_pairs
-                             for k in pair)
-        modalities = tuple((n, d) for n, d in manifest["modalities"])
-        embedding_dim = manifest.get("embedding_dimension")
-        if embedding_dim is not None and not (
-                type(embedding_dim) is int and embedding_dim >= 1):
-            raise ValueError(f"embedding_dimension {embedding_dim!r}")
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{manifest_path}: malformed manifest ({exc})"
-                          ) from None
-    if not pairs_in_range:
-        raise FormatError(f"{manifest_path}: a train pair has an action id "
-                          f"outside [0, {vocab.K})")
+        raise FormatError(f"{where}: 'train_pairs' ({exc})") from None
+    if not all(type(k) is int and 0 <= k < vocab.K
+               for pair in train_pairs for k in pair):
+        raise FormatError(f"{where}: a train pair has an action id that is "
+                          f"not an integer in [0, {vocab.K})")
     dims = tuple(d for _, d in modalities)
     splits = {}
     for name in ("train", "val", "test"):
         path = root / f"{name}.feat"
-        split = splits[name] = read_features(path, split=name)
+        split = splits[name] = read_features(path)
         if split.dims != dims:
             raise FormatError(f"{path}: feature dims {split.dims} do not "
                               f"match the manifest's modalities {dims}")
@@ -322,14 +293,11 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
-        doc = _read_json(grammar_path)
-        try:
-            if doc["vocab"] != json.loads(vocab.to_json()):
-                raise ValueError("its vocab differs from vocab.json")
-            grammar = grammar_from_json_dict(doc)
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise FormatError(f"{grammar_path}: not this bundle's grammar "
-                              f"({exc!r})") from None
+        grammar = grammar_from_json_dict(_read_json(grammar_path),
+                                         str(grammar_path))
+        if grammar.vocab != vocab:
+            raise FormatError(f"{grammar_path}: its vocab differs from "
+                              f"vocab.json")
     annotations = None
     annotations_path = root / "annotations.csv"
     if annotations_path.exists():
@@ -396,14 +364,15 @@ class TrainResult:
 def evaluate_model(params: ModelParams, feature_set: FeatureSet,
                    protocol: ProtocolConfig,
                    batch_size: int = 512) -> np.ndarray:
-    """Per-step class probabilities, (num_samples, decode_steps, K)."""
-    chunks = []
+    """Per-step class probabilities, (num_samples, decode_steps, K),
+    scored ``batch_size`` samples at a time into one preallocated array."""
     n = feature_set.num_samples
+    probs = np.empty((n, protocol.decode_steps, params.config.num_classes))
     for start in range(0, n, batch_size):
         feats = [x[start:start + batch_size] for x in feature_set.features]
-        _, probs = forward_batch(params, feats, protocol)
-        chunks.append(probs)
-    return np.concatenate(chunks, axis=0)
+        probs[start:start + batch_size] = forward_batch(params, feats,
+                                                        protocol)[1]
+    return probs
 
 
 def _val_score(params: ModelParams, val: FeatureSet, protocol: ProtocolConfig,
@@ -623,8 +592,6 @@ def run_comparison(dataset: Dataset, methods: list[MethodSpec],
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(report_to_csv(reports))
         save_experiment_config(config, out / "config.json")
-        methods_payload = [{"name": m.name, "kind": m.kind, "alpha": m.alpha}
-                           for m in methods]
-        (out / "methods.json").write_text(
-            json.dumps(methods_payload, indent=2) + "\n")
+        (out / "methods.json").write_text(json.dumps(
+            [config_to_json(m) for m in methods], indent=2) + "\n")
     return reports

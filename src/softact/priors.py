@@ -312,5 +312,12 @@ def load_prior(path: str | Path) -> PriorMatrix:
     kind = "custom"
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        kind = json.loads(sidecar.read_text()).get("kind", "custom")
+        try:
+            doc = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{sidecar}: invalid JSON ({exc})") from None
+        kind = doc.get("kind", kind) if isinstance(doc, dict) else None
+        if not isinstance(kind, str):
+            raise ParseError(f"{sidecar}: not a prior sidecar (an object "
+                             f"whose 'kind' is a string)")
     return PriorMatrix(np.array(rows, dtype=np.float64), kind=kind)

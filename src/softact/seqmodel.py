@@ -35,13 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .jsonconfig import config_from_json, config_to_json, json_value
 from .smoothing import PROB_EPS, softmax
 
 CHECKPOINT_MAGIC = b"LSAM"
 CHECKPOINT_VERSION = 1
-# Config fields a checkpoint must store as JSON integers, and as numbers.
-_CHECKPOINT_INTS = ("num_classes", "hidden_size", "seed", "adam_step")
-_CHECKPOINT_FLOATS = ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps")
 
 
 @dataclass(frozen=True)
@@ -443,19 +441,9 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, config JSON, arrays as f64 LE."""
-    cfg = params.config
-    doc = {
-        "modalities": [[n, d] for n, d in cfg.modalities],
-        "num_classes": cfg.num_classes,
-        "hidden_size": cfg.hidden_size,
-        "learning_rate": cfg.learning_rate,
-        "adam_beta1": cfg.adam_beta1,
-        "adam_beta2": cfg.adam_beta2,
-        "adam_eps": cfg.adam_eps,
-        "seed": cfg.seed,
-        "adam_step": params.adam_step,
-    }
+    """Binary checkpoint: magic, version, config JSON (the model config's
+    fields, then ``adam_step``), arrays as f64 LE."""
+    doc = {**config_to_json(params.config), "adam_step": params.adam_step}
     blob = json.dumps(doc).encode()
     parts = [CHECKPOINT_MAGIC,
              struct.pack("<I", CHECKPOINT_VERSION),
@@ -479,31 +467,13 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     (blob_len,) = struct.unpack_from("<I", data, 8)
     if len(data) < 12 + blob_len:
         raise FormatError("truncated checkpoint config")
+    where = f"{path}: bad checkpoint config"
     try:
         doc = json.loads(data[12:12 + blob_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad checkpoint config: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("bad checkpoint config: not a JSON object")
-    try:
-        if not all(type(doc[k]) is int for k in _CHECKPOINT_INTS):
-            raise TypeError(f"{', '.join(_CHECKPOINT_INTS)} must be integers")
-        if not all(type(doc[k]) in (int, float) for k in _CHECKPOINT_FLOATS):
-            raise TypeError(f"{', '.join(_CHECKPOINT_FLOATS)} must be numbers")
-        config = ModelConfig(
-            modalities=tuple((n, d) for n, d in doc["modalities"]),
-            num_classes=doc["num_classes"],
-            hidden_size=doc["hidden_size"],
-            learning_rate=doc["learning_rate"],
-            adam_beta1=doc["adam_beta1"],
-            adam_beta2=doc["adam_beta2"],
-            adam_eps=doc["adam_eps"],
-            seed=doc["seed"],
-        )
-    except KeyError as exc:
-        raise FormatError(f"bad checkpoint config: no key {exc}") from None
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad checkpoint config: {exc}") from None
+        raise FormatError(f"{where}: {exc}") from None
+    config = config_from_json(ModelConfig, doc, where, ignore=("adam_step",))
+    adam_step = json_value(int, doc.get("adam_step"), where, "adam_step")
     offset = 12 + blob_len
     groups = []
     for _ in range(3):
@@ -520,4 +490,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes in checkpoint")
     return ModelParams(config=config, weights=groups[0], adam_m=groups[1],
-                       adam_v=groups[2], adam_step=doc["adam_step"])
+                       adam_v=groups[2], adam_step=adam_step)

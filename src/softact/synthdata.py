@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .jsonconfig import config_from_json, config_to_json
 from .priors import EmbeddingTable, transition_pairs
 from .seqmodel import ProtocolConfig
 from .vocab import ActionInstance, ActionVocab, AnnotationSet
@@ -92,42 +93,30 @@ class SyntheticGrammar:
     def to_json_dict(self) -> dict:
         """The generator parameters and the vocabulary, without the arrays:
         :func:`grammar_from_json_dict` regenerates those."""
-        return {
-            "num_verbs": self.config.num_verbs,
-            "num_nouns": self.config.num_nouns,
-            "action_density": self.config.action_density,
-            "sigma_within": self.config.sigma_within,
-            "sigma_between": self.config.sigma_between,
-            "markov_concentration": self.config.markov_concentration,
-            "modalities": [[n, d] for n, d in self.config.modalities],
-            "seed": self.config.seed,
-            "vocab": json.loads(self.vocab.to_json()),
-        }
+        return {**config_to_json(self.config),
+                "vocab": json.loads(self.vocab.to_json())}
 
 
-def grammar_from_json_dict(d: dict) -> SyntheticGrammar:
+def grammar_from_json_dict(d: dict,
+                           where: str = "grammar") -> SyntheticGrammar:
     """Regenerate a grammar saved via :meth:`SyntheticGrammar.to_json_dict`
     with :func:`gen_grammar`, a pure function of the parameters; stored
-    ``transition``/``class_means`` arrays are ignored. Raises ValueError if
-    the parameters do not give the stored vocabulary (say, under a numpy
-    whose random stream changed); its size is checked before generating."""
-    config = GrammarConfig(
-        num_verbs=d["num_verbs"],
-        num_nouns=d["num_nouns"],
-        action_density=d["action_density"],
-        sigma_within=d["sigma_within"],
-        sigma_between=d["sigma_between"],
-        markov_concentration=d["markov_concentration"],
-        modalities=tuple((n, dim) for n, dim in d["modalities"]),
-        seed=d["seed"],
-    )
-    vocab = ActionVocab.from_json(json.dumps(d["vocab"]))
-    if config.num_actions != vocab.K:
-        raise ValueError(f"grammar parameters give another action count "
-                         f"than its {vocab.K}-action vocabulary")
-    grammar = gen_grammar(config)
+    ``transition``/``class_means`` arrays are ignored. FormatError, naming
+    ``where``, if the parameters are malformed or do not give the stored
+    vocabulary (say, under a numpy whose random stream changed)."""
+    config = config_from_json(GrammarConfig, d, where,
+                              ignore=("vocab", "transition", "class_means"))
+    try:
+        vocab = ActionVocab.from_json(json.dumps(d.get("vocab")))
+        if config.num_actions != vocab.K:
+            raise ValueError(f"grammar parameters give another action count "
+                             f"than its {vocab.K}-action vocabulary")
+        grammar = gen_grammar(config)
+    except (OverflowError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
     if grammar.vocab != vocab:
-        raise ValueError("grammar parameters do not regenerate its vocabulary")
+        raise FormatError(f"{where}: grammar parameters do not regenerate "
+                          f"its vocabulary")
     return grammar
 
 
@@ -199,19 +188,16 @@ def gen_annotation_sequences(grammar: SyntheticGrammar, num_videos: int,
     return AnnotationSet(tuple(instances))
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureSet:
     """Per-modality feature sequences plus targets for a set of samples.
 
     ``features[m]`` has shape (num_samples, timesteps, dims[m]), float32.
-    The split tag is carried in memory only; the on-disk format does not
-    store it.
     """
 
     dims: tuple[int, ...]
     features: tuple[np.ndarray, ...]
     targets: np.ndarray
-    split: str = ""
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -238,13 +224,12 @@ class FeatureSet:
     def timesteps(self) -> int:
         return int(self.features[0].shape[1]) if self.features else 0
 
-    def subset(self, indices, split: str = "") -> "FeatureSet":
+    def subset(self, indices) -> "FeatureSet":
         idx = np.asarray(indices, dtype=np.int64)
         return FeatureSet(
             dims=self.dims,
             features=tuple(x[idx] for x in self.features),
             targets=self.targets[idx],
-            split=split or self.split,
         )
 
     def batches(self, order: np.ndarray, batch_size: int):
@@ -253,20 +238,10 @@ class FeatureSet:
             idx = order[start:start + batch_size]
             yield [x[idx] for x in self.features], self.targets[idx]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureSet):
-            return NotImplemented
-        return (self.dims == other.dims
-                and self.split == other.split
-                and np.array_equal(self.targets, other.targets)
-                and len(self.features) == len(other.features)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.features, other.features)))
-
 
 def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,
                  protocol: ProtocolConfig, noise_sigma: float,
-                 seed: int, split: str = "") -> FeatureSet:
+                 seed: int) -> FeatureSet:
     """One sample per annotated action except each video's first.
 
     The observed snippet sequence drifts linearly from the previous
@@ -293,7 +268,7 @@ def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,
             block[i] = (path + noise).astype(np.float32)
         blocks.append(block)
     return FeatureSet(dims=tuple(d for _, d in grammar.config.modalities),
-                      features=tuple(blocks), targets=targets, split=split)
+                      features=tuple(blocks), targets=targets)
 
 
 def gen_synthetic_embeddings(grammar: SyntheticGrammar, d: int,
@@ -364,9 +339,8 @@ def write_features(feature_set: FeatureSet, sink) -> None:
     sink.write(records.data)
 
 
-def read_features(source, split: str = "") -> FeatureSet:
-    """Inverse of :func:`write_features`; the split tag is not stored on
-    disk, so pass it back in if you need it. The payload size the header
+def read_features(source) -> FeatureSet:
+    """Inverse of :func:`write_features`. The payload size the header
     implies is checked against the data before anything is allocated."""
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -397,4 +371,4 @@ def read_features(source, split: str = "") -> FeatureSet:
     return FeatureSet(dims=tuple(dims),
                       features=tuple(records[f"m{m}"].copy()
                                      for m in range(num_modalities)),
-                      targets=records["target"], split=split)
+                      targets=records["target"])

@@ -192,12 +192,6 @@ class ActionVocab:
     def K(self) -> int:
         return len(self.actions)
 
-    def verb_of(self, action_id: int) -> int:
-        return self.actions[action_id][0]
-
-    def noun_of(self, action_id: int) -> int:
-        return self.actions[action_id][1]
-
     def action_id(self, verb: str, noun: str) -> int:
         """Id of the action with the given (normalized) tokens; KeyError if absent."""
         key = (self._verb_ids[normalize_token(verb)],

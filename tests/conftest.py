@@ -63,6 +63,15 @@ SMALL_PROTOCOL = ProtocolConfig(snippet_stride=0.25, encode_steps=3,
                                 decode_steps=4, snippet_len=5)
 
 
+def assert_same_features(a, b) -> None:
+    """Two FeatureSets hold the same dims, targets and feature arrays."""
+    assert a.dims == b.dims
+    np.testing.assert_array_equal(a.targets, b.targets)
+    assert len(a.features) == len(b.features)
+    for x, y in zip(a.features, b.features):
+        np.testing.assert_array_equal(x, y)
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """A small but trainable dataset shared by experiment/CLI tests."""

@@ -14,8 +14,9 @@ from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      run_trial, save_dataset, save_experiment_config,
                      split_dataset, topk_accuracy, train_model)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
+from softact.jsonconfig import config_from_json, config_to_json
 
-from conftest import SMALL_PROTOCOL
+from conftest import SMALL_PROTOCOL, assert_same_features
 
 
 # ------------------------------------------------------------------- grid
@@ -51,22 +52,23 @@ def test_experiment_config_roundtrip(tmp_path):
         hidden_size=12, learning_rate=0.01, seed=4,
         early_stop_time=0.5, many_shot_threshold=2,
     )
-    clone = ExperimentConfig.from_json_dict(config.to_json_dict())
+    clone = config_from_json(ExperimentConfig, config_to_json(config), "x")
     assert clone == config
     path = tmp_path / "config.json"
     save_experiment_config(config, path)
     assert load_experiment_config(path) == config
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(epochs=0)
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(learning_rate=0.0)
+    (tmp_path / "config.json").write_text('{"epohs": 5}')
     with pytest.raises(ValueError):
-        ExperimentConfig.from_json_dict({"epohs": 5})
+        load_experiment_config(tmp_path / "config.json")
 
 
 def test_load_experiment_config_errors(tmp_path):
@@ -131,9 +133,9 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
     assert loaded.vocab == tiny_dataset.vocab
     assert loaded.protocol == tiny_dataset.protocol
     assert loaded.modalities == tiny_dataset.modalities
-    assert loaded.train == tiny_dataset.train
-    assert loaded.val == tiny_dataset.val
-    assert loaded.test == tiny_dataset.test
+    assert_same_features(loaded.train, tiny_dataset.train)
+    assert_same_features(loaded.val, tiny_dataset.val)
+    assert_same_features(loaded.test, tiny_dataset.test)
     assert loaded.train_pairs == tiny_dataset.train_pairs
     assert loaded.annotations == tiny_dataset.annotations
     assert loaded.embeddings.dimension == tiny_dataset.embeddings.dimension
@@ -343,7 +345,7 @@ def test_training_diverged_names_epoch_and_batch(tiny_dataset, fast_config):
     poisoned_blocks = tuple(x.copy() for x in ds.train.features)
     poisoned_blocks[0][2, 0, 0] = np.nan
     poisoned = FeatureSet(dims=ds.train.dims, features=poisoned_blocks,
-                          targets=ds.train.targets, split="train")
+                          targets=ds.train.targets)
     bad = Dataset(vocab=ds.vocab, protocol=ds.protocol,
                   modalities=ds.modalities, train=poisoned, val=ds.val,
                   test=ds.test, train_pairs=ds.train_pairs)

@@ -3,7 +3,8 @@ text file), never another exception, and never allocate what a header
 claims before checking it against the data.
 
 Truncations and byte flips of small valid files, plus random JSON values
-in the checkpoint's config blob and in a dataset bundle's JSON files.
+in the checkpoint's config blob, in a dataset bundle's JSON files (the
+manifest's protocol too) and in an experiment config file.
 Hypothesis runs derandomized and without an example database, so every
 run tries the same inputs.
 """
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softact import (FeatureSet, FormatError, GrammarConfig, ModelConfig,
-                     ParseError, ProtocolConfig, generate_dataset, init_params,
-                     load_checkpoint, load_dataset, read_features,
-                     save_checkpoint, save_dataset, write_features)
+from softact import (ExperimentConfig, FeatureSet, FormatError,
+                     GrammarConfig, ModelConfig, ParseError, ProtocolConfig,
+                     generate_dataset, init_params, load_checkpoint,
+                     load_dataset, load_experiment_config, read_features,
+                     save_checkpoint, save_dataset, save_experiment_config,
+                     write_features)
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -183,6 +186,51 @@ def test_random_bundle_json_raises_only_format_error(bundle, name, key, value):
         pass
     finally:
         path.write_text(good)
+
+
+@FUZZ
+@given(key=st.sampled_from(["snippet_stride", "encode_steps", "decode_steps",
+                            "snippet_len", "stride"]),
+       value=edge_values | json_values, whole=st.booleans())
+def test_random_manifest_protocol_raises_only_format_error(bundle, key, value,
+                                                           whole):
+    path = bundle / "manifest.json"
+    good = path.read_text()
+    manifest = json.loads(good)
+    if whole:
+        manifest["protocol"] = value
+    else:
+        manifest["protocol"][key] = value
+    path.write_text(json.dumps(manifest))
+    try:
+        load_dataset(bundle)
+    except (FormatError, ParseError):
+        pass
+    finally:
+        path.write_text(good)
+
+
+@FUZZ
+@given(key=st.sampled_from(["smoothing", "epochs", "batch_size", "trials",
+                            "alpha_grid", "hidden_size", "learning_rate",
+                            "seed", "early_stop_time", "many_shot_threshold",
+                            "alpha", "prior_kind", "start", "step"]),
+       value=edge_values | json_values, nested=st.booleans())
+def test_random_experiment_config_raises_only_format_error(work, key, value,
+                                                           nested):
+    path = work / "config.json"
+    save_experiment_config(ExperimentConfig(), path)
+    doc = json.loads(path.read_text())
+    for inner in ("smoothing", "alpha_grid"):
+        if nested and key in doc[inner]:
+            doc[inner][key] = value
+    if not nested:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    try:
+        load_experiment_config(path)
+    except (FormatError, ParseError):
+        pass
 
 
 def test_feature_header_sizes_are_checked_before_allocating(tmp_path):

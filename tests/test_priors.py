@@ -74,11 +74,12 @@ def test_verb_noun_prior_support_property():
         vocab = random_vocab(rng)
         p = build_verb_noun_prior(vocab)
         for k in range(vocab.K):
+            vk, nk = vocab.actions[k]
             support = [i for i in range(vocab.K)
-                       if vocab.verb_of(i) == vocab.verb_of(k)
-                       or vocab.noun_of(i) == vocab.noun_of(k)]
-            c_k = (len(vocab.verb_cohort(vocab.verb_of(k)))
-                   + len(vocab.noun_cohort(vocab.noun_of(k))) - 1)
+                       if vocab.actions[i][0] == vk
+                       or vocab.actions[i][1] == nk]
+            c_k = (len(vocab.verb_cohort(vk))
+                   + len(vocab.noun_cohort(nk)) - 1)
             assert len(support) == c_k
             for i in range(vocab.K):
                 want = 1.0 / c_k if i in support else 0.0

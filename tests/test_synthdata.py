@@ -11,7 +11,7 @@ from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
                      grammar_from_json_dict, read_features, transition_pairs,
                      write_features)
 
-from conftest import SMALL_PROTOCOL, make_annotations
+from conftest import SMALL_PROTOCOL, assert_same_features, make_annotations
 
 
 def small_grammar(**kw) -> GrammarConfig:
@@ -84,8 +84,8 @@ def test_grammar_cohort_means_are_closer():
     for k in range(vocab.K):
         for i in range(k + 1, vocab.K):
             d = float(np.linalg.norm(means[k] - means[i]))
-            share = (vocab.verb_of(k) == vocab.verb_of(i)
-                     or vocab.noun_of(k) == vocab.noun_of(i))
+            (vk, nk), (vi, ni) = vocab.actions[k], vocab.actions[i]
+            share = vk == vi or nk == ni
             (related if share else unrelated).append(d)
     assert np.mean(related) < np.mean(unrelated)
 
@@ -167,12 +167,11 @@ def test_gen_features_counts_and_targets():
     grammar = gen_grammar(small_grammar())
     annotations = gen_annotation_sequences(grammar, 3, 6, seed=1)
     fs = gen_features(grammar, annotations, SMALL_PROTOCOL, noise_sigma=0.3,
-                      seed=2, split="train")
+                      seed=2)
     # one sample per instance except each video's first
     assert fs.num_samples == 3 * (6 - 1)
     assert fs.timesteps == SMALL_PROTOCOL.total_steps
     assert fs.dims == (6, 5)
-    assert fs.split == "train"
     pairs = transition_pairs(annotations, grammar.vocab)
     np.testing.assert_array_equal(fs.targets, [tgt for _, tgt in pairs])
 
@@ -195,7 +194,7 @@ def test_gen_features_deterministic_and_single_action_video():
     annotations = gen_annotation_sequences(grammar, 2, 5, seed=1)
     a = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.3, seed=9)
     b = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.3, seed=9)
-    assert a == b
+    assert_same_features(a, b)
     solo = make_annotations(grammar.vocab, [[0]])
     empty = gen_features(grammar, solo, SMALL_PROTOCOL, 0.3, seed=9)
     assert empty.num_samples == 0
@@ -241,8 +240,8 @@ def test_zero_similarity_embeddings_give_identity_glove():
     grammar = gen_grammar(small_grammar(num_verbs=3, num_nouns=3, seed=2))
     vocab = grammar.vocab
     diag = [k for k in range(vocab.K)
-            if len(vocab.verb_cohort(vocab.verb_of(k))) == 1
-            and len(vocab.noun_cohort(vocab.noun_of(k))) == 1]
+            if len(vocab.verb_cohort(vocab.actions[k][0])) == 1
+            and len(vocab.noun_cohort(vocab.actions[k][1])) == 1]
     table = gen_synthetic_embeddings(grammar, 8, cohort_similarity=0.0, seed=3)
     prior = build_glove_prior(vocab, table)
     for k in diag:
@@ -269,8 +268,8 @@ def test_feature_set_subset_and_batches():
     grammar = gen_grammar(small_grammar())
     annotations = gen_annotation_sequences(grammar, 2, 6, seed=1)
     fs = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.2, seed=2)
-    sub = fs.subset([3, 0], split="val")
-    assert sub.num_samples == 2 and sub.split == "val"
+    sub = fs.subset([3, 0])
+    assert sub.num_samples == 2
     np.testing.assert_array_equal(sub.targets, fs.targets[[3, 0]])
     order = np.arange(fs.num_samples)
     got = list(fs.batches(order, batch_size=4))
@@ -288,7 +287,7 @@ def test_feature_file_roundtrip(tmp_path):
     path = tmp_path / "train.feat"
     write_features(fs, path)
     loaded = read_features(path)
-    assert loaded == fs
+    assert_same_features(loaded, fs)
     # byte-identical on re-write
     buf = io.BytesIO()
     write_features(loaded, buf)
@@ -317,7 +316,7 @@ def test_feature_file_bytes_match_per_sample_layout(tmp_path):
         path = tmp_path / "x.feat"
         write_features(fs, path)
         assert path.read_bytes() == _per_sample_feature_bytes(fs)
-        assert read_features(path) == fs
+        assert_same_features(read_features(path), fs)
 
 
 def test_feature_file_empty_roundtrip(tmp_path):

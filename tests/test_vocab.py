@@ -88,7 +88,7 @@ def test_build_vocab_first_appearance():
     assert vocab.actions == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert vocab.K == 4
     assert vocab.action_id("cut", "carrot") == 1
-    assert vocab.verb_of(2) == 1 and vocab.noun_of(2) == 0
+    assert vocab.actions[2] == (1, 0)
     with pytest.raises(KeyError):
         vocab.action_id("cut", "pan")
 
