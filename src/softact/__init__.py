@@ -14,11 +14,13 @@ from .experiment import (DEFAULT_ALPHAS, AlphaGrid, Dataset, ExperimentConfig,
                          evaluate_model, generate_dataset, grid_search_alpha,
                          grid_to_csv, load_dataset, load_experiment_config,
                          run_comparison, run_trial, save_dataset,
-                         save_experiment_config, split_dataset, train_model)
-from .metrics import (ManyShotSets, MetricCell, MetricsReport,
-                      aggregate_trials, build_report, macro_precision_recall,
-                      many_shot_from_labels, parse_report_csv, report_to_csv,
-                      report_to_plotdata, report_to_table, topk_accuracy)
+                         save_experiment_config, score_model, split_dataset,
+                         train_model, train_trial)
+from .metrics import (HitCounts, ManyShotSets, MetricCell, MetricsReport,
+                      Scorer, aggregate_trials, build_report,
+                      macro_precision_recall, many_shot_from_labels,
+                      parse_report_csv, report_to_csv, report_to_plotdata,
+                      report_to_table, topk_accuracy)
 from .priors import (EmbeddingTable, PriorMatrix, build_glove_prior,
                      build_prior, build_temporal_prior, build_uniform_prior,
                      build_verb_noun_prior, load_embeddings, load_prior,
@@ -43,9 +45,10 @@ __all__ = [
     "ActionInstance", "ActionVocab", "AlphaGrid", "AnnotationSet", "Dataset",
     "DEFAULT_ALPHAS", "EmbeddingTable", "ExperimentConfig", "FeatureSet",
     "FormatError", "GrammarConfig", "GridPoint", "GridSearchResult",
-    "ManyShotSets",
+    "HitCounts", "ManyShotSets",
     "MethodSpec", "MetricCell", "MetricsReport", "ModelConfig", "ModelParams",
-    "ParseError", "PriorMatrix", "ProtocolConfig", "SmoothingConfig",
+    "ParseError", "PriorMatrix", "ProtocolConfig", "Scorer",
+    "SmoothingConfig",
     "SoftLabel", "SyntheticGrammar", "TrainResult",
     "TrainingDiverged", "adam_step", "aggregate_trials",
     "build_glove_prior", "build_prior", "build_prior_for_kind",
@@ -64,9 +67,10 @@ __all__ = [
     "report_to_csv", "report_to_plotdata", "report_to_table",
     "run_comparison", "run_trial",
     "save_checkpoint", "save_dataset", "save_experiment_config", "save_prior",
+    "score_model",
     "smooth_label", "smooth_label_matrix", "soft_cross_entropy", "softmax",
     "split_dataset", "temporal_prior_from_pairs",
     "topk_accuracy", "transition_pairs",
     "weight_shapes",
-    "train_model", "write_features",
+    "train_model", "train_trial", "write_features",
 ]

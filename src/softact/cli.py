@@ -14,13 +14,13 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import FormatError, ParseError, TrainingDiverged
+from .errors import FormatError, ParseError, TrainingDiverged, read_text
 from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
                          MethodSpec, _read_json, build_prior_for_kind,
-                         default_methods, evaluate_model, generate_dataset,
-                         grid_search_alpha, grid_to_csv, load_dataset,
-                         load_experiment_config, run_comparison, run_trial,
-                         save_dataset)
+                         default_methods, generate_dataset, grid_search_alpha,
+                         grid_to_csv, load_dataset, load_experiment_config,
+                         run_comparison, save_dataset, score_model,
+                         train_trial)
 from .jsonconfig import config_from_json, json_value
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
@@ -53,7 +53,7 @@ def _parse_modalities(spec: str) -> tuple[tuple[str, int], ...]:
 def _load_embeddings_file(path: str):
     """Load a word-embedding text file, inferring the dimension from the
     first non-empty line."""
-    text = Path(path).read_text()
+    text = read_text(path)
     for line in text.splitlines():
         if line.strip():
             dimension = len(line.split()) - 1
@@ -150,12 +150,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_prior(args) -> int:
-    vocab = ActionVocab.from_json(Path(args.vocab).read_text())
+    vocab = ActionVocab.from_json(read_text(args.vocab))
     embeddings = (_load_embeddings_file(args.embeddings) if args.embeddings
                   else None)
     pairs = None
     if args.annotations:
-        annotations = parse_annotations(Path(args.annotations).read_text())
+        annotations = parse_annotations(read_text(args.annotations))
         pairs = transition_pairs(annotations, vocab)
     prior = build_prior(_CLI_KINDS[args.kind], vocab, embeddings, pairs)
     save_prior(prior, args.out, vocab_hash=vocab.content_hash())
@@ -186,15 +186,17 @@ def _cmd_train(args) -> int:
         if args.verbose:
             print(msg)
 
-    result, probs = run_trial(dataset, prior, alpha, 0, config, log=log)
+    result = train_trial(dataset, prior, alpha, 0, config, log=log)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.params, out / "checkpoint.bin")
     (out / "train_log.txt").write_text("\n".join(lines) + "\n")
     many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
                                       config.many_shot_threshold)
-    report = build_report([(probs, dataset.test.targets)], dataset.protocol,
-                          dataset.vocab, many_shot)
+    counts = score_model(result.params, dataset.test, dataset.protocol,
+                         dataset.vocab, many_shot)
+    report = build_report([counts], dataset.protocol, dataset.vocab,
+                          many_shot)
     (out / "metrics.csv").write_text(report_to_csv({kind: report}))
     step = dataset.protocol.step_for_time(config.early_stop_time)
     cell = report.cell(PRIMARY_METRIC, step)
@@ -254,16 +256,21 @@ def _cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
     if params.config.num_classes != dataset.K:
-        raise ValueError(f"checkpoint has {params.config.num_classes} classes, "
-                         f"dataset has {dataset.K}")
-    if params.config.feature_dims != tuple(d for _, d in dataset.modalities):
-        raise ValueError("checkpoint feature dims do not match the dataset")
+        raise FormatError(f"{args.checkpoint}: checkpoint has "
+                          f"{params.config.num_classes} classes, dataset has "
+                          f"{dataset.K}")
+    dims = tuple(d for _, d in dataset.modalities)
+    if params.config.feature_dims != dims:
+        raise FormatError(f"{args.checkpoint}: checkpoint feature dims "
+                          f"{params.config.feature_dims} do not match the "
+                          f"dataset's {dims}")
     split = getattr(dataset, args.split)
-    probs = evaluate_model(params, split, dataset.protocol)
     many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
                                       args.many_shot_threshold)
-    report = build_report([(probs, split.targets)], dataset.protocol,
-                          dataset.vocab, many_shot)
+    counts = score_model(params, split, dataset.protocol, dataset.vocab,
+                         many_shot)
+    report = build_report([counts], dataset.protocol, dataset.vocab,
+                          many_shot)
     name = args.name or Path(args.checkpoint).stem
     csv_text = report_to_csv({name: report})
     if args.out:
@@ -278,7 +285,7 @@ def _cmd_report(args) -> int:
     src = Path(args.runs)
     if src.is_dir():
         src = src / "report.csv"
-    reports = parse_report_csv(src.read_text())
+    reports = parse_report_csv(read_text(src))
     if args.format == "csv":
         text = report_to_csv(reports)
     elif args.format == "table":

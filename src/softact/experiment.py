@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, TrainingDiverged
+from .errors import FormatError, TrainingDiverged, read_text
 from .jsonconfig import config_from_json, config_to_json, json_value
-from .metrics import (MetricsReport, build_report, many_shot_from_labels,
-                      report_to_csv, topk_accuracy)
+from .metrics import (SCORE_BLOCK, HitCounts, ManyShotSets, MetricsReport,
+                      Scorer, build_report, many_shot_from_labels, percent,
+                      report_to_csv, topk_hit_count)
 from .priors import (KINDS, EmbeddingTable, PriorMatrix, build_prior,
                      load_embeddings, transition_pairs)
 from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
@@ -100,7 +101,7 @@ class ExperimentConfig:
 
 def _read_json(path: str | Path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
@@ -249,7 +250,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
-    vocab = ActionVocab.from_json((root / "vocab.json").read_text())
+    vocab = ActionVocab.from_json(read_text(root / "vocab.json"))
     if vocab.content_hash() != manifest["vocab_sha256"]:
         raise FormatError(f"{root}: vocab.json does not match the manifest hash")
     where = f"{manifest_path}: malformed manifest"
@@ -288,20 +289,20 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                               f"[0, {vocab.K})")
     embeddings = None
     if embedding_dim is not None:
-        embeddings = load_embeddings((root / "embeddings.txt").read_text(),
+        embeddings = load_embeddings(read_text(root / "embeddings.txt"),
                                      embedding_dim)
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
         grammar = grammar_from_json_dict(_read_json(grammar_path),
-                                         str(grammar_path))
+                                         str(grammar_path), modalities)
         if grammar.vocab != vocab:
             raise FormatError(f"{grammar_path}: its vocab differs from "
                               f"vocab.json")
     annotations = None
     annotations_path = root / "annotations.csv"
     if annotations_path.exists():
-        annotations = parse_annotations(annotations_path.read_text())
+        annotations = parse_annotations(read_text(annotations_path))
     return Dataset(
         vocab=vocab,
         protocol=protocol,
@@ -361,26 +362,51 @@ class TrainResult:
     history: list[tuple[int, float, float]]  # (epoch, train loss, val score)
 
 
+def _chunks(feature_set: FeatureSet, batch_size: int = SCORE_BLOCK):
+    """Yield (rows, features) for each ``batch_size``-sample chunk of the
+    split: a slice of its samples and their per-modality arrays. Callers
+    forward each chunk inside one expression, so its K-wide predictions
+    are freed before the next chunk's are made."""
+    for start in range(0, feature_set.num_samples, batch_size):
+        rows = slice(start, start + batch_size)
+        yield rows, [x[rows] for x in feature_set.features]
+
+
 def evaluate_model(params: ModelParams, feature_set: FeatureSet,
                    protocol: ProtocolConfig,
-                   batch_size: int = 512) -> np.ndarray:
+                   batch_size: int = SCORE_BLOCK) -> np.ndarray:
     """Per-step class probabilities, (num_samples, decode_steps, K),
     scored ``batch_size`` samples at a time into one preallocated array."""
-    n = feature_set.num_samples
-    probs = np.empty((n, protocol.decode_steps, params.config.num_classes))
-    for start in range(0, n, batch_size):
-        feats = [x[start:start + batch_size] for x in feature_set.features]
-        probs[start:start + batch_size] = forward_batch(params, feats,
-                                                        protocol)[1]
+    probs = np.empty((feature_set.num_samples, protocol.decode_steps,
+                      params.config.num_classes))
+    for rows, feats in _chunks(feature_set, batch_size):
+        probs[rows] = forward_batch(params, feats, protocol)[1]
     return probs
+
+
+def score_model(params: ModelParams, feature_set: FeatureSet,
+                protocol: ProtocolConfig, vocab: ActionVocab,
+                many_shot: ManyShotSets | None = None) -> HitCounts:
+    """The split's hit counts, counted as each chunk of predictions leaves
+    the model, so no (num_samples, decode_steps, K) array is held."""
+    scorer = Scorer(protocol.decode_steps, vocab, many_shot)
+    for rows, feats in _chunks(feature_set):
+        scorer.add(forward_batch(params, feats, protocol)[1],
+                   feature_set.targets[rows])
+    return scorer.counts
 
 
 def _val_score(params: ModelParams, val: FeatureSet, protocol: ProtocolConfig,
                early_stop_time: float) -> float:
-    probs = evaluate_model(params, val, protocol)
+    """Validation top-5 action accuracy at the early-stop step, counted
+    chunk by chunk."""
     step = protocol.step_for_time(early_stop_time)
     k = min(5, params.config.num_classes)
-    return topk_accuracy(probs[:, step, :], val.targets, k)
+    hits = sum(
+        topk_hit_count(forward_batch(params, feats, protocol)[1][:, step],
+                       val.targets[rows], k)
+        for rows, feats in _chunks(val))
+    return percent(hits, val.num_samples)
 
 
 def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
@@ -444,19 +470,27 @@ def _model_config(dataset: Dataset, config: ExperimentConfig,
     )
 
 
-def run_trial(dataset: Dataset, prior: PriorMatrix | None, alpha: float,
-              trial: int, config: ExperimentConfig,
-              log=None) -> tuple[TrainResult, np.ndarray]:
-    """Train one seed and score the test split.
-
-    Returns the train result and the (N, decode_steps, K) test probabilities.
-    """
+def train_trial(dataset: Dataset, prior: PriorMatrix | None, alpha: float,
+                trial: int, config: ExperimentConfig,
+                log=None) -> TrainResult:
+    """Train one seed (``config.seed + trial``) on soft targets of the
+    given prior and alpha."""
     seed = config.seed + trial
     soft = smooth_label_matrix(dataset.train.targets, prior, alpha,
                                num_classes=dataset.K)
-    result = train_model(_model_config(dataset, config, seed),
-                         dataset.protocol, dataset.train, soft, dataset.val,
-                         config, log=log)
+    return train_model(_model_config(dataset, config, seed),
+                       dataset.protocol, dataset.train, soft, dataset.val,
+                       config, log=log)
+
+
+def run_trial(dataset: Dataset, prior: PriorMatrix | None, alpha: float,
+              trial: int, config: ExperimentConfig,
+              log=None) -> tuple[TrainResult, np.ndarray]:
+    """Train one seed and predict the test split.
+
+    Returns the train result and the (N, decode_steps, K) test probabilities.
+    """
+    result = train_trial(dataset, prior, alpha, trial, config, log=log)
     probs = evaluate_model(result.params, dataset.test, dataset.protocol)
     return result, probs
 
@@ -517,7 +551,7 @@ def grid_search_alpha(dataset: Dataset, kind: str, config: ExperimentConfig,
     for alpha in grid.values():
         scores = []
         for trial in range(config.trials):
-            result, _ = run_trial(dataset, prior, alpha, trial, config)
+            result = train_trial(dataset, prior, alpha, trial, config)
             scores.append(result.best_score)
         point = GridPoint(alpha=alpha, scores=tuple(scores))
         points.append(point)
@@ -531,11 +565,25 @@ def grid_search_alpha(dataset: Dataset, kind: str, config: ExperimentConfig,
 
 
 def _comparison_task(args):
-    dataset, method, prior, trial, config = args
+    """One trial of a comparison, as hit counts: a worker sends back the
+    counts, not the (N, decode_steps, K) test probabilities."""
+    dataset, method, prior, trial, config, many_shot = args
     lines: list[str] = []
     result, probs = run_trial(dataset, prior, method.alpha, trial, config,
                               log=lines.append)
-    return result, probs, lines
+    scorer = Scorer(dataset.protocol.decode_steps, dataset.vocab, many_shot)
+    scorer.add(probs, dataset.test.targets)
+    return result, scorer.counts, lines
+
+
+def _outcomes(tasks: list, jobs: int):
+    """:func:`_comparison_task` of each task, in task order, as each is
+    done."""
+    if jobs <= 1:
+        yield from map(_comparison_task, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_comparison_task, tasks)
 
 
 def run_comparison(dataset: Dataset, methods: list[MethodSpec],
@@ -543,46 +591,43 @@ def run_comparison(dataset: Dataset, methods: list[MethodSpec],
                    jobs: int = 1, log=None) -> dict[str, MetricsReport]:
     """Train every method for ``config.trials`` seeds and report test
     metrics. With ``out_dir`` set, writes per-run artifacts under
-    ``runs/<method>/alpha_<a>/seed_<s>/`` plus a combined ``report.csv``.
+    ``runs/<method>/alpha_<a>/seed_<s>/`` as each run ends, plus a combined
+    ``report.csv``. Only each run's hit counts are kept, so memory does
+    not grow with methods x trials.
     """
     if not methods:
         raise ValueError("no methods to compare")
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
+    many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
+                                      config.many_shot_threshold)
     tasks = []
     for method in methods:
         prior = build_prior_for_kind(method.kind, dataset)
         for trial in range(config.trials):
-            tasks.append((dataset, method, prior, trial, config))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_comparison_task, tasks))
-    else:
-        outcomes = [_comparison_task(t) for t in tasks]
+            tasks.append((dataset, method, prior, trial, config, many_shot))
 
-    many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
-                                      config.many_shot_threshold)
     out = Path(out_dir) if out_dir is not None else None
     reports: dict[str, MetricsReport] = {}
-    for mi, method in enumerate(methods):
-        trial_evals = []
-        for trial in range(config.trials):
-            result, probs, lines = outcomes[mi * config.trials + trial]
-            trial_evals.append((probs, dataset.test.targets))
-            if out is not None:
-                run_dir = (out / "runs" / method.name
-                           / f"alpha_{method.alpha:g}"
-                           / f"seed_{config.seed + trial}")
-                run_dir.mkdir(parents=True, exist_ok=True)
-                save_checkpoint(result.params, run_dir / "checkpoint.bin")
-                (run_dir / "train_log.txt").write_text("\n".join(lines) + "\n")
-                trial_report = build_report([(probs, dataset.test.targets)],
-                                            dataset.protocol, dataset.vocab,
-                                            many_shot)
-                (run_dir / "metrics.csv").write_text(
-                    report_to_csv({method.name: trial_report}))
-        reports[method.name] = build_report(trial_evals, dataset.protocol,
+    trial_counts: list[HitCounts] = []
+    for task, (result, counts, lines) in zip(tasks, _outcomes(tasks, jobs)):
+        method, trial = task[1], task[3]
+        if out is not None:
+            run_dir = (out / "runs" / method.name / f"alpha_{method.alpha:g}"
+                       / f"seed_{config.seed + trial}")
+            run_dir.mkdir(parents=True, exist_ok=True)
+            save_checkpoint(result.params, run_dir / "checkpoint.bin")
+            (run_dir / "train_log.txt").write_text("\n".join(lines) + "\n")
+            trial_report = build_report([counts], dataset.protocol,
+                                        dataset.vocab, many_shot)
+            (run_dir / "metrics.csv").write_text(
+                report_to_csv({method.name: trial_report}))
+        trial_counts.append(counts)
+        if trial < config.trials - 1:
+            continue
+        reports[method.name] = build_report(trial_counts, dataset.protocol,
                                             dataset.vocab, many_shot)
+        trial_counts = []
         if log is not None:
             step = dataset.protocol.step_for_time(config.early_stop_time)
             cell = reports[method.name].cell("action_top5", step)

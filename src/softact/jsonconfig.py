@@ -4,6 +4,7 @@ rules and report a wrong value as a FormatError naming the file and key."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -23,13 +24,14 @@ def config_from_json(cls, doc, where: str, defaults=None, ignore=()):
     """Decode ``doc`` into the dataclass ``cls``.
 
     Each value is checked against its field's type: ``int`` takes JSON
-    integers only (not a bool or a float), ``float`` an integer or a float
-    (not a bool), ``str`` a string, ``tuple[...]`` a list (or a tuple, for
-    in-memory dicts), and a nested dataclass is decoded the same way. A key
-    that is not a field is an error unless it is in ``ignore`` (keys the
-    caller reads itself), and so is a missing one unless ``defaults`` (an
-    instance of ``cls``) supplies it. The ValueError of the class's own
-    checks becomes a FormatError too; every message begins with ``where``.
+    integers only (not a bool or a float), ``float`` an integer or a finite
+    float (not a bool, NaN or an infinity), ``str`` a string, ``tuple[...]``
+    a list (or a tuple, for in-memory dicts), and a nested dataclass is
+    decoded the same way. A key that is not a field is an error unless it
+    is in ``ignore`` (keys the caller reads itself), and so is a missing
+    one unless ``defaults`` (an instance of ``cls``) supplies it. The
+    ValueError of the class's own checks becomes a FormatError too; every
+    message begins with ``where``.
     """
     return _decode(cls, doc, where, "", defaults, ignore)
 
@@ -44,6 +46,8 @@ def json_value(tp, value, where: str, key: str):
             else type(value) is origin):
         raise FormatError(f"{where}: {key!r} must be {_EXPECTED[origin]}, "
                           f"got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise FormatError(f"{where}: {key!r} must be finite, got {value!r}")
     if origin is not tuple:
         return value
     args = get_args(tp)

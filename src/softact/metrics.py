@@ -1,7 +1,10 @@
 """Evaluation: top-k accuracy per anticipation time, macro class
 precision/recall on many-shot classes, and multi-trial aggregation.
 
-Top-k membership uses the same deterministic ordering as prediction
+Every report cell folds exact integer counts (top-1/top-5 hits, and the
+tp/fp/fn of each many-shot class), which a :class:`Scorer` adds up chunk by
+chunk as predictions leave the model, so no whole-split probability array
+is needed. Top-k membership uses the same deterministic ordering as prediction
 (descending probability, ties to the lower class id). Verb and noun
 metrics are computed on the action distribution marginalized over cohorts.
 """
@@ -18,19 +21,61 @@ from .seqmodel import ProtocolConfig
 from .vocab import ActionVocab
 
 PRIMARY_METRIC = "action_top5"
+# Rows a Scorer counts at once, and the chunk size of evaluation.
+SCORE_BLOCK = 512
 
 _TASKS = ("action", "verb", "noun")
 
 
-def _topk_hits(probs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Boolean per-sample membership of the label in the top-k set,
-    under descending-probability order with ties to the lower id."""
-    label_p = probs[np.arange(probs.shape[0]), labels]
-    higher = (probs > label_p[:, None]).sum(axis=1)
+def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per sample, how many classes come before the label in
+    descending-probability order with ties to the lower id; the label is
+    a top-k hit when its rank is below k."""
+    label_p = probs[np.arange(probs.shape[0]), labels][:, None]
+    higher = (probs > label_p).sum(axis=1)
     ids = np.arange(probs.shape[1])
-    equal_lower = ((probs == label_p[:, None]) & (ids[None, :] < labels[:, None])) \
+    equal_lower = ((probs == label_p) & (ids[None, :] < labels[:, None])) \
         .sum(axis=1)
-    return higher + equal_lower < k
+    return higher + equal_lower
+
+
+def _class_counts(preds: np.ndarray, labels: np.ndarray,
+                  classes: np.ndarray) -> np.ndarray:
+    """(C, 3) true positives, false positives and false negatives of each
+    id in the sorted array ``classes``."""
+    last = classes.shape[0] - 1
+
+    def per_class(ids):
+        pos = np.minimum(np.searchsorted(classes, ids), last)
+        return np.bincount(pos[classes[pos] == ids], minlength=last + 1)
+
+    tp = per_class(preds[preds == labels])
+    return np.stack([tp, per_class(preds) - tp, per_class(labels) - tp],
+                    axis=1)
+
+
+def percent(hits: int, n: int) -> float:
+    """``hits`` of ``n`` samples as a percentage."""
+    if n == 0:
+        raise ValueError("cannot score an empty prediction list")
+    return hits / n * 100.0
+
+
+def _macro(counts: np.ndarray) -> tuple[float, float]:
+    """Macro precision and recall, in percent, from (C, 3) tp/fp/fn.
+
+    Classes never predicted contribute precision 0; classes absent from
+    the labels are left out of the recall average (nan if that excludes
+    every class).
+    """
+    precisions, recalls = [], []
+    for tp, fp, fn in counts.tolist():
+        precisions.append(tp / (tp + fp) if tp + fp > 0 else 0.0)
+        if tp + fn > 0:
+            recalls.append(tp / (tp + fn))
+    precision = 100.0 * sum(precisions) / len(precisions)
+    recall = 100.0 * sum(recalls) / len(recalls) if recalls else math.nan
+    return precision, recall
 
 
 def topk_accuracy(predictions, labels, k: int) -> float:
@@ -45,7 +90,12 @@ def topk_accuracy(predictions, labels, k: int) -> float:
         raise ValueError("cannot score an empty prediction list")
     if k > probs.shape[1]:
         raise ValueError(f"k={k} exceeds number of classes {probs.shape[1]}")
-    return float(_topk_hits(probs, labels, k).mean() * 100.0)
+    return percent(topk_hit_count(probs, labels, k), probs.shape[0])
+
+
+def topk_hit_count(probs: np.ndarray, labels: np.ndarray, k: int) -> int:
+    """How many samples of (N, K) ``probs`` have their label in the top k."""
+    return int(np.count_nonzero(_label_ranks(probs, labels) < k))
 
 
 def cohort_indicator(vocab: ActionVocab) -> tuple[np.ndarray, np.ndarray]:
@@ -92,29 +142,16 @@ def many_shot_from_labels(labels, vocab: ActionVocab,
 
 def macro_precision_recall(predicted_top1, labels,
                            restrict_to) -> tuple[float, float]:
-    """Unweighted per-class precision/recall averages, in percent.
-
-    Classes never predicted contribute precision 0; classes absent from
-    the labels are left out of the recall average (nan if that excludes
-    every class).
-    """
+    """Unweighted per-class precision/recall averages over the classes in
+    ``restrict_to``, in percent (see :func:`_macro`)."""
     if not restrict_to:
         raise ValueError("restrict_to must name at least one class")
     preds = np.asarray(predicted_top1, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
         raise ValueError("predictions and labels have different lengths")
-    precisions, recalls = [], []
-    for c in sorted(restrict_to):
-        tp = int(((preds == c) & (labels == c)).sum())
-        fp = int(((preds == c) & (labels != c)).sum())
-        fn = int(((preds != c) & (labels == c)).sum())
-        precisions.append(tp / (tp + fp) if tp + fp > 0 else 0.0)
-        if tp + fn > 0:
-            recalls.append(tp / (tp + fn))
-    precision = 100.0 * sum(precisions) / len(precisions)
-    recall = 100.0 * sum(recalls) / len(recalls) if recalls else math.nan
-    return precision, recall
+    classes = np.array(sorted(restrict_to), dtype=np.int64)
+    return _macro(_class_counts(preds, labels, classes))
 
 
 def aggregate_trials(values) -> tuple[float, float]:
@@ -148,65 +185,148 @@ class MetricsReport:
         return self.cells[metric][step]
 
 
+@dataclass(eq=False)
+class HitCounts:
+    """One trial's scores as exact integers, from which every report cell
+    follows.
+
+    ``hits`` is (3, 2, decode_steps): top-1 and top-5 hits of the action,
+    verb and noun tasks at each step. ``confusion`` maps each task that has
+    many-shot classes to (decode_steps, C, 3): tp, fp and fn of its C
+    classes in sorted order. Counts of disjoint sample chunks add up, so a
+    trial can be counted chunk by chunk.
+    """
+
+    many_shot: ManyShotSets | None
+    samples: int
+    hits: np.ndarray
+    confusion: dict[str, np.ndarray]
+
+    def metric_values(self) -> dict[str, list[float]]:
+        """Each metric's percentage at every decode step, in report column
+        order."""
+        values: dict[str, list[float]] = {}
+        for task, (top1, top5) in zip(_TASKS, self.hits.tolist()):
+            values[f"{task}_top1"] = [percent(h, self.samples) for h in top1]
+            values[f"{task}_top5"] = [percent(h, self.samples) for h in top5]
+            if task in self.confusion:
+                cells = [_macro(c) for c in self.confusion[task]]
+                values[f"{task}_precision"] = [p for p, _ in cells]
+                values[f"{task}_recall"] = [r for _, r in cells]
+        return values
+
+
+class Scorer:
+    """Counts one trial's predictions into :class:`HitCounts` as they come.
+
+    Call :meth:`add` with each (n, decode_steps, K) chunk of probabilities
+    and its n action labels, then read :attr:`counts`. Verb and noun
+    scores use the action distribution marginalized over cohorts, and the
+    many-shot sets, if given, add tp/fp/fn of each task's top-1.
+
+    A chunk is counted in blocks of ``SCORE_BLOCK`` rows, so no temporary
+    grows with n. The marginals are one GEMM per block, whose last bits
+    depend on its row count (BLAS takes other kernels for a few rows), so
+    a whole split and the same split in ``SCORE_BLOCK``-row chunks give
+    the same counts.
+    """
+
+    def __init__(self, decode_steps: int, vocab: ActionVocab,
+                 many_shot: ManyShotSets | None = None):
+        mv, mn = cohort_indicator(vocab)
+        self.K = vocab.K
+        # per task: (cohort matrix, label map), None for the action task
+        self._cohorts = (
+            (None, None),
+            (mv, np.array([v for v, _ in vocab.actions], dtype=np.int64)),
+            (mn, np.array([n for _, n in vocab.actions], dtype=np.int64)),
+        )
+        self._classes = {}
+        if many_shot is not None:
+            for task in _TASKS:
+                ids = getattr(many_shot, task + "s")
+                if ids:
+                    self._classes[task] = np.array(sorted(ids),
+                                                   dtype=np.int64)
+        self.counts = HitCounts(
+            many_shot=many_shot, samples=0,
+            hits=np.zeros((len(_TASKS), 2, decode_steps), dtype=np.int64),
+            confusion={task: np.zeros((decode_steps, len(ids), 3),
+                                      dtype=np.int64)
+                       for task, ids in self._classes.items()})
+
+    def add(self, probs, labels) -> None:
+        """Count a (n, decode_steps, K) chunk of probabilities and its n
+        labels."""
+        probs = np.asarray(probs, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        S = self.counts.hits.shape[2]
+        if probs.ndim != 3 or probs.shape[1:] != (S, self.K):
+            raise ValueError(f"probs shape {probs.shape}, expected "
+                             f"(N, {S}, {self.K})")
+        if labels.shape != probs.shape[:1]:
+            raise ValueError("predictions and labels have different lengths")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.K):
+            raise ValueError(f"a label is outside [0, {self.K})")
+        for start in range(0, labels.shape[0], SCORE_BLOCK):
+            self._add_block(probs[start:start + SCORE_BLOCK],
+                            labels[start:start + SCORE_BLOCK])
+        self.counts.samples += labels.shape[0]
+
+    def _add_block(self, probs: np.ndarray, labels: np.ndarray) -> None:
+        hits, confusion = self.counts.hits, self.counts.confusion
+        for t, (task, (cohort, task_of)) in enumerate(zip(_TASKS,
+                                                          self._cohorts)):
+            y = labels if task_of is None else task_of[labels]
+            classes = self._classes.get(task)
+            for s in range(probs.shape[1]):
+                p = probs[:, s, :]
+                if cohort is not None:
+                    p = p @ cohort
+                ranks = _label_ranks(p, y)
+                hits[t, 0, s] += np.count_nonzero(ranks < 1)
+                hits[t, 1, s] += np.count_nonzero(ranks < min(5, p.shape[1]))
+                if classes is not None:
+                    confusion[task][s] += _class_counts(p.argmax(axis=1), y,
+                                                        classes)
+
+
 def build_report(trial_evals, protocol: ProtocolConfig, vocab: ActionVocab,
                  many_shot: ManyShotSets | None = None) -> MetricsReport:
-    """Aggregate per-trial predictions into a mean +/- std report.
+    """Aggregate per-trial scores into a mean +/- std report.
 
-    ``trial_evals`` is a list of (probs, labels) with probs shaped
-    (N, decode_steps, K). Precision/recall cells are included only when
-    ``many_shot`` is given, restricted to its sets.
+    Each item of ``trial_evals`` is one trial: its :class:`HitCounts` from
+    a :class:`Scorer` given the same ``many_shot``, or a (probs, labels)
+    pair with probs shaped (N, decode_steps, K), counted here.
+    Precision/recall cells are included only when ``many_shot`` is given,
+    restricted to its sets.
     """
     if not trial_evals:
         raise ValueError("need at least one trial")
-    times = protocol.anticipation_times()
     S = protocol.decode_steps
-    mv, mn = cohort_indicator(vocab)
-    verb_labels_of = np.array([v for v, _ in vocab.actions], dtype=np.int64)
-    noun_labels_of = np.array([n for _, n in vocab.actions], dtype=np.int64)
-
-    per_trial: dict[str, list[list[float]]] = {}
-
-    def record(name: str, step: int, trial: int, value: float):
-        steps = per_trial.setdefault(name, [])
-        while len(steps) <= step:
-            steps.append([])
-        if len(steps[step]) != trial:
-            raise AssertionError("trial values recorded out of order")
-        steps[step].append(value)
-
-    for trial, (probs, labels) in enumerate(trial_evals):
-        probs = np.asarray(probs, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if probs.ndim != 3 or probs.shape[1] != S or probs.shape[2] != vocab.K:
-            raise ValueError(
-                f"trial {trial}: probs shape {probs.shape}, expected "
-                f"(N, {S}, {vocab.K})"
-            )
-        for s in range(S):
-            p_act = probs[:, s, :]
-            task_data = {
-                "action": (p_act, labels),
-                "verb": (p_act @ mv, verb_labels_of[labels]),
-                "noun": (p_act @ mn, noun_labels_of[labels]),
-            }
-            for task, (p, y) in task_data.items():
-                record(f"{task}_top1", s, trial, topk_accuracy(p, y, 1))
-                k5 = min(5, p.shape[1])
-                record(f"{task}_top5", s, trial, topk_accuracy(p, y, k5))
-                if many_shot is not None:
-                    restrict = getattr(many_shot, task + "s")
-                    if restrict:
-                        prec, rec = macro_precision_recall(
-                            p.argmax(axis=1), y, restrict)
-                        record(f"{task}_precision", s, trial, prec)
-                        record(f"{task}_recall", s, trial, rec)
-
+    per_trial = []
+    for trial, item in enumerate(trial_evals):
+        if isinstance(item, HitCounts):
+            counts = item
+            if counts.hits.shape[2] != S or counts.many_shot != many_shot:
+                raise ValueError(f"trial {trial}: counted for another "
+                                 f"protocol or many-shot set")
+        else:
+            scorer = Scorer(S, vocab, many_shot)
+            try:
+                scorer.add(*item)
+            except ValueError as exc:
+                raise ValueError(f"trial {trial}: {exc}") from None
+            counts = scorer.counts
+        per_trial.append(counts.metric_values())
     cells = {
-        name: tuple(MetricCell(*aggregate_trials(vals)) for vals in steps)
-        for name, steps in per_trial.items()
+        name: tuple(MetricCell(*aggregate_trials([v[name][s]
+                                                  for v in per_trial]))
+                    for s in range(S))
+        for name in per_trial[0]
     }
-    return MetricsReport(anticipation_times=times, cells=cells,
-                         trials=len(trial_evals))
+    return MetricsReport(anticipation_times=protocol.anticipation_times(),
+                         cells=cells, trials=len(trial_evals))
 
 
 def format_time(t: float) -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .vocab import ActionVocab, AnnotationSet
 
 ROW_SUM_TOL = 1e-12
@@ -292,7 +292,7 @@ def load_prior(path: str | Path) -> PriorMatrix:
     """Read a prior CSV written by :func:`save_prior` (sidecar optional)."""
     path = Path(path)
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -313,7 +313,7 @@ def load_prior(path: str | Path) -> PriorMatrix:
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         try:
-            doc = json.loads(sidecar.read_text())
+            doc = json.loads(read_text(sidecar))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{sidecar}: invalid JSON ({exc})") from None
         kind = doc.get("kind", kind) if isinstance(doc, dict) else None

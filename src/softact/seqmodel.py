@@ -16,7 +16,10 @@ formulation (concatenate ``[x_t | h]``, one GEMM, a two-branch sigmoid on
 each gate slice, then BPTT with freshly built ``dz``): every floating-point
 operation and GEMM is the same, in the same order, so a seeded run gives
 the same bytes. Only where results are stored changed: one preallocated
-step-input buffer, whole-block gate activations and ``out=`` ufuncs.
+step-input buffer, whole-block gate activations and ``out=`` ufuncs. The
+K-wide output layer keeps the plain order too (logits plus bias, softmax,
+loss terms, ``dlogits``), computed in place in at most two (B, S, K)
+arrays.
 Training results, checkpoints and the benchmark's recorded reference scores
 depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
 formulation to check them. A faster but different formulation (hoisting
@@ -291,6 +294,11 @@ def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
 
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
+    """hcat, the LSTM caches, the logits and the probabilities of a batch.
+
+    With ``keep_cache`` (training) the softmax overwrites the logits, which
+    nothing then reads, and both come back as the one array.
+    """
     B = _check_features(params, features)
     cfg = params.config
     T = features[0].shape[1]
@@ -308,10 +316,14 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
         _run_lstm(params.lstm_weight(m), params.lstm_bias(m), features[m],
                   hcat[:, :, m * H:(m + 1) * H], cache)
         caches.append(cache)
-    logits = hcat @ params.fusion_weight + params.fusion_bias
+    # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
+    # this batched one (checked at K=60), and the recorded references
+    # depend on these bits.
+    logits = np.matmul(hcat, params.fusion_weight)
+    logits += params.fusion_bias
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
-    probs = softmax(logits)
+    probs = softmax(logits, out=logits if keep_cache else None)
     return logits, probs, hcat, caches
 
 
@@ -335,8 +347,8 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample.
     """
-    logits, probs, hcat, caches = _forward_full(params, features, protocol,
-                                                keep_cache=True)
+    _, probs, hcat, caches = _forward_full(params, features, protocol,
+                                           keep_cache=True)
     cfg = params.config
     B, S, K = probs.shape
     T = features[0].shape[1]
@@ -345,13 +357,20 @@ def loss_and_gradients_batch(params: ModelParams, features,
     if targets.shape != (B, K):
         raise ValueError(f"targets shape {targets.shape}, expected {(B, K)}")
 
-    loss = float(-(targets[:, None, :]
-                   * np.log(np.maximum(probs, PROB_EPS))).sum() / (B * S))
+    # One (B, S, K) buffer holds the loss terms; the logit gradient then
+    # overwrites the probabilities, which nothing reads after it.
+    terms = np.maximum(probs, PROB_EPS)
+    np.log(terms, out=terms)
+    terms *= targets[:, None, :]
+    loss = float(-terms.sum() / (B * S))
+    del terms
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
     # Fused softmax + cross-entropy gradient, averaged over steps and batch.
-    dlogits = (probs - targets[:, None, :]) / (B * S)
+    dlogits = probs
+    dlogits -= targets[:, None, :]
+    dlogits /= B * S
 
     grads = [np.zeros_like(w) for w in params.weights]
     M = len(cfg.modalities)

@@ -112,14 +112,20 @@ def smooth_label_matrix(labels: np.ndarray, prior: PriorMatrix | None,
     return out
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis; rejects non-finite input."""
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax along the last axis; rejects non-finite input.
+
+    Shift, exponentiate and normalize all happen in one output array
+    (``out``, which may be ``z``), in the order of ``exp(z - max) / sum``,
+    so the bits do not depend on where the result is stored.
+    """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def soft_cross_entropy(target, probs: np.ndarray) -> float:

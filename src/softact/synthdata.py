@@ -97,15 +97,20 @@ class SyntheticGrammar:
                 "vocab": json.loads(self.vocab.to_json())}
 
 
-def grammar_from_json_dict(d: dict,
-                           where: str = "grammar") -> SyntheticGrammar:
+def grammar_from_json_dict(d: dict, where: str = "grammar",
+                           modalities=None) -> SyntheticGrammar:
     """Regenerate a grammar saved via :meth:`SyntheticGrammar.to_json_dict`
     with :func:`gen_grammar`, a pure function of the parameters; stored
     ``transition``/``class_means`` arrays are ignored. FormatError, naming
-    ``where``, if the parameters are malformed or do not give the stored
-    vocabulary (say, under a numpy whose random stream changed)."""
+    ``where``, if the parameters are malformed, list other ``modalities``
+    than the given ones (checked before any array is sized by them) or do
+    not give the stored vocabulary (say, under a numpy whose random stream
+    changed)."""
     config = config_from_json(GrammarConfig, d, where,
                               ignore=("vocab", "transition", "class_means"))
+    if modalities is not None and config.modalities != tuple(modalities):
+        raise FormatError(f"{where}: modalities {list(config.modalities)} "
+                          f"differ from the bundle's {list(modalities)}")
     try:
         vocab = ActionVocab.from_json(json.dumps(d.get("vocab")))
         if config.num_actions != vocab.K:

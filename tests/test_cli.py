@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from softact import (ActionInstance, AnnotationSet, GrammarConfig,
-                     ProtocolConfig, build_verb_noun_prior, format_annotations,
-                     generate_dataset, load_dataset, load_prior, read_features,
+                     ModelConfig, ProtocolConfig, build_verb_noun_prior,
+                     format_annotations, generate_dataset, init_params,
+                     load_dataset, load_prior, read_features, save_checkpoint,
                      save_dataset, write_features)
 from softact.cli import main
 from softact.priors import KINDS
@@ -38,12 +39,22 @@ FAST_FLAGS = ["--epochs", "2", "--batch-size", "32", "--hidden-size", "8",
 # ------------------------------------------------------------- exit codes
 
 
-def test_exit_codes(tmp_path, toy_vocab, capsys):
+def test_exit_codes(tmp_path, toy_vocab, data_dir, capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["frobnicate"]) == 1
     assert main(["train", "--data", str(tmp_path / "missing"),
                  "--out-dir", str(tmp_path / "out")]) == 2
+    # a checkpoint of another K or other feature dims is a data mismatch
+    dataset = load_dataset(data_dir)
+    for classes, modalities in ((dataset.K + 1, dataset.modalities),
+                                (dataset.K, (("rgb", 6), ("flow", 4)))):
+        save_checkpoint(init_params(ModelConfig(
+            modalities=modalities, num_classes=classes, hidden_size=2)),
+            tmp_path / "other.bin")
+        assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                     str(tmp_path / "other.bin")]) == 2
+    assert "feature dims (6, 4) do not match" in capsys.readouterr().err
     vocab_path = tmp_path / "vocab.json"
     vocab_path.write_text(toy_vocab.to_json())
     assert main(["build-prior", "--kind", "glove", "--vocab", str(vocab_path),
@@ -185,15 +196,22 @@ def test_synth_k1200_grammar_is_parameters_only(tmp_path, capsys):
     assert load_dataset(out).grammar.transition.shape == (1200, 1200)
 
 
-@pytest.mark.parametrize("edit", ["seed", "num_verbs", "vocab"])
+@pytest.mark.parametrize("edit", ["seed", "num_verbs", "vocab", "modalities",
+                                  "dim"])
 def test_train_rejects_grammar_unlike_bundle(tmp_path, data_dir, capsys, edit):
     # another seed draws another vocabulary, as would a numpy whose random
-    # stream changed; another grid size or stored vocab is a foreign grammar
+    # stream changed; another grid size, stored vocab or modality list is a
+    # foreign grammar, and a hostile dim must be refused before gen_grammar
+    # sizes arrays by it
     bundle = tmp_path / "bundle"
     shutil.copytree(data_dir, bundle)
     grammar = json.loads((bundle / "grammar.json").read_text())
     if edit == "vocab":
         grammar["vocab"]["nouns"][0] = "nzz"
+    elif edit == "modalities":
+        grammar["modalities"] = [["rgb", 5], ["depth", 3]]
+    elif edit == "dim":
+        grammar["modalities"][0][1] = 10 ** 9
     else:
         grammar[edit] += 1
     (bundle / "grammar.json").write_text(json.dumps(grammar))
@@ -326,6 +344,39 @@ def test_train_rejects_splits_unlike_manifest(tmp_path, data_dir, capsys,
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "vocab.json",
+                                  "grammar.json", "annotations.csv",
+                                  "embeddings.txt"])
+def test_train_rejects_bundle_file_not_utf8(tmp_path, data_dir, capsys, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    (bundle / name).write_bytes(b"\xff\xfe{" + (bundle / name).read_bytes())
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "not UTF-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{", "not UTF-8"),
+    (b'{"learning_rate": NaN}', "'learning_rate' must be finite"),
+    (b'{"early_stop_time": Infinity}', "'early_stop_time' must be finite"),
+    (b'{"smoothing": {"alpha": -Infinity}}', "'smoothing.alpha' must be"),
+])
+def test_train_rejects_config_not_utf8_or_not_finite(tmp_path, data_dir,
+                                                     capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and message in err
+    assert not out.exists()
+
+
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
@@ -424,6 +475,19 @@ def test_eval_checkpoint(tmp_path, data_dir, capsys):
     assert out_csv.read_text().startswith("method,")
 
 
+def test_eval_reproduces_train_metrics(tmp_path, data_dir, capsys):
+    # train and eval count the test split the same way, chunk by chunk
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(run),
+                 "--method", "vn", *FAST_FLAGS]) == 0
+    assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                 str(run / "checkpoint.bin"), "--name", "verb_noun",
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "eval.csv").read_bytes()
+            == (run / "metrics.csv").read_bytes())
+
+
 def test_eval_mismatched_dataset(tmp_path, data_dir, capsys):
     run = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out-dir", str(run),
@@ -434,8 +498,8 @@ def test_eval_mismatched_dataset(tmp_path, data_dir, capsys):
                  "rgb:4", "--encode-steps", "2", "--decode-steps", "3"]) == 0
     capsys.readouterr()
     assert main(["eval", "--data", str(other), "--checkpoint",
-                 str(run / "checkpoint.bin")]) == 1
-    capsys.readouterr()
+                 str(run / "checkpoint.bin")]) == 2
+    assert "checkpoint has 9 classes, dataset has" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, message", [

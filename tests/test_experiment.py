@@ -430,6 +430,22 @@ def test_run_comparison_artifacts_and_reports(tmp_path, tiny_dataset):
             assert "best epoch" in (run_dir / "train_log.txt").read_text()
 
 
+def test_run_comparison_jobs_write_the_same_bytes(tmp_path, tiny_dataset):
+    # workers send back hit counts; the files must not depend on --jobs
+    config = ExperimentConfig(epochs=1, batch_size=32, trials=2,
+                              hidden_size=4, many_shot_threshold=2)
+    methods = [MethodSpec("onehot", "onehot", 0.0),
+               MethodSpec("uniform", "uniform", 0.1)]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    run_comparison(tiny_dataset, methods, config, out_dir=serial)
+    run_comparison(tiny_dataset, methods, config, out_dir=pooled, jobs=2)
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*")
+                   if p.is_file())
+    assert len(files) == 3 + 4 * 3
+    for rel in files:
+        assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+
 def test_run_comparison_identical_methods_match(tiny_dataset):
     config = ExperimentConfig(epochs=2, batch_size=32, trials=1,
                               hidden_size=8)

@@ -2,13 +2,15 @@
 
 Each reader (experiment and synth config files, the checkpoint header, a
 bundle's manifest protocol and grammar.json) rejects a float or a bool in
-an integer field and a non-object with FormatError (CLI exit 2) naming the
-key; the writers give the bytes of the hand-written dicts they replaced.
+an integer field, NaN or an infinity in a float field and a non-object with
+FormatError (CLI exit 2) naming the key; the writers give the bytes of the
+hand-written dicts they replaced.
 """
 
 import contextlib
 import io
 import json
+import math
 import shutil
 import struct
 
@@ -104,6 +106,23 @@ def test_integer_field_rejects_float_and_bool(tmp_path, bundle, name, value):
     reader, key = READERS[name]
     with pytest.raises(FormatError,
                        match=f"'{key}' must be an integer, got {value!r}"):
+        reader(tmp_path, bundle, lambda doc: {**doc, key: value})
+
+
+FLOAT_READERS = {  # reader, a float key it reads
+    "experiment": (_experiment_config, "learning_rate"),
+    "checkpoint": (_checkpoint_header, "learning_rate"),
+    "protocol": (_manifest_protocol, "snippet_stride"),
+    "grammar": (_grammar_json, "sigma_between"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_READERS)
+def test_float_field_rejects_nan_and_infinity(tmp_path, bundle, name, value):
+    # Python's json reads NaN and Infinity; no float field takes them
+    reader, key = FLOAT_READERS[name]
+    with pytest.raises(FormatError, match=f"'{key}' must be finite"):
         reader(tmp_path, bundle, lambda doc: {**doc, key: value})
 
 
