@@ -34,8 +34,8 @@ from .smoothing import (SmoothingConfig, SoftLabel, one_hot, smooth_label,
                         smooth_label_matrix, soft_cross_entropy, softmax)
 from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
-                        gen_synthetic_embeddings, grammar_from_json_dict,
-                        read_features, write_features)
+                        gen_synthetic_embeddings, read_features,
+                        write_features)
 from .vocab import (ActionInstance, ActionVocab, AnnotationSet, build_vocab,
                     format_annotations, parse_annotations)
 
@@ -57,7 +57,7 @@ __all__ = [
     "default_methods", "evaluate_model", "format_annotations",
     "forward_batch", "gen_annotation_sequences", "gen_features",
     "gen_grammar", "gen_synthetic_embeddings", "generate_dataset",
-    "grammar_from_json_dict", "grid_search_alpha", "grid_to_csv",
+    "grid_search_alpha", "grid_to_csv",
     "init_params", "load_checkpoint", "load_dataset", "load_embeddings",
     "load_experiment_config", "load_prior",
     "loss_and_gradients_batch", "macro_precision_recall",

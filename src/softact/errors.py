@@ -19,7 +19,7 @@ class FormatError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; message names the epoch and batch."""
+    """Training hit a non-finite value; the message names the epoch."""
 
 
 def read_text(path: str | Path) -> str:

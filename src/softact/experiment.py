@@ -26,10 +26,10 @@ from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, loss_and_gradients_batch,
                        save_checkpoint)
 from .smoothing import SmoothingConfig, smooth_label_matrix
-from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
+from .synthdata import (FeatureSet, GrammarConfig, _check_grammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
-                        gen_synthetic_embeddings, grammar_from_json_dict,
-                        read_features, write_features)
+                        gen_synthetic_embeddings, read_features,
+                        write_features)
 from .vocab import (ActionVocab, AnnotationSet, format_annotations,
                     parse_annotations)
 
@@ -91,10 +91,9 @@ class ExperimentConfig:
             raise ValueError("epochs, batch_size and trials must be >= 1")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.early_stop_time <= 0:
-            raise ValueError("early_stop_time must be positive")
+        for name in ("learning_rate", "early_stop_time"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.many_shot_threshold < 1:
             raise ValueError("many_shot_threshold must be >= 1")
 
@@ -138,7 +137,7 @@ class Dataset:
     test: FeatureSet
     train_pairs: tuple[tuple[int, int], ...]
     embeddings: EmbeddingTable | None = None
-    grammar: SyntheticGrammar | None = None
+    grammar: GrammarConfig | None = None  # gen_grammar rebuilds the arrays
     annotations: AnnotationSet | None = None
 
     @property
@@ -191,7 +190,7 @@ def generate_dataset(grammar_config: GrammarConfig,
         test=full.subset(test_idx),
         train_pairs=tuple(pairs[i] for i in train_idx),
         embeddings=embeddings,
-        grammar=grammar,
+        grammar=grammar_config,
         annotations=annotations,
     )
 
@@ -215,8 +214,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
             lines.append(token + " " + " ".join(f"{x:.17g}" for x in vec))
         (out / "embeddings.txt").write_text("\n".join(lines) + "\n")
     if dataset.grammar is not None:
-        (out / "grammar.json").write_text(
-            json.dumps(dataset.grammar.to_json_dict()) + "\n")
+        (out / "grammar.json").write_text(json.dumps(
+            {**config_to_json(dataset.grammar),
+             "vocab": json.loads(dataset.vocab.to_json())}) + "\n")
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -294,27 +294,15 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
-        grammar = grammar_from_json_dict(_read_json(grammar_path),
-                                         str(grammar_path), modalities)
-        if grammar.vocab != vocab:
-            raise FormatError(f"{grammar_path}: its vocab differs from "
-                              f"vocab.json")
+        grammar = _check_grammar(_read_json(grammar_path), str(grammar_path),
+                                 modalities, vocab)
     annotations = None
     annotations_path = root / "annotations.csv"
     if annotations_path.exists():
         annotations = parse_annotations(read_text(annotations_path))
-    return Dataset(
-        vocab=vocab,
-        protocol=protocol,
-        modalities=modalities,
-        train=splits["train"],
-        val=splits["val"],
-        test=splits["test"],
-        train_pairs=train_pairs,
-        embeddings=embeddings,
-        grammar=grammar,
-        annotations=annotations,
-    )
+    return Dataset(vocab=vocab, protocol=protocol, modalities=modalities,
+                   train_pairs=train_pairs, embeddings=embeddings,
+                   grammar=grammar, annotations=annotations, **splits)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +404,7 @@ def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
 
     The returned parameters are the snapshot from the epoch with the best
     validation top-5 at the early-stop anticipation time (ties keep the
-    earlier epoch). Non-finite losses raise TrainingDiverged.
+    earlier epoch). Non-finite values raise TrainingDiverged.
     """
     soft_targets = np.asarray(soft_targets, dtype=np.float64)
     if soft_targets.shape != (train.num_samples, model_config.num_classes):
@@ -445,7 +433,11 @@ def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
             adam_step(params, grads)
             total_loss += loss * len(idx)
         train_loss = total_loss / n
-        score = _val_score(params, val, protocol, config.early_stop_time)
+        try:
+            score = _val_score(params, val, protocol, config.early_stop_time)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(
+                f"epoch {epoch}, validation: {exc}") from exc
         history.append((epoch, train_loss, score))
         if score > best_score:
             best = params.copy()

@@ -123,6 +123,8 @@ class ManyShotSets:
 def many_shot_from_labels(labels, vocab: ActionVocab,
                           threshold: int = 100) -> ManyShotSets:
     """Many-shot sets from bare action labels (e.g. a feature split)."""
+    if threshold < 1:
+        raise ValueError(f"many-shot threshold must be >= 1, got {threshold}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= vocab.K):
         raise ValueError("label out of range for the vocabulary")
@@ -389,6 +391,8 @@ def parse_report_csv(text: str) -> dict[str, MetricsReport]:
             metrics.append(metric)
         times_by_metric.setdefault(metric, []).append(tv)
         mean_cols.append((metric, i))
+    if not metrics:
+        raise ParseError("report CSV has no metric columns")
     times = times_by_metric[metrics[0]]
     for metric in metrics[1:]:
         if times_by_metric[metric] != times:
@@ -421,6 +425,9 @@ def report_to_table(reports: dict[str, MetricsReport],
     if not reports:
         raise ValueError("no reports to format")
     first = next(iter(reports.values()))
+    if any(metric not in report.cells for report in reports.values()):
+        raise ValueError(f"no metric {metric!r} in the report; it has "
+                         f"{', '.join(first.metric_names())}")
     times = [format_time(t) for t in first.anticipation_times]
     name_width = max(len("method"), max(len(n) for n in reports))
     col_width = 14

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .jsonconfig import config_from_json, config_to_json
+from .jsonconfig import config_from_json
 from .priors import EmbeddingTable, transition_pairs
 from .seqmodel import ProtocolConfig
 from .vocab import ActionInstance, ActionVocab, AnnotationSet
@@ -61,6 +61,10 @@ class GrammarConfig:
     def __post_init__(self):
         object.__setattr__(self, "modalities",
                            tuple((str(n), int(d)) for n, d in self.modalities))
+        if not self.modalities:
+            raise ValueError("need at least one modality")
+        if any(d < 1 for _, d in self.modalities):
+            raise ValueError("feature dims must be >= 1")
         if self.num_verbs < 1 or self.num_nouns < 1:
             raise ValueError("need at least one verb and one noun")
         if not (0.0 < self.action_density <= 1.0):
@@ -90,66 +94,60 @@ class SyntheticGrammar:
     def K(self) -> int:
         return self.vocab.K
 
-    def to_json_dict(self) -> dict:
-        """The generator parameters and the vocabulary, without the arrays:
-        :func:`grammar_from_json_dict` regenerates those."""
-        return {**config_to_json(self.config),
-                "vocab": json.loads(self.vocab.to_json())}
 
-
-def grammar_from_json_dict(d: dict, where: str = "grammar",
-                           modalities=None) -> SyntheticGrammar:
-    """Regenerate a grammar saved via :meth:`SyntheticGrammar.to_json_dict`
-    with :func:`gen_grammar`, a pure function of the parameters; stored
-    ``transition``/``class_means`` arrays are ignored. FormatError, naming
-    ``where``, if the parameters are malformed, list other ``modalities``
-    than the given ones (checked before any array is sized by them) or do
-    not give the stored vocabulary (say, under a numpy whose random stream
-    changed)."""
-    config = config_from_json(GrammarConfig, d, where,
+def _check_grammar(doc, where: str, modalities,
+                   vocab: ActionVocab) -> GrammarConfig:
+    """The parameters stored in a bundle's grammar.json, checked without
+    building the grammar's arrays: FormatError, naming ``where``, if they
+    are malformed, list other ``modalities``, store another vocabulary than
+    ``vocab`` or do not draw ``vocab`` (another seed or grid, or a numpy
+    whose random stream changed)."""
+    config = config_from_json(GrammarConfig, doc, where,
                               ignore=("vocab", "transition", "class_means"))
-    if modalities is not None and config.modalities != tuple(modalities):
+    if config.modalities != tuple(modalities):
         raise FormatError(f"{where}: modalities {list(config.modalities)} "
                           f"differ from the bundle's {list(modalities)}")
     try:
-        vocab = ActionVocab.from_json(json.dumps(d.get("vocab")))
+        if ActionVocab.from_json(json.dumps(doc.get("vocab"))) != vocab:
+            raise ValueError("its vocab differs from vocab.json")
         if config.num_actions != vocab.K:
             raise ValueError(f"grammar parameters give another action count "
                              f"than its {vocab.K}-action vocabulary")
-        grammar = gen_grammar(config)
+        if _draw_vocab(config, np.random.default_rng(config.seed)) != vocab:
+            raise ValueError("grammar parameters do not regenerate its "
+                             "vocabulary")
     except (OverflowError, ValueError) as exc:
         raise FormatError(f"{where}: {exc}") from None
-    if grammar.vocab != vocab:
-        raise FormatError(f"{where}: grammar parameters do not regenerate "
-                          f"its vocabulary")
-    return grammar
+    return config
+
+
+def _draw_vocab(config: GrammarConfig,
+                rng: np.random.Generator) -> ActionVocab:
+    """A grammar's first draw: which grid cells are actions, named and
+    numbered in draw order."""
+    N = config.num_nouns
+    count = config.num_actions
+    if count < 2:
+        raise ValueError(f"realized action count {count} < 2; raise density or grid")
+    cells = rng.choice(config.num_verbs * N, size=count, replace=False)
+    # grid row/column -> verb/noun id, numbered in order of first appearance
+    verb_ids: dict[int, int] = {}
+    noun_ids: dict[int, int] = {}
+    actions = []
+    for cell in cells:
+        v, n = divmod(int(cell), N)
+        actions.append((verb_ids.setdefault(v, len(verb_ids)),
+                        noun_ids.setdefault(n, len(noun_ids))))
+    return ActionVocab(tuple("v" + _letters(v) for v in verb_ids),
+                       tuple("n" + _letters(n) for n in noun_ids),
+                       tuple(actions))
 
 
 def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
     """Sample a grammar: which grid cells are actions, their transition
     chain, and their feature means."""
     rng = np.random.default_rng(config.seed)
-    V, N = config.num_verbs, config.num_nouns
-    count = config.num_actions
-    if count < 2:
-        raise ValueError(f"realized action count {count} < 2; raise density or grid")
-    cells = rng.choice(V * N, size=count, replace=False)
-
-    verb_names: list[str] = []
-    noun_names: list[str] = []
-    verb_ids: dict[int, int] = {}
-    noun_ids: dict[int, int] = {}
-    actions: list[tuple[int, int]] = []
-    for cell in cells:
-        v, n = int(cell) // N, int(cell) % N
-        if v not in verb_ids:
-            verb_ids[v] = len(verb_names)
-            verb_names.append("v" + _letters(v))
-        if n not in noun_ids:
-            noun_ids[n] = len(noun_names)
-            noun_names.append("n" + _letters(n))
-        actions.append((verb_ids[v], noun_ids[n]))
-    vocab = ActionVocab(tuple(verb_names), tuple(noun_names), tuple(actions))
+    vocab = _draw_vocab(config, rng)
     K = vocab.K
 
     transition = rng.dirichlet(np.full(K, config.markov_concentration), size=K)
@@ -160,8 +158,8 @@ def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
     # up closer together than unrelated actions.
     means = []
     for _, dim in config.modalities:
-        verb_anchor = rng.normal(size=(len(verb_names), dim)) / np.sqrt(dim)
-        noun_anchor = rng.normal(size=(len(noun_names), dim)) / np.sqrt(dim)
+        verb_anchor = rng.normal(size=(len(vocab.verbs), dim)) / np.sqrt(dim)
+        noun_anchor = rng.normal(size=(len(vocab.nouns), dim)) / np.sqrt(dim)
         jitter = rng.normal(size=(K, dim)) / np.sqrt(dim)
         mk = np.empty((K, dim))
         for k, (v, n) in enumerate(vocab.actions):

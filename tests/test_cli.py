@@ -7,9 +7,9 @@ import pytest
 
 from softact import (ActionInstance, AnnotationSet, GrammarConfig,
                      ModelConfig, ProtocolConfig, build_verb_noun_prior,
-                     format_annotations, generate_dataset, init_params,
-                     load_dataset, load_prior, read_features, save_checkpoint,
-                     save_dataset, write_features)
+                     format_annotations, gen_grammar, generate_dataset,
+                     init_params, load_dataset, load_prior, read_features,
+                     save_checkpoint, save_dataset, write_features)
 from softact.cli import main
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -193,7 +193,8 @@ def test_synth_k1200_grammar_is_parameters_only(tmp_path, capsys):
                  "60", "--videos", "2", "--video-length", "6"]) == 0
     assert "K=1200" in capsys.readouterr().out
     assert (out / "grammar.json").stat().st_size < 64 * 1024
-    assert load_dataset(out).grammar.transition.shape == (1200, 1200)
+    grammar = gen_grammar(load_dataset(out).grammar)
+    assert grammar.transition.shape == (1200, 1200)
 
 
 @pytest.mark.parametrize("edit", ["seed", "num_verbs", "vocab", "modalities",
@@ -231,6 +232,15 @@ def test_synth_config_errors(tmp_path, capsys):
     assert main(["synth", "--out-dir", str(tmp_path / "ds"),
                  "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("modalities", ["rgb:0", "rgb:8,flow:-2"])
+def test_synth_rejects_dims_below_one(tmp_path, capsys, modalities):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out-dir", str(out), "--verbs", "2", "--nouns",
+                 "2", "--modalities", modalities]) == 2
+    assert "feature dims must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ train
@@ -377,6 +387,37 @@ def test_train_rejects_config_not_utf8_or_not_finite(tmp_path, data_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_divergence_in_validation_exits_2(tmp_path, data_dir, capsys,
+                                          command):
+    # one batch holds the whole train split, so the first non-finite value
+    # shows in the validation forward, not in a training loss
+    method = ["--method", "vn"] if command == "train" else ["--methods",
+                                                              "onehot"]
+    assert main([command, "--data", str(data_dir), "--out-dir",
+                 str(tmp_path / "run"), *method, "--epochs", "2",
+                 "--trials", "1", "--hidden-size", "4",
+                 "--learning-rate", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "error: epoch 1, validation: non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+    ("--early-stop-time", "nan"), ("--early-stop-time", "inf"),
+])
+def test_train_rejects_non_finite_flags(tmp_path, data_dir, capsys, flag,
+                                        value):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
@@ -502,6 +543,19 @@ def test_eval_mismatched_dataset(tmp_path, data_dir, capsys):
     assert "checkpoint has 9 classes, dataset has" in capsys.readouterr().err
 
 
+def test_eval_rejects_many_shot_threshold_below_one(tmp_path, data_dir,
+                                                    capsys):
+    dataset = load_dataset(data_dir)
+    save_checkpoint(init_params(ModelConfig(
+        modalities=dataset.modalities, num_classes=dataset.K,
+        hidden_size=2)), tmp_path / "model.bin")
+    assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                 str(tmp_path / "model.bin"), "--many-shot-threshold",
+                 "0"]) == 1
+    assert ("many-shot threshold must be >= 1"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("config, message", [
     (b"[1,2]", "not a JSON object"),
     (b'{"modalities": [["rgb", 4]]}', "no key 'num_classes'"),
@@ -524,4 +578,18 @@ def test_report_missing_runs(tmp_path, capsys):
     bad = tmp_path / "report.csv"
     bad.write_text("not,a,report\n")
     assert main(["report", "--runs", str(bad)]) == 2
-    capsys.readouterr()
+    bad.write_text("method\nfoo\n")
+    assert main(["report", "--runs", str(bad)]) == 2
+    assert "no metric columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["nope", "action_precision"])
+def test_report_rejects_unknown_metric(tmp_path, capsys, metric):
+    # the report has no many-shot columns, so no action_precision
+    report = tmp_path / "report.csv"
+    report.write_text("method,action_top5@1,action_top5@1_std\n"
+                      "onehot,50.0,1.0\n")
+    assert main(["report", "--runs", str(report), "--metric", metric]) == 1
+    err = capsys.readouterr().err
+    assert f"no metric {metric!r}" in err and "action_top5" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      PriorMatrix, ProtocolConfig, SmoothingConfig,
                      TrainingDiverged, build_prior_for_kind,
                      build_uniform_prior, build_verb_noun_prior,
-                     default_methods, evaluate_model, generate_dataset,
-                     grid_search_alpha, grid_to_csv, load_dataset,
-                     load_experiment_config, mix_priors, run_comparison,
-                     run_trial, save_dataset, save_experiment_config,
-                     split_dataset, topk_accuracy, train_model)
+                     default_methods, evaluate_model, gen_grammar,
+                     generate_dataset, grid_search_alpha, grid_to_csv,
+                     load_dataset, load_experiment_config, mix_priors,
+                     run_comparison, run_trial, save_dataset,
+                     save_experiment_config, split_dataset, topk_accuracy,
+                     train_model)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -141,28 +143,44 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
     assert loaded.embeddings.dimension == tiny_dataset.embeddings.dimension
     for token, vec in tiny_dataset.embeddings.vectors.items():
         np.testing.assert_array_equal(loaded.embeddings.vectors[token], vec)
-    assert loaded.grammar.config == tiny_dataset.grammar.config
-    np.testing.assert_array_equal(loaded.grammar.transition,
-                                  tiny_dataset.grammar.transition)
-    for ma, mb in zip(loaded.grammar.class_means,
-                      tiny_dataset.grammar.class_means, strict=True):
-        np.testing.assert_array_equal(ma, mb)
+    # a bundle's grammar is its parameters, which rebuild the arrays
+    assert loaded.grammar == tiny_dataset.grammar
+    grammar = gen_grammar(loaded.grammar)
+    assert grammar.vocab == loaded.vocab
+    np.testing.assert_array_equal(grammar.transition,
+                                  gen_grammar(tiny_dataset.grammar).transition)
 
 
 def test_dataset_loads_grammar_with_stored_arrays(tmp_path, tiny_dataset):
     # bundles used to store the arrays in grammar.json; they are ignored
     out = tmp_path / "bundle"
     save_dataset(tiny_dataset, out)
-    grammar = tiny_dataset.grammar
+    grammar = gen_grammar(tiny_dataset.grammar)
     doc = json.loads((out / "grammar.json").read_text())
     assert "transition" not in doc and "class_means" not in doc
-    doc["transition"] = grammar.transition.tolist()
-    doc["class_means"] = [m.tolist() for m in grammar.class_means]
+    doc["transition"] = (grammar.transition + 1.0).tolist()
+    doc["class_means"] = [m.tolist() for m in grammar.class_means[:1]]
     (out / "grammar.json").write_text(json.dumps(doc))
-    loaded = load_dataset(out).grammar
-    np.testing.assert_array_equal(loaded.transition, grammar.transition)
-    for ma, mb in zip(loaded.class_means, grammar.class_means, strict=True):
-        np.testing.assert_array_equal(ma, mb)
+    assert load_dataset(out).grammar == tiny_dataset.grammar
+
+
+def test_load_dataset_does_not_rebuild_the_grammar(tmp_path, tiny_dataset,
+                                                   monkeypatch):
+    # loading checks the grammar's parameters without building its K x K
+    # chain or its class means
+    def refuse(config):
+        raise AssertionError("load_dataset called gen_grammar")
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("softact"):
+            for name, value in list(vars(module).items()):
+                if value is gen_grammar:
+                    monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    loaded = load_dataset(out)
+    assert isinstance(loaded.grammar, GrammarConfig)
+    assert loaded.grammar == tiny_dataset.grammar
 
 
 def test_load_dataset_errors(tmp_path, tiny_dataset):

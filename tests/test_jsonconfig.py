@@ -18,9 +18,9 @@ import pytest
 
 from softact import (AlphaGrid, ExperimentConfig, FormatError, GrammarConfig,
                      ModelConfig, ProtocolConfig, SmoothingConfig,
-                     generate_dataset, init_params, load_checkpoint,
-                     load_dataset, load_experiment_config, save_checkpoint,
-                     save_dataset, save_experiment_config)
+                     gen_grammar, generate_dataset, init_params,
+                     load_checkpoint, load_dataset, load_experiment_config,
+                     save_checkpoint, save_dataset, save_experiment_config)
 from softact.cli import main
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -236,7 +236,7 @@ def test_writers_give_the_old_bytes(tmp_path, bundle):
 
     dataset = load_dataset(bundle)
     assert (bundle / "grammar.json").read_text() == json.dumps(
-        _old_grammar_dict(dataset.grammar)) + "\n"
+        _old_grammar_dict(gen_grammar(dataset.grammar))) + "\n"
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert list(manifest) == ["format", "version", "protocol", "modalities",
                               "vocab_sha256", "embedding_dimension",

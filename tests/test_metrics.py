@@ -263,6 +263,8 @@ def test_parse_report_csv_errors():
         parse_report_csv("method,a@1,a@1_std\nx,1.0\n")
     with pytest.raises(ParseError):
         parse_report_csv("method,a@1,a@1_std\n")
+    with pytest.raises(ParseError, match="no metric columns"):
+        parse_report_csv("method\nfoo\n")
 
 
 def test_report_table_and_plotdata(toy_vocab):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import struct
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
                      build_glove_prior, gen_annotation_sequences,
                      gen_features, gen_grammar, gen_synthetic_embeddings,
-                     grammar_from_json_dict, read_features, transition_pairs,
-                     write_features)
+                     read_features, transition_pairs, write_features)
+from softact.jsonconfig import config_to_json
+from softact.synthdata import _check_grammar
 
 from conftest import SMALL_PROTOCOL, assert_same_features, make_annotations
 
@@ -65,6 +67,9 @@ def test_grammar_config_validation():
         small_grammar(sigma_within=2.0, sigma_between=1.0)
     with pytest.raises(ValueError):
         small_grammar(markov_concentration=0.0)
+    for modalities in ((), (("rgb", 0),), (("rgb", 4), ("flow", -2))):
+        with pytest.raises(ValueError, match="modality|feature dims"):
+            small_grammar(modalities=modalities)
 
 
 def test_grammar_tokens_are_alphabetic():
@@ -91,9 +96,16 @@ def test_grammar_cohort_means_are_closer():
 
 
 def test_grammar_json_roundtrip():
+    # grammar.json holds the parameters and the vocabulary; they give back
+    # the config, which regenerates the same arrays
     grammar = gen_grammar(small_grammar(seed=21))
-    clone = grammar_from_json_dict(grammar.to_json_dict())
-    assert clone.config == grammar.config
+    doc = json.loads(json.dumps({
+        **config_to_json(grammar.config),
+        "vocab": json.loads(grammar.vocab.to_json())}))
+    config = _check_grammar(doc, "grammar", grammar.config.modalities,
+                            grammar.vocab)
+    assert config == grammar.config
+    clone = gen_grammar(config)
     assert clone.vocab == grammar.vocab
     np.testing.assert_array_equal(clone.transition, grammar.transition)
     for ma, mb in zip(clone.class_means, grammar.class_means):
