@@ -16,18 +16,18 @@ from pathlib import Path
 
 from .errors import FormatError, ParseError, TrainingDiverged, read_text
 from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
-                         MethodSpec, _read_json, build_prior_for_kind,
-                         default_methods, generate_dataset, grid_search_alpha,
-                         grid_to_csv, load_dataset, load_experiment_config,
-                         run_comparison, save_dataset, score_model,
-                         train_trial)
+                         MethodSpec, _read_json, _save_run,
+                         build_prior_for_kind, generate_dataset,
+                         grid_search_alpha, grid_to_csv, load_dataset,
+                         load_experiment_config, run_comparison, save_dataset,
+                         score_model, train_trial)
 from .jsonconfig import config_from_json, json_value
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
                       report_to_table)
 from .priors import (KINDS, build_prior, load_embeddings, save_prior,
                      transition_pairs)
-from .seqmodel import ProtocolConfig, load_checkpoint, save_checkpoint
+from .seqmodel import ProtocolConfig, load_checkpoint
 from .synthdata import GrammarConfig
 from .vocab import ActionVocab, parse_annotations
 
@@ -85,13 +85,10 @@ def _given_flags(args, cls, prefix: str = "") -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _experiment_config(args, trials: int | None = None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     config = (load_experiment_config(args.config) if args.config
               else ExperimentConfig())
-    overrides = _given_flags(args, ExperimentConfig)
-    if trials is not None:
-        overrides["trials"] = trials
-    return replace(config, **overrides)
+    return replace(config, **_given_flags(args, ExperimentConfig))
 
 
 # synth setting -> keyword of GrammarConfig, ProtocolConfig and
@@ -163,46 +160,28 @@ def _cmd_build_prior(args) -> int:
     return 0
 
 
-def _method_and_alpha(args, config: ExperimentConfig) -> tuple[str, float]:
-    """Resolve --method/--alpha flags against the config's smoothing."""
-    if args.method:
-        kind = _CLI_KINDS[args.method]
-        alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHAS[kind]
-    else:
-        kind = config.smoothing.prior_kind
-        alpha = args.alpha if args.alpha is not None else config.smoothing.alpha
-    return kind, alpha
-
-
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
-    config = _experiment_config(args, trials=1)
-    kind, alpha = _method_and_alpha(args, config)
-    prior = build_prior_for_kind(kind, dataset)
-    lines: list[str] = []
-
-    def log(msg: str) -> None:
-        lines.append(msg)
-        if args.verbose:
-            print(msg)
-
-    result = train_trial(dataset, prior, alpha, 0, config, log=log)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.params, out / "checkpoint.bin")
-    (out / "train_log.txt").write_text("\n".join(lines) + "\n")
+    config = _experiment_config(args)
+    smoothing = config.smoothing
+    kind = _CLI_KINDS[args.method] if args.method else smoothing.prior_kind
+    alpha = DEFAULT_ALPHAS[kind] if args.method else smoothing.alpha
+    # a compare method of one trial, so both commands check it alike
+    method = MethodSpec(kind, kind, alpha if args.alpha is None else args.alpha)
+    prior = build_prior_for_kind(method.kind, dataset)
+    result = train_trial(dataset, prior, method.alpha, 0, config,
+                         log=print if args.verbose else None)
     many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
                                       config.many_shot_threshold)
     counts = score_model(result.params, dataset.test, dataset.protocol,
                          dataset.vocab, many_shot)
-    report = build_report([counts], dataset.protocol, dataset.vocab,
-                          many_shot)
-    (out / "metrics.csv").write_text(report_to_csv({kind: report}))
+    report = _save_run(Path(args.out_dir), method.name, result, counts,
+                       dataset, many_shot)
     step = dataset.protocol.step_for_time(config.early_stop_time)
     cell = report.cell(PRIMARY_METRIC, step)
-    print(f"{kind} alpha={alpha:g}: best epoch {result.best_epoch}, "
-          f"val_top5 {result.best_score:.2f}, test {PRIMARY_METRIC}"
-          f"@{config.early_stop_time:g}s {cell.mean:.2f}")
+    print(f"{method.name} alpha={method.alpha:g}: best epoch "
+          f"{result.best_epoch}, val_top5 {result.best_score:.2f}, test "
+          f"{PRIMARY_METRIC}@{config.early_stop_time:g}s {cell.mean:.2f}")
     return 0
 
 
@@ -233,22 +212,28 @@ def _cmd_compare(args) -> int:
         if name not in _CLI_KINDS or not value:
             raise ValueError(f"bad --set-alpha {spec!r}; use kind=alpha")
         overrides[_CLI_KINDS[name]] = float(value)
-    if args.methods:
-        names = [m.strip() for m in args.methods.split(",") if m.strip()]
-        bad = [m for m in names if m not in _CLI_KINDS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}; "
-                             f"choose from {sorted(_CLI_KINDS)}")
-        kinds = [_CLI_KINDS[m] for m in names]
-    else:
-        kinds = [m.kind for m in default_methods()]
-    methods = [MethodSpec(name=k, kind=k,
-                          alpha=overrides.get(k, DEFAULT_ALPHAS[k]))
-               for k in kinds]
+    names = ([m.strip() for m in args.methods.split(",") if m.strip()]
+             if args.methods else list(_CLI_KINDS))
+    bad = [m for m in names if m not in _CLI_KINDS]
+    if bad:
+        raise ValueError(f"unknown methods {bad}; "
+                         f"choose from {sorted(_CLI_KINDS)}")
+    methods = [MethodSpec(k, k, overrides.get(k, DEFAULT_ALPHAS[k]))
+               for k in map(_CLI_KINDS.get, names)]
     reports = run_comparison(dataset, methods, config, out_dir=args.out_dir,
                              jobs=args.jobs, log=print)
     print()
     print(report_to_table(reports, PRIMARY_METRIC), end="")
+    return 0
+
+
+def _emit(text: str, out: str) -> int:
+    """Write a command's text output to ``out``, or print it without one."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
     return 0
 
 
@@ -272,13 +257,7 @@ def _cmd_eval(args) -> int:
     report = build_report([counts], dataset.protocol, dataset.vocab,
                           many_shot)
     name = args.name or Path(args.checkpoint).stem
-    csv_text = report_to_csv({name: report})
-    if args.out:
-        Path(args.out).write_text(csv_text)
-        print(f"wrote {args.out}")
-    else:
-        print(csv_text, end="")
-    return 0
+    return _emit(report_to_csv({name: report}), args.out)
 
 
 def _cmd_report(args) -> int:
@@ -292,12 +271,7 @@ def _cmd_report(args) -> int:
         text = report_to_table(reports, args.metric)
     else:
         text = report_to_plotdata(reports)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(text, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list (default: all six methods)")
     p.add_argument("--set-alpha", action="append", metavar="KIND=ALPHA",
                    help="override a method's alpha, e.g. uniform=0.2")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per run (default 1)")
     _add_training_args(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -389,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--out", default="", help="metrics CSV path (default stdout)")
     p.add_argument("--name", default="", help="row label in the CSV")
-    p.add_argument("--many-shot-threshold", type=int, default=100)
+    p.add_argument("--many-shot-threshold", type=int,
+                   default=ExperimentConfig().many_shot_threshold,
+                   help="train samples a class needs to count as many-shot "
+                        "(default %(default)s)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("report", help="reformat a comparison report")

@@ -208,11 +208,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         (out / "annotations.csv").write_text(
             format_annotations(dataset.annotations))
     if dataset.embeddings is not None:
-        lines = []
-        for token in sorted(dataset.embeddings.vectors):
-            vec = dataset.embeddings.vectors[token]
-            lines.append(token + " " + " ".join(f"{x:.17g}" for x in vec))
-        (out / "embeddings.txt").write_text("\n".join(lines) + "\n")
+        (out / "embeddings.txt").write_text("".join(
+            token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n"
+            for token, vec in sorted(dataset.embeddings.vectors.items())))
     if dataset.grammar is not None:
         (out / "grammar.json").write_text(json.dumps(
             {**config_to_json(dataset.grammar),
@@ -287,6 +285,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         if np.any((split.targets < 0) | (split.targets >= vocab.K)):
             raise FormatError(f"{path}: a target action id is outside "
                               f"[0, {vocab.K})")
+        if not all(np.isfinite(x).all() for x in split.features):
+            raise FormatError(f"{path}: a feature value is not finite")
     embeddings = None
     if embedding_dim is not None:
         embeddings = load_embeddings(read_text(root / "embeddings.txt"),
@@ -348,6 +348,16 @@ class TrainResult:
     best_epoch: int
     best_score: float
     history: list[tuple[int, float, float]]  # (epoch, train loss, val score)
+
+
+def _epoch_line(epoch: int, train_loss: float, score: float) -> str:
+    """One epoch's line of a training log, from a ``history`` entry."""
+    return f"epoch {epoch} loss {train_loss:.6f} val_top5 {score:.6f}"
+
+
+def _best_line(best_epoch: int, best_score: float) -> str:
+    """The last line of a training log: the selected epoch."""
+    return f"best epoch {best_epoch} val_top5 {best_score:.6f}"
 
 
 def _chunks(feature_set: FeatureSet, batch_size: int = SCORE_BLOCK):
@@ -444,9 +454,9 @@ def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
             best_epoch = epoch
             best_score = score
         if log is not None:
-            log(f"epoch {epoch} loss {train_loss:.6f} val_top5 {score:.6f}")
+            log(_epoch_line(*history[-1]))
     if log is not None:
-        log(f"best epoch {best_epoch} val_top5 {best_score:.6f}")
+        log(_best_line(best_epoch, best_score))
     return TrainResult(params=best, best_epoch=best_epoch,
                        best_score=best_score, history=history)
 
@@ -556,25 +566,40 @@ def grid_search_alpha(dataset: Dataset, kind: str, config: ExperimentConfig,
 # Multi-method comparison
 
 
+def _save_run(run_dir: Path, name: str, result: TrainResult,
+              counts: HitCounts, dataset: Dataset,
+              many_shot: ManyShotSets) -> MetricsReport:
+    """Write a run directory and return its test report: the checkpoint,
+    the training log rendered from ``result``, and a one-row metrics CSV."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(result.params, run_dir / "checkpoint.bin")
+    lines = [_epoch_line(*entry) for entry in result.history]
+    lines.append(_best_line(result.best_epoch, result.best_score))
+    (run_dir / "train_log.txt").write_text("\n".join(lines) + "\n")
+    report = build_report([counts], dataset.protocol, dataset.vocab,
+                          many_shot)
+    (run_dir / "metrics.csv").write_text(report_to_csv({name: report}))
+    return report
+
+
 def _comparison_task(args):
     """One trial of a comparison, as hit counts: a worker sends back the
     counts, not the (N, decode_steps, K) test probabilities."""
     dataset, method, prior, trial, config, many_shot = args
-    lines: list[str] = []
-    result, probs = run_trial(dataset, prior, method.alpha, trial, config,
-                              log=lines.append)
+    result, probs = run_trial(dataset, prior, method.alpha, trial, config)
     scorer = Scorer(dataset.protocol.decode_steps, dataset.vocab, many_shot)
     scorer.add(probs, dataset.test.targets)
-    return result, scorer.counts, lines
+    return result, scorer.counts
 
 
 def _outcomes(tasks: list, jobs: int):
     """:func:`_comparison_task` of each task, in task order, as each is
-    done."""
-    if jobs <= 1:
+    done, on at most ``jobs`` worker processes."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         yield from map(_comparison_task, tasks)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_comparison_task, tasks)
 
 
@@ -589,6 +614,8 @@ def run_comparison(dataset: Dataset, methods: list[MethodSpec],
     """
     if not methods:
         raise ValueError("no methods to compare")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if len({m.name for m in methods}) != len(methods):
         raise ValueError("method names must be unique")
     many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
@@ -602,18 +629,12 @@ def run_comparison(dataset: Dataset, methods: list[MethodSpec],
     out = Path(out_dir) if out_dir is not None else None
     reports: dict[str, MetricsReport] = {}
     trial_counts: list[HitCounts] = []
-    for task, (result, counts, lines) in zip(tasks, _outcomes(tasks, jobs)):
+    for task, (result, counts) in zip(tasks, _outcomes(tasks, jobs)):
         method, trial = task[1], task[3]
         if out is not None:
-            run_dir = (out / "runs" / method.name / f"alpha_{method.alpha:g}"
-                       / f"seed_{config.seed + trial}")
-            run_dir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(result.params, run_dir / "checkpoint.bin")
-            (run_dir / "train_log.txt").write_text("\n".join(lines) + "\n")
-            trial_report = build_report([counts], dataset.protocol,
-                                        dataset.vocab, many_shot)
-            (run_dir / "metrics.csv").write_text(
-                report_to_csv({method.name: trial_report}))
+            _save_run(out / "runs" / method.name / f"alpha_{method.alpha:g}"
+                      / f"seed_{config.seed + trial}", method.name, result,
+                      counts, dataset, many_shot)
         trial_counts.append(counts)
         if trial < config.trials - 1:
             continue
@@ -625,8 +646,7 @@ def run_comparison(dataset: Dataset, methods: list[MethodSpec],
             cell = reports[method.name].cell("action_top5", step)
             log(f"{method.name} (alpha {method.alpha:g}): test action_top5@"
                 f"{config.early_stop_time:g}s = {cell.mean:.2f} ± {cell.std:.2f}")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:  # made by the first run's _save_run
         (out / "report.csv").write_text(report_to_csv(reports))
         save_experiment_config(config, out / "config.json")
         (out / "methods.json").write_text(json.dumps(

@@ -493,20 +493,21 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise FormatError(f"{where}: {exc}") from None
     config = config_from_json(ModelConfig, doc, where, ignore=("adam_step",))
     adam_step = json_value(int, doc.get("adam_step"), where, "adam_step")
+    # weights, adam_m and adam_v, each in declaration order
+    shapes = weight_shapes(config) * 3
+    sizes = [math.prod(shape) for shape in shapes]
     offset = 12 + blob_len
-    groups = []
-    for _ in range(3):
-        arrays = []
-        for shape in weight_shapes(config):
-            n = math.prod(shape)
-            end = offset + 8 * n
-            if end > len(data):
-                raise FormatError("truncated checkpoint payload")
-            arrays.append(np.frombuffer(data[offset:end], dtype="<f8")
-                          .astype(np.float64).reshape(shape))
-            offset = end
-        groups.append(arrays)
-    if offset != len(data):
-        raise FormatError(f"{len(data) - offset} trailing bytes in checkpoint")
-    return ModelParams(config=config, weights=groups[0], adam_m=groups[1],
-                       adam_v=groups[2], adam_step=adam_step)
+    size = offset + 8 * sum(sizes)
+    if len(data) < size:
+        raise FormatError("truncated checkpoint payload")
+    if len(data) > size:
+        raise FormatError(f"{len(data) - size} trailing bytes in checkpoint")
+    flat = np.frombuffer(data, "<f8", offset=offset).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: a checkpoint value is not finite")
+    arrays = [part.reshape(shape) for part, shape in
+              zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    n = len(arrays) // 3
+    return ModelParams(config=config, weights=arrays[:n],
+                       adam_m=arrays[n:2 * n], adam_v=arrays[2 * n:],
+                       adam_step=adam_step)

@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from softact import (ActionInstance, AnnotationSet, GrammarConfig,
-                     ModelConfig, ProtocolConfig, build_verb_noun_prior,
-                     format_annotations, gen_grammar, generate_dataset,
-                     init_params, load_dataset, load_prior, read_features,
-                     save_checkpoint, save_dataset, write_features)
+from softact import (ActionInstance, AnnotationSet, ExperimentConfig,
+                     GrammarConfig, ModelConfig, ProtocolConfig,
+                     build_verb_noun_prior, format_annotations, gen_grammar,
+                     generate_dataset, init_params, load_dataset, load_prior,
+                     read_features, save_checkpoint, save_dataset,
+                     write_features)
 from softact.cli import main
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -259,6 +260,27 @@ def test_train_writes_artifacts(tmp_path, data_dir, capsys):
     assert "best epoch" in log
 
 
+def test_train_and_compare_write_one_run_format(tmp_path, data_dir, capsys):
+    # one writer: a train directory and the run directory of a one-trial
+    # compare hold the same bytes, and train_log.txt is what --verbose shows
+    flags = ["--epochs", "2", "--hidden-size", "4", "--batch-size", "32",
+             "--many-shot-threshold", "5"]
+    train, cmp = tmp_path / "train", tmp_path / "cmp"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(train),
+                 "--method", "vn", "--verbose", *flags]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(cmp),
+                 "--methods", "vn", "--trials", "1", *flags]) == 0
+    capsys.readouterr()
+    run = cmp / "runs" / "verb_noun" / "alpha_0.45" / "seed_0"
+    for name in ("checkpoint.bin", "train_log.txt", "metrics.csv"):
+        assert (train / name).read_bytes() == (run / name).read_bytes(), name
+    assert "action_precision@" in (train / "metrics.csv").read_text()
+    log = (train / "train_log.txt").read_text().splitlines()
+    assert len(log) == 3 and stdout[:-1] == log
+    assert stdout[-1].startswith("verb_noun alpha=0.45: best epoch ")
+
+
 def test_train_uses_config_file_smoothing(tmp_path, data_dir, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -418,6 +440,64 @@ def test_train_rejects_non_finite_flags(tmp_path, data_dir, capsys, flag,
     assert not out.exists()
 
 
+def test_non_finite_feature_exits_2(tmp_path, data_dir, capsys):
+    # used to train, write checkpoint.bin and train_log.txt, then end in a
+    # FloatingPointError traceback while scoring the test split
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    test = read_features(bundle / "test.feat")
+    test.features[1][0, 2, 3] = np.nan
+    write_features(test, bundle / "test.feat")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "test.feat: a feature value is not finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    dataset = load_dataset(data_dir)
+    save_checkpoint(init_params(ModelConfig(
+        modalities=dataset.modalities, num_classes=dataset.K,
+        hidden_size=2)), tmp_path / "model.bin")
+    assert main(["eval", "--data", str(bundle), "--checkpoint",
+                 str(tmp_path / "model.bin"), "--out",
+                 str(tmp_path / "eval.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("group", [0, 1, 2])  # weights, adam m, adam v
+def test_eval_rejects_non_finite_checkpoint(tmp_path, data_dir, capsys,
+                                            group):
+    dataset = load_dataset(data_dir)
+    params = init_params(ModelConfig(modalities=dataset.modalities,
+                                     num_classes=dataset.K, hidden_size=2))
+    (params.weights, params.adam_m, params.adam_v)[group][0].flat[0] = np.inf
+    save_checkpoint(params, tmp_path / "model.bin")
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                 str(tmp_path / "model.bin"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "a checkpoint value is not finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_onehot_rejects_nonzero_alpha(tmp_path, data_dir, capsys):
+    # train resolves its method like compare, so both refuse this
+    for command, method in (("train", ["--method", "onehot", "--alpha",
+                                       "0.3"]),
+                            ("compare", ["--methods", "onehot",
+                                         "--set-alpha", "onehot=0.3"])):
+        out = tmp_path / command
+        assert main([command, "--data", str(data_dir), "--out-dir", str(out),
+                     *method, *FAST_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert "onehot runs must use alpha 0" in err
+        assert not out.exists()
+
+
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):
     out = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
@@ -495,6 +575,16 @@ def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compare_rejects_jobs_below_one(tmp_path, data_dir, capsys, jobs):
+    # -3 used to run serially without a word
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(out),
+                 "--methods", "onehot", "--jobs", jobs, *FAST_FLAGS]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- eval
 
 
@@ -541,6 +631,12 @@ def test_eval_mismatched_dataset(tmp_path, data_dir, capsys):
     assert main(["eval", "--data", str(other), "--checkpoint",
                  str(run / "checkpoint.bin")]) == 2
     assert "checkpoint has 9 classes, dataset has" in capsys.readouterr().err
+
+
+def test_eval_many_shot_default_is_the_config_default(capsys):
+    assert main(["eval", "--help"]) == 0
+    default = ExperimentConfig().many_shot_threshold
+    assert f"(default {default})" in capsys.readouterr().out
 
 
 def test_eval_rejects_many_shot_threshold_below_one(tmp_path, data_dir,

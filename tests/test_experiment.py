@@ -478,6 +478,46 @@ def test_run_comparison_identical_methods_match(tiny_dataset):
 def test_run_comparison_validates_methods(tiny_dataset, fast_config):
     with pytest.raises(ValueError):
         run_comparison(tiny_dataset, [], fast_config)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_comparison(tiny_dataset, default_methods(), fast_config, jobs=0)
     dup = [MethodSpec("x", "uniform", 0.1), MethodSpec("x", "onehot", 0.0)]
     with pytest.raises(ValueError):
         run_comparison(tiny_dataset, dup, fast_config)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, trials, workers", [
+    (3, 2, [2]),   # no more workers than tasks
+    (2, 3, [2]),
+    (5, 1, []),    # one task runs in this process
+    (1, 3, []),
+])
+def test_run_comparison_bounds_workers_by_tasks(tiny_dataset, monkeypatch,
+                                                jobs, trials, workers):
+    monkeypatch.setattr("softact.experiment.ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    config = ExperimentConfig(epochs=1, batch_size=32, trials=trials,
+                              hidden_size=2)
+    methods = [MethodSpec("onehot", "onehot", 0.0)]
+    reports = run_comparison(tiny_dataset, methods, config, jobs=jobs)
+    assert _RecordingPool.max_workers == workers
+    assert reports["onehot"].trials == trials
