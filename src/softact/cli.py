@@ -70,7 +70,9 @@ def _add_training_args(p: argparse.ArgumentParser) -> None:
                    help="JSON experiment config; flags below override it")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help="seeds per method in compare and grid-search; "
+                        "train runs one")
     p.add_argument("--hidden-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -161,6 +163,9 @@ def _cmd_build_prior(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.trials not in (None, 1):
+        raise ValueError(f"train runs one trial, got --trials {args.trials}; "
+                         f"use compare (or grid-search) --trials for several")
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
     smoothing = config.smoothing

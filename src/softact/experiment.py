@@ -324,12 +324,7 @@ class MethodSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown method kind {self.kind!r}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.kind == "onehot" and self.alpha != 0.0:
-            raise ValueError("onehot runs must use alpha 0")
+        SmoothingConfig(self.alpha, self.kind)  # the one kind/alpha check
 
 
 def default_methods() -> list[MethodSpec]:

@@ -54,6 +54,8 @@ class PriorMatrix:
             raise ValueError(f"prior must be square, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise ValueError("prior needs at least one class")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("prior entries must be finite")
         if np.any(rows < 0):
             raise ValueError("prior entries must be non-negative")
         sums = rows.sum(axis=1)
@@ -279,17 +281,38 @@ def save_prior(prior: PriorMatrix, path: str | Path,
     """Write the matrix as CSV (17 significant digits) plus a JSON sidecar
     recording the prior kind and the vocab hash it was built against.
 
-    Each row is one ``%`` call on a K-field template: the same digits as a
-    per-entry ``f"{x:.17g}"``, without a Python-level step per entry."""
+    The text is that of a per-entry ``f"{x:.17g}"``. Verb-noun, temporal
+    and mixed priors repeat a few values per row, so each row formats its
+    distinct values once, told apart by bit pattern (``0.0``/``-0.0`` and
+    subnormals keep their own text), and gathers their texts into column
+    order; a row of K distinct values is formatted whole. Each format is
+    one ``%`` call on a template, not a Python-level step per entry, and
+    each row is written as it is formatted."""
     path = Path(path)
     row_format = ",".join(["%.17g"] * prior.K) + "\n"
-    path.write_text("".join(row_format % tuple(row) for row in prior.rows))
+    with path.open("w") as out:
+        for row in prior.rows:
+            bits = row.view(np.uint64)
+            ordered = np.sort(bits)
+            first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+            distinct = ordered[first]
+            if distinct.size == prior.K:
+                out.write(row_format % tuple(row))
+                continue
+            values = distinct.view(np.float64)
+            texts = (",".join(["%.17g"] * values.size) % tuple(values)).split(",")
+            column_texts = np.array(texts, dtype=object)[
+                np.searchsorted(distinct, bits)]
+            out.write(",".join(column_texts.tolist()) + "\n")
     sidecar = {"kind": prior.kind, "K": prior.K, "vocab_hash": vocab_hash}
     path.with_suffix(".json").write_text(json.dumps(sidecar))
 
 
 def load_prior(path: str | Path) -> PriorMatrix:
-    """Read a prior CSV written by :func:`save_prior` (sidecar optional)."""
+    """Read a prior CSV written by :func:`save_prior` (sidecar optional).
+
+    A matrix that is not a prior (a non-finite or negative entry, a row
+    that does not sum to 1) is a ParseError naming the file."""
     path = Path(path)
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
@@ -320,4 +343,7 @@ def load_prior(path: str | Path) -> PriorMatrix:
         if not isinstance(kind, str):
             raise ParseError(f"{sidecar}: not a prior sidecar (an object "
                              f"whose 'kind' is a string)")
-    return PriorMatrix(np.array(rows, dtype=np.float64), kind=kind)
+    try:
+        return PriorMatrix(np.array(rows, dtype=np.float64), kind=kind)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -22,7 +22,8 @@ PROB_EPS = 1e-12
 class SmoothingConfig:
     """Smoothing factor plus the prior family (library kind) it applies to.
 
-    ``onehot`` means no smoothing; alpha is forced to 0 in that case.
+    ``onehot`` means no smoothing, so its alpha must be 0. These are the
+    checks of every smoothing recipe (``experiment.MethodSpec`` too).
     """
 
     alpha: float = 0.0
@@ -35,8 +36,8 @@ class SmoothingConfig:
             )
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.prior_kind == "onehot":
-            object.__setattr__(self, "alpha", 0.0)
+        if self.prior_kind == "onehot" and self.alpha != 0.0:
+            raise ValueError("onehot runs must use alpha 0")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softact
 from softact import (ActionInstance, AnnotationSet, ExperimentConfig,
                      GrammarConfig, ModelConfig, ProtocolConfig,
                      build_verb_noun_prior, format_annotations, gen_grammar,
@@ -74,6 +79,18 @@ def test_exit_codes(tmp_path, toy_vocab, data_dir, capsys):
                  str(vocab_path), "--annotations", str(ann_path),
                  "--out", str(tmp_path / "p.csv")]) == 2  # unknown action
     assert "unknown action ('jump', 'rope')" in capsys.readouterr().err
+
+
+def test_python_m_softact_runs_the_cli():
+    src = str(Path(softact.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-m", "softact", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "build-prior" in done.stdout
 
 
 # ------------------------------------------------------------ build-prior
@@ -496,6 +513,31 @@ def test_train_onehot_rejects_nonzero_alpha(tmp_path, data_dir, capsys):
         err = capsys.readouterr().err
         assert "onehot runs must use alpha 0" in err
         assert not out.exists()
+
+
+def test_train_config_onehot_rejects_nonzero_alpha(tmp_path, data_dir,
+                                                  capsys):
+    # the config file's smoothing obeys the rule the flags do
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"smoothing": {"prior_kind": "onehot", "alpha": 0.3}}))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--config", str(config), *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "onehot runs must use alpha 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["3", "0"])
+def test_train_rejects_trials_other_than_one(tmp_path, data_dir, capsys,
+                                             trials):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS, "--trials", trials]) == 1
+    err = capsys.readouterr().err
+    assert "train runs one trial" in err and "compare" in err
+    assert not out.exists()
 
 
 def test_train_flag_overrides_config_alpha(tmp_path, data_dir, capsys):

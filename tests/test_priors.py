@@ -340,14 +340,50 @@ def test_save_prior_bytes_match_per_entry_formatting(tmp_path, toy_vocab):
             [0.1, 0.2, 0.3, 0.4, 0.0],
             [0.2] * 5,
             [1e-17, 1.0, 0.0, tiny, 123e-320]]
+    # rows that repeat values next to ones that tell them apart by sign or
+    # by a subnormal
+    zeros = [[0.5, 0.0, -0.0, 0.5, 0.0],
+             [1.0, 5e-324, 0.0, -0.0, 0.0],
+             [-0.0, 1.0, -0.0, 0.0, 5e-324],
+             [0.25, 0.25, 0.25, 0.25, -0.0],
+             [0.0] * 4 + [1.0]]
+    # row 0 holds K distinct values, the other rows repeat theirs
+    distinct = np.tile(np.arange(1.0, 41.0) / 820.0, (40, 1))
+    distinct[1:, 20:] = 0.0
+    distinct[1:, :20] = 1 / 20
+    assert np.unique(distinct[0]).size == 40
     for prior in (PriorMatrix(dense / dense.sum(axis=1, keepdims=True)),
                   build_verb_noun_prior(toy_vocab),
                   build_verb_noun_prior(random_vocab(rng)),
-                  PriorMatrix(edge)):
+                  PriorMatrix(edge),
+                  PriorMatrix(zeros),
+                  temporal_prior_from_pairs(rng.integers(0, 300, (900, 2)),
+                                            300),
+                  _repetitive_mix(rng),
+                  PriorMatrix(distinct)):
         path = tmp_path / "prior.csv"
         save_prior(prior, path)
         assert path.read_text() == _per_entry_csv(prior)
         np.testing.assert_array_equal(load_prior(path).rows, prior.rows)
+    save_prior(PriorMatrix(zeros), path)
+    assert path.read_text().splitlines()[1] == "1,4.9406564584124654e-324,0,-0,0"
+
+
+def _repetitive_mix(rng) -> PriorMatrix:
+    """A glove+verb_noun mix of 60 actions whose words share three
+    embedding vectors (one of them zero), so each row repeats values."""
+    verbs = tuple(f"verb{c}" for c in "abcdefgh")
+    nouns = tuple(f"noun{c}" for c in "abcdefghij")
+    cells = [(v, n) for v in range(len(verbs)) for n in range(len(nouns))]
+    chosen = sorted(rng.choice(len(cells), size=60, replace=False).tolist())
+    vocab = ActionVocab(verbs=verbs, nouns=nouns,
+                        actions=tuple(cells[i] for i in chosen))
+    protos = [rng.normal(size=3), rng.normal(size=3), np.zeros(3)]
+    table = EmbeddingTable(3, {w: protos[int(rng.integers(3))]
+                               for w in verbs + nouns})
+    prior = build_prior("glove+verb_noun", vocab, table)
+    assert max(np.unique(row).size for row in prior.rows) < 20
+    return prior
 
 
 def test_load_prior_errors(tmp_path):
@@ -364,6 +400,28 @@ def test_load_prior_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(ParseError):
         load_prior(bad)
+
+
+def test_prior_matrix_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PriorMatrix([[value, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nan,nan\n0.5,0.5\n", "must be finite"),
+    ("inf,0\n0.5,0.5\n", "must be finite"),
+    ("0.5,-inf\n0.5,0.5\n", "must be finite"),
+    ("1.5,-0.5\n0.5,0.5\n", "non-negative"),
+    ("0.5,0.4\n0.5,0.5\n", "row 0 sums to"),
+])
+def test_load_prior_rejects_a_matrix_that_is_not_a_prior(tmp_path, text,
+                                                         message):
+    bad = tmp_path / "bad_prior.csv"
+    bad.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        load_prior(bad)
+    assert str(bad) in str(info.value)
 
 
 # --------------------------------------------------------------- property

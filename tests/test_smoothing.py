@@ -15,8 +15,10 @@ from conftest import random_vocab
 def test_smoothing_config():
     cfg = SmoothingConfig(alpha=0.45, prior_kind="verb_noun")
     assert cfg.alpha == 0.45
-    # onehot forces alpha to zero
-    assert SmoothingConfig(alpha=0.3, prior_kind="onehot").alpha == 0.0
+    # onehot means no smoothing, so any other alpha is an error
+    with pytest.raises(ValueError, match="onehot runs must use alpha 0"):
+        SmoothingConfig(alpha=0.3, prior_kind="onehot")
+    assert SmoothingConfig(alpha=0.0, prior_kind="onehot").alpha == 0.0
     assert SmoothingConfig().prior_kind == "onehot"
     with pytest.raises(ValueError):
         SmoothingConfig(alpha=1.5, prior_kind="uniform")
