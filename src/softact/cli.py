@@ -149,7 +149,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_prior(args) -> int:
-    vocab = ActionVocab.from_json(read_text(args.vocab))
+    vocab = ActionVocab.from_json(read_text(args.vocab), args.vocab)
     embeddings = (_load_embeddings_file(args.embeddings) if args.embeddings
                   else None)
     pairs = None
@@ -395,10 +395,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ParseError, FormatError, TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, FormatError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -248,7 +248,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
-    vocab = ActionVocab.from_json(read_text(root / "vocab.json"))
+    vocab_path = root / "vocab.json"
+    vocab = ActionVocab.from_json(read_text(vocab_path), str(vocab_path))
     if vocab.content_hash() != manifest["vocab_sha256"]:
         raise FormatError(f"{root}: vocab.json does not match the manifest hash")
     where = f"{manifest_path}: malformed manifest"
@@ -355,16 +356,6 @@ def _best_line(best_epoch: int, best_score: float) -> str:
     return f"best epoch {best_epoch} val_top5 {best_score:.6f}"
 
 
-def _chunks(feature_set: FeatureSet, batch_size: int = SCORE_BLOCK):
-    """Yield (rows, features) for each ``batch_size``-sample chunk of the
-    split: a slice of its samples and their per-modality arrays. Callers
-    forward each chunk inside one expression, so its K-wide predictions
-    are freed before the next chunk's are made."""
-    for start in range(0, feature_set.num_samples, batch_size):
-        rows = slice(start, start + batch_size)
-        yield rows, [x[rows] for x in feature_set.features]
-
-
 def evaluate_model(params: ModelParams, feature_set: FeatureSet,
                    protocol: ProtocolConfig,
                    batch_size: int = SCORE_BLOCK) -> np.ndarray:
@@ -372,8 +363,8 @@ def evaluate_model(params: ModelParams, feature_set: FeatureSet,
     scored ``batch_size`` samples at a time into one preallocated array."""
     probs = np.empty((feature_set.num_samples, protocol.decode_steps,
                       params.config.num_classes))
-    for rows, feats in _chunks(feature_set, batch_size):
-        probs[rows] = forward_batch(params, feats, protocol)[1]
+    for rows, feats in feature_set.batches(batch_size):
+        probs[rows] = forward_batch(params, feats, protocol)
     return probs
 
 
@@ -383,8 +374,8 @@ def score_model(params: ModelParams, feature_set: FeatureSet,
     """The split's hit counts, counted as each chunk of predictions leaves
     the model, so no (num_samples, decode_steps, K) array is held."""
     scorer = Scorer(protocol.decode_steps, vocab, many_shot)
-    for rows, feats in _chunks(feature_set):
-        scorer.add(forward_batch(params, feats, protocol)[1],
+    for rows, feats in feature_set.batches(SCORE_BLOCK):
+        scorer.add(forward_batch(params, feats, protocol),
                    feature_set.targets[rows])
     return scorer.counts
 
@@ -396,9 +387,9 @@ def _val_score(params: ModelParams, val: FeatureSet, protocol: ProtocolConfig,
     step = protocol.step_for_time(early_stop_time)
     k = min(5, params.config.num_classes)
     hits = sum(
-        topk_hit_count(forward_batch(params, feats, protocol)[1][:, step],
+        topk_hit_count(forward_batch(params, feats, protocol)[:, step],
                        val.targets[rows], k)
-        for rows, feats in _chunks(val))
+        for rows, feats in val.batches(SCORE_BLOCK))
     return percent(hits, val.num_samples)
 
 
@@ -427,16 +418,16 @@ def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         total_loss = 0.0
-        for b, (feats, _) in enumerate(train.batches(order, config.batch_size)):
-            idx = order[b * config.batch_size:(b + 1) * config.batch_size]
+        for b, (rows, feats) in enumerate(
+                train.batches(config.batch_size, order)):
             try:
                 loss, grads = loss_and_gradients_batch(
-                    params, feats, soft_targets[idx], protocol)
+                    params, feats, soft_targets[rows], protocol)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"epoch {epoch}, batch {b}: {exc}") from exc
             adam_step(params, grads)
-            total_loss += loss * len(idx)
+            total_loss += loss * len(rows)
         train_loss = total_loss / n
         try:
             score = _val_score(params, val, protocol, config.early_stop_time)

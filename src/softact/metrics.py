@@ -11,6 +11,8 @@ metrics are computed on the action distribution marginalized over cohorts.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -335,6 +337,14 @@ def format_time(t: float) -> str:
     return f"{t:g}"
 
 
+def _csv_text(rows) -> str:
+    """CSV text of ``rows``, one line each; a field with a comma, quote or
+    line break is quoted, so :func:`parse_report_csv` reads any name back."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def report_to_csv(reports: dict[str, MetricsReport]) -> str:
     """One row per method; a mean and std column per metric per time."""
     if not reports:
@@ -347,7 +357,7 @@ def report_to_csv(reports: dict[str, MetricsReport]) -> str:
         for t in times:
             header.append(f"{metric}@{format_time(t)}")
             header.append(f"{metric}@{format_time(t)}_std")
-    lines = [",".join(header)]
+    rows = [header]
     for name, report in reports.items():
         if report.anticipation_times != times:
             raise ValueError(f"report {name!r} has mismatched time columns")
@@ -357,63 +367,58 @@ def report_to_csv(reports: dict[str, MetricsReport]) -> str:
                 cell = report.cell(metric, s)
                 row.append(f"{cell.mean:.6f}")
                 row.append(f"{cell.std:.6f}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def parse_report_csv(text: str) -> dict[str, MetricsReport]:
     """Inverse of :func:`report_to_csv` (trial counts are not stored, so
-    the parsed reports carry trials=0)."""
-    import csv as _csv
-    import io
-
-    rows = list(_csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if not rows or rows[0][:1] != ["method"]:
+    the parsed reports carry trials=0). A method named on two rows is a
+    ParseError naming both lines."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or rows[0][1][:1] != ["method"]:
         raise ParseError("report CSV must start with a 'method' column")
-    header = rows[0][1:]
-    metrics: list[str] = []
-    times_by_metric: dict[str, list[float]] = {}
-    mean_cols: list[tuple[str, int]] = []
+    header = rows[0][1][1:]
+    columns: dict[str, list[tuple[float, int]]] = {}  # metric: (time, index)
     for i, col in enumerate(header):
         if col.endswith("_std"):
             continue
-        if "@" not in col:
+        metric, at, t = col.rpartition("@")
+        if not at:
             raise ParseError(f"column {col!r} is not metric@time")
-        metric, t = col.rsplit("@", 1)
-        if i + 1 >= len(header) or header[i + 1] != col + "_std":
+        if header[i + 1:i + 2] != [col + "_std"]:
             raise ParseError(f"column {col!r} has no matching std column")
         try:
-            tv = float(t)
+            columns.setdefault(metric, []).append((float(t), i))
         except ValueError:
             raise ParseError(f"column {col!r} has a non-numeric time") from None
-        if metric not in metrics:
-            metrics.append(metric)
-        times_by_metric.setdefault(metric, []).append(tv)
-        mean_cols.append((metric, i))
-    if not metrics:
+    if not columns:
         raise ParseError("report CSV has no metric columns")
-    times = times_by_metric[metrics[0]]
-    for metric in metrics[1:]:
-        if times_by_metric[metric] != times:
+    times = tuple(t for t, _ in next(iter(columns.values())))
+    for metric, cols in columns.items():
+        if tuple(t for t, _ in cols) != times:
             raise ParseError(f"metric {metric!r} has mismatched time columns")
     reports: dict[str, MetricsReport] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    line_of: dict[str, int] = {}
+    for lineno, row in rows[1:]:
         if len(row) != len(header) + 1:
             raise ParseError(f"line {lineno}: expected {len(header) + 1} "
                              f"fields, got {len(row)}")
         name = row[0]
-        cells: dict[str, tuple[MetricCell, ...]] = {}
+        if name in line_of:
+            raise ParseError(f"line {lineno}: method {name!r} is already on "
+                             f"line {line_of[name]}")
+        line_of[name] = lineno
         try:
-            for metric in metrics:
-                cols = [i for m, i in mean_cols if m == metric]
-                cells[metric] = tuple(
-                    MetricCell(mean=float(row[1 + i]), std=float(row[2 + i]))
-                    for i in cols)
+            cells = {metric: tuple(MetricCell(mean=float(row[1 + i]),
+                                              std=float(row[2 + i]))
+                                   for _, i in cols)
+                     for metric, cols in columns.items()}
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric metric value") from None
-        reports[name] = MetricsReport(anticipation_times=tuple(times),
-                                      cells=cells, trials=0)
+        reports[name] = MetricsReport(anticipation_times=times, cells=cells,
+                                      trials=0)
     if not reports:
         raise ParseError("report CSV has no data rows")
     return reports
@@ -447,11 +452,11 @@ def report_to_table(reports: dict[str, MetricsReport],
 
 def report_to_plotdata(reports: dict[str, MetricsReport]) -> str:
     """Long-format CSV (method, metric, anticipation time, mean, std)."""
-    lines = ["method,metric,anticipation_time,mean,std"]
+    rows = [["method", "metric", "anticipation_time", "mean", "std"]]
     for name, report in reports.items():
         for metric in report.metric_names():
             for s, t in enumerate(report.anticipation_times):
                 cell = report.cell(metric, s)
-                lines.append(f"{name},{metric},{format_time(t)},"
-                             f"{cell.mean:.6f},{cell.std:.6f}")
-    return "\n".join(lines) + "\n"
+                rows.append([name, metric, format_time(t), f"{cell.mean:.6f}",
+                             f"{cell.std:.6f}"])
+    return _csv_text(rows)

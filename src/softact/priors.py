@@ -309,29 +309,35 @@ def save_prior(prior: PriorMatrix, path: str | Path,
 
 
 def load_prior(path: str | Path) -> PriorMatrix:
-    """Read a prior CSV written by :func:`save_prior` (sidecar optional).
-
-    A matrix that is not a prior (a non-finite or negative entry, a row
-    that does not sum to 1) is a ParseError naming the file."""
+    """Read a prior CSV written by :func:`save_prior` (sidecar optional)
+    into one (K, K) array, K from the first non-blank line. A malformed
+    line, or a matrix that is not square or not a prior (a non-finite or
+    negative entry, a row not summing to 1), is a ParseError naming it."""
     path = Path(path)
-    rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(x) for x in line.split(",")]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric prior entry") from None
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(
-                f"line {lineno}: expected {len(rows[0])} columns, got {len(row)}"
-            )
-        rows.append(row)
-    if not rows or len(rows) != len(rows[0]):
-        raise ParseError(
-            f"prior CSV is not square: {len(rows)} rows of "
-            f"{len(rows[0]) if rows else 0} columns"
-        )
+    K = n = 0
+    with path.open("rb") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            fields = line.split(b",")
+            if not K:
+                K = len(fields)
+                # K rows of K entries and K-1 commas need K * (2K - 1)
+                # bytes; a smaller file gets one row, to check its lines.
+                fits = path.stat().st_size >= K * (2 * K - 1)
+                rows = np.empty((K if fits else 1, K))
+            if len(fields) != K:
+                raise ParseError(f"{path}: line {lineno}: expected {K} "
+                                 f"columns, got {len(fields)}")
+            try:
+                rows[min(n, len(rows) - 1)] = fields
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric prior "
+                                 f"entry") from None
+            n += 1
+    if not K or n != K or len(rows) != K:
+        raise ParseError(f"{path}: prior CSV is not square: {n} rows of {K} "
+                         f"columns")
     kind = "custom"
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
@@ -344,6 +350,6 @@ def load_prior(path: str | Path) -> PriorMatrix:
             raise ParseError(f"{sidecar}: not a prior sidecar (an object "
                              f"whose 'kind' is a string)")
     try:
-        return PriorMatrix(np.array(rows, dtype=np.float64), kind=kind)
+        return PriorMatrix(rows, kind=kind)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -18,8 +18,8 @@ operation and GEMM is the same, in the same order, so a seeded run gives
 the same bytes. Only where results are stored changed: one preallocated
 step-input buffer, whole-block gate activations and ``out=`` ufuncs. The
 K-wide output layer keeps the plain order too (logits plus bias, softmax,
-loss terms, ``dlogits``), computed in place in at most two (B, S, K)
-arrays.
+loss terms, ``dlogits``), computed in place: the forward holds one
+(B, S, K) array, and training adds a second for the loss terms.
 Training results, checkpoints and the benchmark's recorded reference scores
 depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
 formulation to check them. A faster but different formulation (hoisting
@@ -294,11 +294,9 @@ def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
 
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
-    """hcat, the LSTM caches, the logits and the probabilities of a batch.
-
-    With ``keep_cache`` (training) the softmax overwrites the logits, which
-    nothing then reads, and both come back as the one array.
-    """
+    """The probabilities, hcat and the LSTM caches (None without
+    ``keep_cache``) of a batch. The forward holds one K-wide array: the
+    softmax overwrites the logits, which nothing reads afterwards."""
     B = _check_features(params, features)
     cfg = params.config
     T = features[0].shape[1]
@@ -323,19 +321,16 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     logits += params.fusion_bias
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
-    probs = softmax(logits, out=logits if keep_cache else None)
-    return logits, probs, hcat, caches
+    return softmax(logits, out=logits), hcat, caches
 
 
 def forward_batch(params: ModelParams, features,
-                  protocol: ProtocolConfig = ProtocolConfig()):
+                  protocol: ProtocolConfig = ProtocolConfig()) -> np.ndarray:
     """Forward a batch; features is a per-modality list of (B, T, D) arrays.
 
-    Returns (logits, probs), each (B, decode_steps, K).
+    Returns the (B, decode_steps, K) class probabilities.
     """
-    logits, probs, _, _ = _forward_full(params, features, protocol,
-                                        keep_cache=False)
-    return logits, probs
+    return _forward_full(params, features, protocol, keep_cache=False)[0]
 
 
 def loss_and_gradients_batch(params: ModelParams, features,
@@ -347,8 +342,8 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample.
     """
-    _, probs, hcat, caches = _forward_full(params, features, protocol,
-                                           keep_cache=True)
+    probs, hcat, caches = _forward_full(params, features, protocol,
+                                        keep_cache=True)
     cfg = params.config
     B, S, K = probs.shape
     T = features[0].shape[1]

@@ -13,7 +13,6 @@ which split tokens on non-alphabetic characters, see them unchanged.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +107,7 @@ def _check_grammar(doc, where: str, modalities,
         raise FormatError(f"{where}: modalities {list(config.modalities)} "
                           f"differ from the bundle's {list(modalities)}")
     try:
-        if ActionVocab.from_json(json.dumps(doc.get("vocab"))) != vocab:
+        if config_from_json(ActionVocab, doc.get("vocab"), "'vocab'") != vocab:
             raise ValueError("its vocab differs from vocab.json")
         if config.num_actions != vocab.K:
             raise ValueError(f"grammar parameters give another action count "
@@ -235,11 +234,16 @@ class FeatureSet:
             targets=self.targets[idx],
         )
 
-    def batches(self, order: np.ndarray, batch_size: int):
-        """Yield (per-modality arrays, targets) minibatches in the given order."""
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            yield [x[idx] for x in self.features], self.targets[idx]
+    def batches(self, batch_size: int, order: np.ndarray | None = None):
+        """Yield (rows, per-modality arrays) per ``batch_size`` samples:
+        ``rows`` is a slice in stored order, or a block of ``order``. Scoring
+        callers forward each block inside one expression, so its K-wide
+        predictions are freed before the next block's are made."""
+        n = self.num_samples if order is None else len(order)
+        for start in range(0, n, batch_size):
+            rows = (slice(start, start + batch_size) if order is None
+                    else order[start:start + batch_size])
+            yield rows, [x[rows] for x in self.features]
 
 
 def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,

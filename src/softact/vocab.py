@@ -14,7 +14,8 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import FormatError, ParseError
+from .jsonconfig import config_from_json
 
 ANNOTATION_HEADER = ("video_id", "start_s", "verb", "noun")
 
@@ -219,17 +220,16 @@ class ActionVocab:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "ActionVocab":
-        """Inverse of :meth:`to_json`; ParseError for anything else."""
+    def from_json(cls, text: str, where: str = "vocabulary") -> "ActionVocab":
+        """Inverse of :meth:`to_json`, by the typed rules of
+        :func:`config_from_json` (verbs and nouns are lists of strings, each
+        action a list of two JSON integers); anything else is a FormatError
+        beginning with ``where``, the file the text came from."""
         try:
             doc = json.loads(text)
-            verbs, nouns = tuple(doc["verbs"]), tuple(doc["nouns"])
-            if not all(isinstance(t, str) for t in verbs + nouns):
-                raise TypeError("verb and noun tokens must be strings")
-            return cls(verbs=verbs, nouns=nouns,
-                       actions=tuple((int(v), int(n)) for v, n in doc["actions"]))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ParseError(f"not a vocabulary: {exc!r}") from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON ({exc})") from None
+        return config_from_json(cls, doc, where)
 
     def content_hash(self) -> str:
         """sha256 of the canonical JSON form, used in prior sidecars."""

@@ -393,6 +393,39 @@ def test_train_rejects_splits_unlike_manifest(tmp_path, data_dir, capsys,
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("retype", [float, str, bool])
+def test_train_rejects_vocab_with_mistyped_action_ids(tmp_path, data_dir,
+                                                      capsys, retype):
+    # the retyped id equals the stored one, so int() would load the bundle
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    path = bundle / "vocab.json"
+    doc = json.loads(path.read_text())
+    k = next(k for k, (v, _) in enumerate(doc["actions"]) if v in (0, 1))
+    doc["actions"][k][0] = retype(doc["actions"][k][0])
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "vn", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"'actions[{k}][0]' must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [{"verbs": "ab"}, {"actions": [[0.9, 0]]},
+                                  {"actions": [[True, 0]]},
+                                  {"actions": [["0", 0]]}])
+def test_build_prior_rejects_mistyped_vocab(tmp_path, toy_vocab, capsys,
+                                            edit):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({**json.loads(toy_vocab.to_json()), **edit}))
+    out = tmp_path / "p.csv"
+    assert main(["build-prior", "--kind", "uniform", "--vocab", str(path),
+                 "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["manifest.json", "vocab.json",
                                   "grammar.json", "annotations.csv",
                                   "embeddings.txt"])
@@ -646,6 +679,21 @@ def test_eval_checkpoint(tmp_path, data_dir, capsys):
                  str(run / "checkpoint.bin"), "--out", str(out_csv)]) == 0
     capsys.readouterr()
     assert out_csv.read_text().startswith("method,")
+
+
+def test_eval_name_with_a_comma_reports(tmp_path, data_dir, capsys):
+    checkpoint = tmp_path / "model.bin"
+    dataset = load_dataset(data_dir)
+    save_checkpoint(init_params(ModelConfig(
+        modalities=dataset.modalities, num_classes=dataset.K,
+        hidden_size=4)), checkpoint)
+    out_csv = tmp_path / "e.csv"
+    assert main(["eval", "--data", str(data_dir), "--checkpoint",
+                 str(checkpoint), "--name", "a,b", "--out", str(out_csv)]) == 0
+    assert main(["report", "--runs", str(out_csv), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.endswith(out_csv.read_text())
+    assert main(["report", "--runs", str(out_csv), "--format", "table"]) == 0
+    assert "\na,b " in capsys.readouterr().out
 
 
 def test_eval_reproduces_train_metrics(tmp_path, data_dir, capsys):

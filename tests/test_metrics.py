@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -265,6 +267,37 @@ def test_parse_report_csv_errors():
         parse_report_csv("method,a@1,a@1_std\n")
     with pytest.raises(ParseError, match="no metric columns"):
         parse_report_csv("method\nfoo\n")
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines",
+                                  " padded ", "onehot"])
+def test_report_csvs_round_trip_any_method_name(toy_vocab, name):
+    protocol = ProtocolConfig(decode_steps=2)
+    report = build_report(random_trial_evals(toy_vocab, protocol), protocol,
+                          toy_vocab)
+    reports = {name: report, "other": report}
+    text = report_to_csv(reports)
+    parsed = parse_report_csv(text)
+    assert list(parsed) == [name, "other"]
+    assert report_to_csv(parsed) == text
+    rows = list(csv.reader(io.StringIO(report_to_plotdata(reports))))
+    assert {row[0] for row in rows[1:]} == {name, "other"}
+    if name == "onehot":  # a plain name keeps the hand-joined bytes
+        cells = [report.cell(m, s) for m in report.metric_names()
+                 for s in range(2)]
+        fields = [f"{x:.6f}" for c in cells for x in (c.mean, c.std)]
+        assert text.splitlines()[1] == ",".join([name, *fields])
+
+
+def test_parse_report_csv_rejects_a_repeated_method():
+    text = ("method,a@1,a@1_std\n"
+            "x,1.0,0.0\n"
+            "y,2.0,0.0\n"
+            "\n"
+            "x,3.0,0.0\n")
+    with pytest.raises(ParseError, match="line 5: method 'x' is already on "
+                                         "line 2"):
+        parse_report_csv(text)
 
 
 def test_report_table_and_plotdata(toy_vocab):

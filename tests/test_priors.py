@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -388,18 +390,64 @@ def _repetitive_mix(rng) -> PriorMatrix:
 
 def test_load_prior_errors(tmp_path):
     bad = tmp_path / "prior.csv"
-    bad.write_text("0.5,0.5\n0.5,oops\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_prior(bad)
-    bad.write_text("0.5,0.5\n0.2,0.3,0.5\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_prior(bad)
-    bad.write_text("0.2,0.3,0.5\n0.5,0.2,0.3\n")
-    with pytest.raises(ParseError, match="square"):
-        load_prior(bad)
-    bad.write_text("")
-    with pytest.raises(ParseError):
-        load_prior(bad)
+    for text, message in [
+            ("0.5,0.5\n0.5,oops\n", "line 2: non-numeric prior entry"),
+            ("0.5,0.5\n0.2,0.3,0.5\n", "line 2: expected 2 columns, got 3"),
+            ("0.5,0.5\n\n0.2,0.3,0.5\n", "line 3: expected 2 columns"),
+            ("0.2,0.3,0.5\n0.5,0.2,0.3\n", "not square: 2 rows of 3 columns"),
+            ("0.5,0.5\n0.5,0.5\n0.5,0.5\n", "not square: 3 rows of 2"),
+            ("", "not square: 0 rows of 0 columns"),
+            ("\n  \n", "not square: 0 rows of 0 columns")]:
+        bad.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            load_prior(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
+
+def test_load_prior_reads_each_entry_as_float_does(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = rng.random((7, 7)) ** 8
+    rows[0, :3] = [5e-324, 0.0, 1e-300]
+    rows /= rows.sum(axis=1, keepdims=True)
+    text = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    # other spellings float() takes: exponent case, padding, a leading '+'
+    text = text.replace("e-", "E-", 3).replace(",", " , ", 2)
+    text = "+" + text + "\n"
+    path = tmp_path / "prior.csv"
+    path.write_text(text)
+    want = np.array([[float(x) for x in line.split(",")]
+                     for line in text.splitlines() if line.strip()])
+    assert load_prior(path).rows.tobytes() == want.tobytes()
+
+
+def test_load_prior_holds_about_one_matrix(tmp_path):
+    K = 400
+    rows = np.random.default_rng(6).random((K, K))
+    rows /= rows.sum(axis=1, keepdims=True)
+    path = tmp_path / "prior.csv"
+    save_prior(PriorMatrix(rows), path)
+    tracemalloc.start()
+    try:
+        loaded = load_prior(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.rows.tobytes() == rows.tobytes()
+    assert peak < 1.5 * rows.nbytes
+
+
+def test_load_prior_does_not_size_the_matrix_by_a_wide_line(tmp_path):
+    # 200 KB cannot hold 100000 rows of 100000 entries, so no 80 GB array
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["0"] * 100_000) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="1 rows of 100000 columns"):
+            load_prior(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000_000
 
 
 def test_prior_matrix_rejects_non_finite_entries():

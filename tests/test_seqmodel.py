@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,9 +104,8 @@ def test_forward_zero_weights_uniform():
         w[...] = 0.0
     protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
     feats = random_features(cfg, batch=4, steps=5)
-    logits, probs = forward_batch(params, feats, protocol)
+    probs = forward_batch(params, feats, protocol)
     assert probs.shape == (4, 3, 3)
-    np.testing.assert_array_equal(logits, 0.0)
     np.testing.assert_allclose(probs, 1 / 3, rtol=0, atol=1e-15)
 
 
@@ -114,14 +114,31 @@ def test_forward_single_sample_matches_batch():
     params = init_params(cfg)
     protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
     feats = random_features(cfg, batch=4, steps=5, seed=2)
-    logits, probs = forward_batch(params, feats, protocol)
+    probs = forward_batch(params, feats, protocol)
     for i in range(4):
-        single_logits, single_probs = forward_batch(
-            params, [x[i:i + 1] for x in feats], protocol)
-        np.testing.assert_allclose(single_logits[0], logits[i], rtol=0,
-                                   atol=1e-12)
+        single_probs = forward_batch(params, [x[i:i + 1] for x in feats],
+                                     protocol)
         np.testing.assert_allclose(single_probs[0], probs[i], rtol=0,
                                    atol=1e-12)
+
+
+def test_forward_holds_one_k_wide_array():
+    # the softmax overwrites the logits, so the forward's peak is one
+    # (B, S, K) float64 array plus small ones, not logits and probabilities
+    K = 600
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)), num_classes=K,
+                      hidden_size=16)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, batch=512, steps=protocol.total_steps)
+    tracemalloc.start()
+    try:
+        probs = forward_batch(params, feats, protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (512, protocol.decode_steps, K)
+    assert peak < 1.5 * probs.nbytes
 
 
 def test_forward_shape_errors():
@@ -145,7 +162,7 @@ def test_forward_modality_symmetry():
     params = init_params(cfg)
     protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
     feats = random_features(cfg, batch=3, steps=5, seed=4)
-    _, probs = forward_batch(params, feats, protocol)
+    probs = forward_batch(params, feats, protocol)
 
     swapped_cfg = ModelConfig(modalities=(("flow", 2), ("rgb", 3)),
                               num_classes=3, hidden_size=4)
@@ -158,7 +175,7 @@ def test_forward_modality_symmetry():
     fusion = params.fusion_weight
     swapped.weights[4] = np.concatenate([fusion[H:], fusion[:H]], axis=0)
     swapped.weights[5] = params.fusion_bias.copy()
-    _, probs_swapped = forward_batch(swapped, [feats[1], feats[0]], protocol)
+    probs_swapped = forward_batch(swapped, [feats[1], feats[0]], protocol)
     np.testing.assert_allclose(probs_swapped, probs, rtol=0, atol=1e-12)
 
 
@@ -378,7 +395,7 @@ def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
         x, y = [f[:n] for f in feats], targets[:n]
         ref_probs, ref_loss, ref_grads = reference_loss_and_gradients(
             params, x, y, protocol)
-        _, probs = forward_batch(params, x, protocol)
+        probs = forward_batch(params, x, protocol)
         loss, grads = loss_and_gradients_batch(params, x, y, protocol)
         assert np.array_equal(probs, ref_probs)
         assert loss == ref_loss
@@ -397,7 +414,7 @@ def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
     feats = [rng.normal(size=shape).astype(np.float32) for _ in range(2)]
     ref_probs, _, _ = reference_loss_and_gradients(params, feats, None,
                                                    protocol)
-    _, probs = forward_batch(params, feats, protocol)
+    probs = forward_batch(params, feats, protocol)
     assert probs.tobytes() == ref_probs.tobytes()
 
 

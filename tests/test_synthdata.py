@@ -283,13 +283,21 @@ def test_feature_set_subset_and_batches():
     sub = fs.subset([3, 0])
     assert sub.num_samples == 2
     np.testing.assert_array_equal(sub.targets, fs.targets[[3, 0]])
-    order = np.arange(fs.num_samples)
-    got = list(fs.batches(order, batch_size=4))
-    assert sum(len(t) for _, t in got) == fs.num_samples
-    np.testing.assert_array_equal(np.concatenate([t for _, t in got]),
-                                  fs.targets)
-    for blocks, t in got:
-        assert blocks[0].shape[0] == len(t)
+    # without an order: slices of the stored samples, in order
+    got = list(fs.batches(4))
+    assert [rows for rows, _ in got] == [
+        slice(s, s + 4) for s in range(0, fs.num_samples, 4)]
+    for rows, blocks in got:
+        for x, block in zip(fs.features, blocks):
+            np.testing.assert_array_equal(block, x[rows])
+    # with an order: its index blocks, the last one short
+    order = np.random.default_rng(0).permutation(fs.num_samples)
+    got = list(fs.batches(4, order))
+    np.testing.assert_array_equal(np.concatenate([r for r, _ in got]), order)
+    assert all(len(rows) == 4 for rows, _ in got[:-1])
+    for rows, blocks in got:
+        for x, block in zip(fs.features, blocks):
+            np.testing.assert_array_equal(block, x[rows])
 
 
 def test_feature_file_roundtrip(tmp_path):

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
-from softact import (ActionInstance, ActionVocab, AnnotationSet, ParseError,
-                     build_vocab, format_annotations, parse_annotations)
+from softact import (ActionInstance, ActionVocab, AnnotationSet, FormatError,
+                     ParseError, build_vocab, format_annotations,
+                     parse_annotations)
 
 CSV = """video_id,start_s,verb,noun
 v1,0,cut,onion
@@ -123,6 +126,23 @@ def test_vocab_json_round_trip(toy_vocab):
     other = ActionVocab(("cut", "wash"), ("onion", "carrot"),
                         ((0, 0), (0, 1), (1, 0)))
     assert other.content_hash() != toy_vocab.content_hash()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"verbs": "ab"}, "'verbs' must be a list"),
+    ({"nouns": ["onion", 3]}, r"'nouns\[1\]' must be a string"),
+    ({"actions": [[0.9, 0]]}, r"'actions\[0\]\[0\]' must be an integer"),
+    ({"actions": [[True, 0]]}, r"'actions\[0\]\[0\]' must be an integer"),
+    ({"actions": [["0", 0]]}, r"'actions\[0\]\[0\]' must be an integer"),
+    ({"actions": [[0, 0, 1]]}, "must be a list of 2"),
+    ({"actions": None}, "'actions' must be a list"),
+])
+def test_vocab_from_json_takes_only_well_typed_json(toy_vocab, edit,
+                                                    message):
+    doc = {**json.loads(toy_vocab.to_json()), **edit}
+    with pytest.raises(FormatError, match=message) as info:
+        ActionVocab.from_json(json.dumps(doc), "the/vocab.json")
+    assert str(info.value).startswith("the/vocab.json: ")
 
 
 def test_vocab_from_json_rejects_junk():
