@@ -18,9 +18,8 @@ from .experiment import (DEFAULT_ALPHAS, AlphaGrid, Dataset, ExperimentConfig,
                          train_model, train_trial)
 from .metrics import (HitCounts, ManyShotSets, MetricCell, MetricsReport,
                       Scorer, aggregate_trials, build_report,
-                      macro_precision_recall, many_shot_from_labels,
-                      parse_report_csv, report_to_csv, report_to_plotdata,
-                      report_to_table, topk_accuracy)
+                      many_shot_from_labels, parse_report_csv, report_to_csv,
+                      report_to_plotdata, report_to_table, topk_accuracy)
 from .priors import (EmbeddingTable, PriorMatrix, build_glove_prior,
                      build_prior, build_temporal_prior, build_uniform_prior,
                      build_verb_noun_prior, load_embeddings, load_prior,
@@ -36,7 +35,7 @@ from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
                         write_features)
-from .vocab import (ActionInstance, ActionVocab, AnnotationSet, build_vocab,
+from .vocab import (ActionInstance, ActionVocab, AnnotationSet,
                     format_annotations, parse_annotations)
 
 __version__ = "0.1.0"
@@ -53,15 +52,14 @@ __all__ = [
     "TrainingDiverged", "adam_step", "aggregate_trials",
     "build_glove_prior", "build_prior", "build_prior_for_kind",
     "build_report", "build_temporal_prior", "build_uniform_prior",
-    "build_verb_noun_prior", "build_vocab",
+    "build_verb_noun_prior",
     "default_methods", "evaluate_model", "format_annotations",
     "forward_batch", "gen_annotation_sequences", "gen_features",
     "gen_grammar", "gen_synthetic_embeddings", "generate_dataset",
     "grid_search_alpha", "grid_to_csv",
     "init_params", "load_checkpoint", "load_dataset", "load_embeddings",
     "load_experiment_config", "load_prior",
-    "loss_and_gradients_batch", "macro_precision_recall",
-    "many_shot_from_labels",
+    "loss_and_gradients_batch", "many_shot_from_labels",
     "mix_priors", "one_hot", "parse_annotations", "parse_report_csv",
     "read_features",
     "report_to_csv", "report_to_plotdata", "report_to_table",

@@ -394,20 +394,18 @@ def _val_score(params: ModelParams, val: FeatureSet, protocol: ProtocolConfig,
 
 
 def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
-                train: FeatureSet, soft_targets: np.ndarray, val: FeatureSet,
-                config: ExperimentConfig, log=None) -> TrainResult:
+                train: FeatureSet, prior: PriorMatrix | None, val: FeatureSet,
+                config: ExperimentConfig, log=None, *,
+                alpha: float) -> TrainResult:
     """Adam training with per-epoch validation selection.
 
+    Each batch's targets are its labels smoothed with ``prior`` and
+    ``alpha`` as the batch is drawn, so no (num_samples, K) target matrix
+    is held; a prior of another K raises ValueError at the first batch.
     The returned parameters are the snapshot from the epoch with the best
     validation top-5 at the early-stop anticipation time (ties keep the
     earlier epoch). Non-finite values raise TrainingDiverged.
     """
-    soft_targets = np.asarray(soft_targets, dtype=np.float64)
-    if soft_targets.shape != (train.num_samples, model_config.num_classes):
-        raise ValueError(
-            f"soft_targets shape {soft_targets.shape}, expected "
-            f"({train.num_samples}, {model_config.num_classes})"
-        )
     params = init_params(model_config)
     shuffle_rng = np.random.default_rng([model_config.seed, 1])
     best = params.copy()
@@ -420,9 +418,12 @@ def train_model(model_config: ModelConfig, protocol: ProtocolConfig,
         total_loss = 0.0
         for b, (rows, feats) in enumerate(
                 train.batches(config.batch_size, order)):
+            targets = smooth_label_matrix(
+                train.targets[rows], prior, alpha,
+                num_classes=model_config.num_classes)
             try:
                 loss, grads = loss_and_gradients_batch(
-                    params, feats, soft_targets[rows], protocol)
+                    params, feats, targets, protocol)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"epoch {epoch}, batch {b}: {exc}") from exc
@@ -463,12 +464,9 @@ def train_trial(dataset: Dataset, prior: PriorMatrix | None, alpha: float,
                 log=None) -> TrainResult:
     """Train one seed (``config.seed + trial``) on soft targets of the
     given prior and alpha."""
-    seed = config.seed + trial
-    soft = smooth_label_matrix(dataset.train.targets, prior, alpha,
-                               num_classes=dataset.K)
-    return train_model(_model_config(dataset, config, seed),
-                       dataset.protocol, dataset.train, soft, dataset.val,
-                       config, log=log)
+    return train_model(_model_config(dataset, config, config.seed + trial),
+                       dataset.protocol, dataset.train, prior, dataset.val,
+                       config, log=log, alpha=alpha)
 
 
 def run_trial(dataset: Dataset, prior: PriorMatrix | None, alpha: float,

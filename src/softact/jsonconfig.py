@@ -4,6 +4,7 @@ rules and report a wrong value as a FormatError naming the file and key."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -40,31 +41,65 @@ def json_value(tp, value, where: str, key: str):
     """``value`` checked against ``int``, ``float``, ``str`` or a
     ``tuple[...]`` of them by the rules of :func:`config_from_json`, with
     lists turned into tuples; ``key`` names it in the message."""
+    try:
+        return _checker(tp)(value)
+    except _Bad as bad:
+        key += "".join(f"[{i}]" for i in reversed(bad.path))
+        raise FormatError(f"{where}: {key!r} {bad.rest}") from None
+
+
+class _Bad(Exception):
+    """A value that breaks its type: ``rest`` is the message after the key,
+    ``path`` the item indices from the value up to the outer one."""
+
+    def __init__(self, rest: str):
+        self.rest = rest
+        self.path: list[int] = []
+
+
+@functools.cache
+def _checker(tp):
+    """The check of a value against ``tp``, resolved once per type, so a
+    long tuple costs one closure call per item."""
     origin = get_origin(tp) or tp
-    if not (type(value) in (int, float) if origin is float
-            else isinstance(value, (list, tuple)) if origin is tuple
-            else type(value) is origin):
-        raise FormatError(f"{where}: {key!r} must be {_EXPECTED[origin]}, "
-                          f"got {value!r}")
-    if type(value) is float and not math.isfinite(value):
-        raise FormatError(f"{where}: {key!r} must be finite, got {value!r}")
-    if origin is not tuple:
+    if origin is tuple:
+        args = get_args(tp)
+        each = _checker(args[0]) if args[-1] is Ellipsis else None
+        checks = [_checker(t) for t in args] if each is None else None
+
+        def check_tuple(value):
+            if not isinstance(value, (list, tuple)):
+                raise _Bad(f"must be {_EXPECTED[tuple]}, got {value!r}")
+            if each is None and len(checks) != len(value):
+                raise _Bad(f"must be a list of {len(checks)}, got {value!r}")
+            items = []
+            for i, v in enumerate(value):
+                try:
+                    items.append(each(v) if each else checks[i](v))
+                except _Bad as bad:
+                    bad.path.append(i)
+                    raise
+            return tuple(items)
+        return check_tuple
+    types = (int, float) if origin is float else (origin,)
+
+    def check_scalar(value):
+        if type(value) not in types:
+            raise _Bad(f"must be {_EXPECTED[origin]}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise _Bad(f"must be finite, got {value!r}")
         return value
-    args = get_args(tp)
-    if args[-1] is Ellipsis:
-        args = args[:1] * len(value)
-    elif len(args) != len(value):
-        raise FormatError(f"{where}: {key!r} must be a list of {len(args)}, "
-                          f"got {value!r}")
-    return tuple(json_value(t, v, where, f"{key}[{i}]")
-                 for i, (t, v) in enumerate(zip(args, value)))
+    return check_scalar
+
+
+_type_hints = functools.cache(get_type_hints)  # a dataclass's field types
 
 
 def _decode(cls, doc, where: str, prefix: str, defaults, ignore=()):
     if not isinstance(doc, dict):
         what = f"{prefix[:-1]!r} is " if prefix else ""
         raise FormatError(f"{where}: {what}not a JSON object")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     names = [f.name for f in fields(cls) if f.init]
     unknown = sorted(set(doc) - set(names) - set(ignore))
     if unknown:

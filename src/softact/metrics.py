@@ -144,20 +144,6 @@ def many_shot_from_labels(labels, vocab: ActionVocab,
     )
 
 
-def macro_precision_recall(predicted_top1, labels,
-                           restrict_to) -> tuple[float, float]:
-    """Unweighted per-class precision/recall averages over the classes in
-    ``restrict_to``, in percent (see :func:`_macro`)."""
-    if not restrict_to:
-        raise ValueError("restrict_to must name at least one class")
-    preds = np.asarray(predicted_top1, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape:
-        raise ValueError("predictions and labels have different lengths")
-    classes = np.array(sorted(restrict_to), dtype=np.int64)
-    return _macro(_class_counts(preds, labels, classes))
-
-
 def aggregate_trials(values) -> tuple[float, float]:
     """Mean and sample standard deviation (n-1); std is 0 for one trial."""
     arr = np.asarray(values, dtype=np.float64)
@@ -381,9 +367,10 @@ def parse_report_csv(text: str) -> dict[str, MetricsReport]:
         raise ParseError("report CSV must start with a 'method' column")
     header = rows[0][1][1:]
     columns: dict[str, list[tuple[float, int]]] = {}  # metric: (time, index)
-    for i, col in enumerate(header):
+    for i in range(0, len(header), 2):  # mean columns, each before its std
+        col = header[i]
         if col.endswith("_std"):
-            continue
+            raise ParseError(f"column {col!r} has no mean column before it")
         metric, at, t = col.rpartition("@")
         if not at:
             raise ParseError(f"column {col!r} is not metric@time")

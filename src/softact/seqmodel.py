@@ -296,7 +296,8 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
     """The probabilities, hcat and the LSTM caches (None without
     ``keep_cache``) of a batch. The forward holds one K-wide array: the
-    softmax overwrites the logits, which nothing reads afterwards."""
+    softmax overwrites the logits, which nothing reads afterwards, and
+    raises FloatingPointError if one is not finite."""
     B = _check_features(params, features)
     cfg = params.config
     T = features[0].shape[1]
@@ -319,8 +320,6 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     # depend on these bits.
     logits = np.matmul(hcat, params.fusion_weight)
     logits += params.fusion_bias
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in forward pass")
     return softmax(logits, out=logits), hcat, caches
 
 

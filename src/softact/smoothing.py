@@ -88,20 +88,16 @@ def smooth_label_matrix(labels: np.ndarray, prior: PriorMatrix | None,
     """(N, K) matrix of soft labels for a label vector; prior=None or
     alpha=0 gives plain one-hot rows.
 
-    ``num_classes`` pins K when no prior is given (otherwise it is
-    inferred as max(labels) + 1, which undercounts absent top classes).
+    K is the prior's, else ``num_classes``; given both, they must agree.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     labels = np.asarray(labels, dtype=np.int64)
-    if prior is not None:
-        K = prior.K
-    elif num_classes is not None:
-        K = num_classes
-    else:
-        K = int(labels.max()) + 1 if labels.size else 0
-    if num_classes is not None and prior is not None and prior.K != num_classes:
-        raise ValueError(f"prior has K={prior.K}, expected {num_classes}")
+    K = prior.K if prior is not None else num_classes
+    if K is None:
+        raise ValueError("need a prior or num_classes to know K")
+    if num_classes is not None and K != num_classes:
+        raise ValueError(f"prior has K={K}, expected {num_classes}")
     if labels.size and (labels.min() < 0 or labels.max() >= K):
         raise IndexError(f"label out of range for K={K}")
     if prior is None or alpha == 0.0:
@@ -114,7 +110,8 @@ def smooth_label_matrix(labels: np.ndarray, prior: PriorMatrix | None,
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Stable softmax along the last axis; rejects non-finite input.
+    """Stable softmax along the last axis; non-finite input raises
+    FloatingPointError, which training reports as TrainingDiverged.
 
     Shift, exponentiate and normalize all happen in one output array
     (``out``, which may be ``z``), in the order of ``exp(z - max) / sum``,
@@ -122,7 +119,7 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input must be finite")
+        raise FloatingPointError("non-finite logits in forward pass")
     out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)

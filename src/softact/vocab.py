@@ -1,9 +1,9 @@
 """Annotation parsing and verb-noun action vocabularies.
 
-An action is a (verb, noun) pair. The vocabulary assigns dense integer ids
-to verbs, nouns and actions in first-appearance order, and exposes the
-cohort sets (all actions sharing a verb, all actions sharing a noun) that
-the structured priors are built from.
+An action is a (verb, noun) pair. The vocabulary holds dense integer ids
+for verbs, nouns and actions, and exposes the cohort sets (all actions
+sharing a verb, all actions sharing a noun) that the structured priors are
+built from.
 """
 
 from __future__ import annotations
@@ -143,8 +143,7 @@ def format_annotations(annotations: AnnotationSet) -> str:
 class ActionVocab:
     """Dense id spaces for verbs, nouns and (verb, noun) actions.
 
-    ``actions[k]`` is the (verb_id, noun_id) pair of action k; ids follow
-    first-appearance order, so construction is deterministic.
+    ``actions[k]`` is the (verb_id, noun_id) pair of action k.
     """
 
     verbs: tuple[str, ...]
@@ -234,27 +233,3 @@ class ActionVocab:
     def content_hash(self) -> str:
         """sha256 of the canonical JSON form, used in prior sidecars."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-
-def build_vocab(annotations: AnnotationSet) -> ActionVocab:
-    """Build the vocabulary from annotations, first-appearance ordering."""
-    if len(annotations) == 0:
-        raise ValueError("cannot build a vocabulary from an empty annotation set")
-    verbs: list[str] = []
-    nouns: list[str] = []
-    verb_ids: dict[str, int] = {}
-    noun_ids: dict[str, int] = {}
-    actions: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for inst in annotations.instances:
-        if inst.verb not in verb_ids:
-            verb_ids[inst.verb] = len(verbs)
-            verbs.append(inst.verb)
-        if inst.noun not in noun_ids:
-            noun_ids[inst.noun] = len(nouns)
-            nouns.append(inst.noun)
-        pair = (verb_ids[inst.verb], noun_ids[inst.noun])
-        if pair not in seen:
-            seen.add(pair)
-            actions.append(pair)
-    return ActionVocab(tuple(verbs), tuple(nouns), tuple(actions))

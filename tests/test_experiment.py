@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import softact.experiment
 from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      FormatError, GrammarConfig, GridSearchResult, MethodSpec,
                      PriorMatrix, ProtocolConfig, SmoothingConfig,
@@ -14,7 +15,7 @@ from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      load_dataset, load_experiment_config, mix_priors,
                      run_comparison, run_trial, save_dataset,
                      save_experiment_config, split_dataset, topk_accuracy,
-                     train_model)
+                     train_model, train_trial)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -350,12 +351,32 @@ def test_train_model_logs_and_selects_best(tiny_dataset, fast_config):
     assert result.best_epoch == first_best
 
 
-def test_train_model_soft_target_shape_error(tiny_dataset, fast_config):
+def test_train_model_rejects_prior_of_another_k(tiny_dataset, fast_config):
     model_config = _model_config(tiny_dataset, fast_config, seed=0)
-    bad = np.full((3, tiny_dataset.K), 1.0 / tiny_dataset.K)
-    with pytest.raises(ValueError):
+    other = build_uniform_prior(tiny_dataset.K + 1)
+    with pytest.raises(ValueError, match=f"expected {tiny_dataset.K}"):
         train_model(model_config, tiny_dataset.protocol, tiny_dataset.train,
-                    bad, tiny_dataset.val, fast_config)
+                    other, tiny_dataset.val, fast_config, alpha=0.1)
+
+
+def test_training_smooths_one_batch_at_a_time(tiny_dataset, fast_config,
+                                               monkeypatch):
+    # the soft targets are built per batch from the labels, never as one
+    # (num_samples, K) matrix of the whole split
+    sizes = []
+    original = softact.experiment.smooth_label_matrix
+
+    def recording(labels, *args, **kwargs):
+        sizes.append(len(labels))
+        return original(labels, *args, **kwargs)
+
+    monkeypatch.setattr(softact.experiment, "smooth_label_matrix", recording)
+    prior = build_verb_noun_prior(tiny_dataset.vocab)
+    n = tiny_dataset.train.num_samples
+    assert n > fast_config.batch_size
+    train_trial(tiny_dataset, prior, 0.45, 0, fast_config)
+    assert max(sizes) <= fast_config.batch_size
+    assert sum(sizes) == fast_config.epochs * n
 
 
 def test_training_diverged_names_epoch_and_batch(tiny_dataset, fast_config):

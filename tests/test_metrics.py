@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from softact import (ActionVocab, MetricsReport, ParseError, ProtocolConfig,
-                     aggregate_trials, build_report, macro_precision_recall,
+from softact import (ActionVocab, ManyShotSets, MetricsReport, ParseError,
+                     ProtocolConfig, aggregate_trials, build_report,
                      many_shot_from_labels, parse_report_csv, report_to_csv,
                      report_to_plotdata, report_to_table, softmax,
                      topk_accuracy)
@@ -121,31 +121,44 @@ def test_many_shot_high_threshold_empty(toy_vocab):
 # --------------------------------------------------------------- macro PR
 
 
+def macro_cells(preds, labels, restrict_to, K=3):
+    """The action precision and recall cells of a one-step, one-trial
+    report whose top-1 predictions are ``preds``."""
+    vocab = ActionVocab(verbs=("v",), nouns=tuple(f"n{k}" for k in range(K)),
+                        actions=tuple((0, k) for k in range(K)))
+    probs = np.eye(K)[preds][:, None, :]
+    many_shot = ManyShotSets(actions=frozenset(restrict_to),
+                             verbs=frozenset(), nouns=frozenset(),
+                             threshold=1)
+    report = build_report([(probs, np.asarray(labels))],
+                          ProtocolConfig(decode_steps=1), vocab, many_shot)
+    return (report.cell("action_precision", 0).mean,
+            report.cell("action_recall", 0).mean)
+
+
 def test_macro_precision_recall_perfect():
-    prec, rec = macro_precision_recall([0, 1, 1], [0, 1, 1], {0, 1})
+    prec, rec = macro_cells([0, 1, 1], [0, 1, 1], {0, 1})
     assert (prec, rec) == (100.0, 100.0)
 
 
 def test_macro_precision_recall_hand_case():
     # class 0: tp=1 fp=0 -> P=1; tp=1 fn=1 -> R=1/2
     # class 1: tp=1 fp=1 -> P=1/2; tp=1 fn=0 -> R=1
-    prec, rec = macro_precision_recall([0, 1, 1], [0, 0, 1], {0, 1})
+    prec, rec = macro_cells([0, 1, 1], [0, 0, 1], {0, 1})
     assert prec == pytest.approx(75.0)
     assert rec == pytest.approx(75.0)
 
 
 def test_macro_precision_recall_edge_cases():
     # class never predicted: precision contribution 0
-    prec, rec = macro_precision_recall([0, 0], [0, 1], {0, 1})
+    prec, rec = macro_cells([0, 0], [0, 1], {0, 1})
     assert prec == pytest.approx(25.0)
     assert rec == pytest.approx(50.0)
     # class absent from labels: dropped from recall; nan when all absent
-    prec, rec = macro_precision_recall([2, 2], [0, 0], {2})
+    prec, rec = macro_cells([0, 2], [0, 0], {0, 2})
+    assert prec == pytest.approx(50.0) and rec == pytest.approx(50.0)
+    prec, rec = macro_cells([2, 2], [0, 0], {2})
     assert prec == 0.0 and math.isnan(rec)
-    with pytest.raises(ValueError):
-        macro_precision_recall([0], [0], set())
-    with pytest.raises(ValueError):
-        macro_precision_recall([0, 1], [0], {0})
 
 
 # ------------------------------------------------------------ aggregation
@@ -267,6 +280,11 @@ def test_parse_report_csv_errors():
         parse_report_csv("method,a@1,a@1_std\n")
     with pytest.raises(ParseError, match="no metric columns"):
         parse_report_csv("method\nfoo\n")
+    # a std column must follow its own mean column
+    with pytest.raises(ParseError, match="'b@1_std'"):
+        parse_report_csv("method,a@1,a@1_std,b@1_std\nx,1.0,0.5,9.0\n")
+    with pytest.raises(ParseError, match="'a@1_std'"):
+        parse_report_csv("method,a@1_std,a@1\nx,0.5,1.0\n")
 
 
 @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines",

@@ -11,9 +11,8 @@ import pytest
 from softact import (ActionVocab, HitCounts, ManyShotSets, MetricCell,
                      MetricsReport, ModelConfig, ProtocolConfig, Scorer,
                      aggregate_trials, build_report, evaluate_model,
-                     init_params, macro_precision_recall,
-                     many_shot_from_labels, report_to_csv, score_model,
-                     softmax, topk_accuracy)
+                     init_params, many_shot_from_labels, report_to_csv,
+                     score_model, softmax, topk_accuracy)
 from softact.metrics import cohort_indicator
 
 # ------------------------------------------- the whole-array reference
@@ -178,14 +177,25 @@ def test_metric_wrappers_match_reference(ties):
     rng = np.random.default_rng(3)
     probs = (rng.integers(0, 4, size=(300, 9)) / 8.0 if ties
              else rng.random((300, 9)))
-    labels = rng.integers(0, 9, size=300)
+    labels = rng.integers(0, 8, size=300)  # class 8 is never a label
     for k in (1, 3, 5, 9):
         assert topk_accuracy(probs, labels, k) \
             == ref_topk_accuracy(probs, labels, k)
-    preds = probs.argmax(axis=1)
-    for restrict in ({0}, {1, 4, 8}, set(range(9)), {12}):
-        got = macro_precision_recall(preds, labels, restrict)
-        want = ref_macro_precision_recall(preds, labels, restrict)
+    # macro precision/recall: the one-step report of these predictions
+    one_verb = ActionVocab(verbs=("v",),
+                           nouns=tuple(f"n{k}" for k in range(9)),
+                           actions=tuple((0, k) for k in range(9)))
+    for restrict in ({0}, {1, 4, 8}, set(range(9)), {8}):
+        many_shot = ManyShotSets(actions=frozenset(restrict),
+                                 verbs=frozenset(), nouns=frozenset(),
+                                 threshold=1)
+        report = build_report([(probs[:, None, :], labels)],
+                              ProtocolConfig(decode_steps=1), one_verb,
+                              many_shot)
+        got = (report.cell("action_precision", 0).mean,
+               report.cell("action_recall", 0).mean)
+        want = ref_macro_precision_recall(probs.argmax(axis=1), labels,
+                                          restrict)
         assert got[0] == want[0]
         assert got[1] == want[1] or (math.isnan(got[1])
                                      and math.isnan(want[1]))

@@ -114,8 +114,6 @@ def test_smooth_label_matrix_onehot_paths():
         smooth_label_matrix(labels, None, 0.0, num_classes=4), want)
     np.testing.assert_array_equal(
         smooth_label_matrix(labels, build_uniform_prior(4), 0.0), want)
-    # without num_classes K is inferred from the labels present
-    assert smooth_label_matrix(labels, None, 0.0).shape == (3, 3)
     assert smooth_label_matrix(np.array([], dtype=int), None, 0.0,
                                num_classes=5).shape == (0, 5)
 
@@ -130,6 +128,9 @@ def test_smooth_label_matrix_errors():
         smooth_label_matrix(np.array([4]), build_uniform_prior(3), 0.1)
     with pytest.raises(IndexError):
         smooth_label_matrix(np.array([-1]), None, 0.0, num_classes=3)
+    # K comes from the prior or num_classes, never from the labels
+    with pytest.raises(ValueError, match="num_classes"):
+        smooth_label_matrix(np.array([0, 2]), None, 0.0)
 
 
 # ---------------------------------------------------------------- softmax
@@ -144,9 +145,9 @@ def test_softmax_examples():
     p = softmax(np.array([1000.0, 0.0]))
     assert np.isfinite(p).all()
     np.testing.assert_allclose(p, [1.0, 0.0], rtol=0, atol=1e-300)
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
         softmax(np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
         softmax(np.array([np.inf, 0.0]))
 
 

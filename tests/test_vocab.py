@@ -3,8 +3,7 @@ import json
 import pytest
 
 from softact import (ActionInstance, ActionVocab, AnnotationSet, FormatError,
-                     ParseError, build_vocab, format_annotations,
-                     parse_annotations)
+                     ParseError, format_annotations, parse_annotations)
 
 CSV = """video_id,start_s,verb,noun
 v1,0,cut,onion
@@ -83,19 +82,6 @@ def test_annotation_set_rejects_disorder():
         AnnotationSet((ActionInstance("a", 2.0, "cut", "onion"), ok))
 
 
-def test_build_vocab_first_appearance():
-    ann = parse_annotations(CSV)
-    vocab = build_vocab(ann)
-    assert vocab.verbs == ("cut", "wash")
-    assert vocab.nouns == ("onion", "carrot")
-    assert vocab.actions == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert vocab.K == 4
-    assert vocab.action_id("cut", "carrot") == 1
-    assert vocab.actions[2] == (1, 0)
-    with pytest.raises(KeyError):
-        vocab.action_id("cut", "pan")
-
-
 def test_cohorts(toy_vocab):
     assert toy_vocab.verb_cohort(0) == frozenset({0, 1})
     assert toy_vocab.verb_cohort(1) == frozenset({2, 3})
@@ -105,6 +91,10 @@ def test_cohorts(toy_vocab):
         toy_vocab.verb_cohort(2)
     with pytest.raises(IndexError):
         toy_vocab.noun_cohort(-3)
+    assert toy_vocab.action_id("cut", "carrot") == 1
+    assert toy_vocab.action_id("wash", "onion") == 2
+    with pytest.raises(KeyError):
+        toy_vocab.action_id("cut", "pan")
 
 
 def test_vocab_validation():
