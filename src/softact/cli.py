@@ -50,21 +50,6 @@ def _parse_modalities(spec: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def _load_embeddings_file(path: str):
-    """Load a word-embedding text file, inferring the dimension from the
-    first non-empty line."""
-    text = read_text(path)
-    for line in text.splitlines():
-        if line.strip():
-            dimension = len(line.split()) - 1
-            break
-    else:
-        raise ParseError(f"{path}: empty embedding file")
-    if dimension < 1:
-        raise ParseError(f"{path}: first line has no embedding values")
-    return load_embeddings(text, dimension)
-
-
 def _add_training_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default="",
                    help="JSON experiment config; flags below override it")
@@ -150,12 +135,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build_prior(args) -> int:
     vocab = ActionVocab.from_json(read_text(args.vocab), args.vocab)
-    embeddings = (_load_embeddings_file(args.embeddings) if args.embeddings
-                  else None)
+    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     pairs = None
     if args.annotations:
-        annotations = parse_annotations(read_text(args.annotations))
-        pairs = transition_pairs(annotations, vocab)
+        try:
+            pairs = transition_pairs(
+                parse_annotations(read_text(args.annotations)), vocab)
+        except ParseError as exc:
+            raise ParseError(f"{args.annotations}: {exc}") from None
     prior = build_prior(_CLI_KINDS[args.kind], vocab, embeddings, pairs)
     save_prior(prior, args.out, vocab_hash=vocab.content_hash())
     print(f"wrote prior {prior.kind} (K={prior.K}) to {args.out}")

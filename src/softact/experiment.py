@@ -30,8 +30,7 @@ from .synthdata import (FeatureSet, GrammarConfig, _check_grammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
                         write_features)
-from .vocab import (ActionVocab, AnnotationSet, format_annotations,
-                    parse_annotations)
+from .vocab import ActionVocab, AnnotationSet, format_annotations
 
 DATASET_FORMAT = "softact-dataset"
 DATASET_VERSION = 1
@@ -126,7 +125,8 @@ class Dataset:
 
     ``train_pairs`` holds the (previous, target) action ids of the train
     samples so the transition prior can be estimated without touching
-    validation or test data.
+    validation or test data. Only :func:`generate_dataset` sets
+    ``annotations`` (for :func:`save_dataset`): no run reads them.
     """
 
     vocab: ActionVocab
@@ -166,8 +166,7 @@ def generate_dataset(grammar_config: GrammarConfig,
                      protocol: ProtocolConfig = ProtocolConfig(), *,
                      num_videos: int = 200, video_length: int = 25,
                      noise_sigma: float = 0.25, embed_dim: int | None = None,
-                     cohort_similarity: float = 0.6, seed: int = 0,
-                     fractions=(0.7, 0.15, 0.15)) -> Dataset:
+                     cohort_similarity: float = 0.6, seed: int = 0) -> Dataset:
     """Sample a grammar, roll out videos, featurize, embed, and split."""
     grammar = gen_grammar(grammar_config)
     annotations = gen_annotation_sequences(grammar, num_videos, video_length,
@@ -175,7 +174,7 @@ def generate_dataset(grammar_config: GrammarConfig,
     full = gen_features(grammar, annotations, protocol, noise_sigma,
                         seed=seed + 2)
     pairs = transition_pairs(annotations, grammar.vocab)
-    train_idx, val_idx, test_idx = split_dataset(full.num_samples, fractions,
+    train_idx, val_idx, test_idx = split_dataset(full.num_samples,
                                                  seed=seed + 3)
     if embed_dim is None:
         embed_dim = max(8, len(grammar.vocab.verbs) + len(grammar.vocab.nouns) + 2)
@@ -229,9 +228,11 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
-    """Inverse of :func:`save_dataset`. Checks the manifest, the vocabulary
-    hash, the grammar and every split, so a bad bundle raises FormatError
-    (ParseError for malformed text) here, not part-way through a run."""
+    """Inverse of :func:`save_dataset`, but ``annotations.csv`` is only
+    checked to be UTF-8. Checks the manifest, the vocabulary hash, the
+    grammar, every split (none empty) and the train pairs, so a bad bundle
+    raises FormatError (ParseError for malformed text) here, not part-way
+    through a run."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -257,11 +258,6 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                                 f"{where} protocol")
     modalities = json_value(tuple[tuple[str, int], ...],
                             manifest["modalities"], where, "modalities")
-    embedding_dim = manifest.get("embedding_dimension")
-    if embedding_dim is not None and not (
-            type(embedding_dim) is int and embedding_dim >= 1):
-        raise FormatError(f"{where}: 'embedding_dimension' must be an "
-                          f"integer >= 1, got {embedding_dim!r}")
     # A bundle holds thousands of pairs, so they are checked here in one
     # pass rather than item by item by json_value.
     try:
@@ -277,6 +273,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     for name in ("train", "val", "test"):
         path = root / f"{name}.feat"
         split = splits[name] = read_features(path)
+        if not split.num_samples:
+            raise FormatError(f"{path}: no samples")
         if split.dims != dims:
             raise FormatError(f"{path}: feature dims {split.dims} do not "
                               f"match the manifest's modalities {dims}")
@@ -288,22 +286,29 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                               f"[0, {vocab.K})")
         if not all(np.isfinite(x).all() for x in split.features):
             raise FormatError(f"{path}: a feature value is not finite")
+    if [b for _, b in train_pairs] != splits["train"].targets.tolist():
+        raise FormatError(f"{where}: 'train_pairs' is not one (previous, "
+                          f"target) pair per sample of train.feat")
     embeddings = None
+    embedding_dim = manifest.get("embedding_dimension")
     if embedding_dim is not None:
-        embeddings = load_embeddings(read_text(root / "embeddings.txt"),
-                                     embedding_dim)
+        embeddings = load_embeddings(root / "embeddings.txt")
+        if (type(embedding_dim) is not int
+                or embedding_dim != embeddings.dimension):
+            raise FormatError(f"{where}: 'embedding_dimension' is "
+                              f"{embedding_dim!r}, embeddings.txt holds "
+                              f"{embeddings.dimension}-d vectors")
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
         grammar = _check_grammar(_read_json(grammar_path), str(grammar_path),
                                  modalities, vocab)
-    annotations = None
     annotations_path = root / "annotations.csv"
     if annotations_path.exists():
-        annotations = parse_annotations(read_text(annotations_path))
+        read_text(annotations_path)
     return Dataset(vocab=vocab, protocol=protocol, modalities=modalities,
                    train_pairs=train_pairs, embeddings=embeddings,
-                   grammar=grammar, annotations=annotations, **splits)
+                   grammar=grammar, **splits)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ class ManyShotSets:
 
 
 def many_shot_from_labels(labels, vocab: ActionVocab,
-                          threshold: int = 100) -> ManyShotSets:
+                          threshold: int) -> ManyShotSets:
     """Many-shot sets from bare action labels (e.g. a feature split)."""
     if threshold < 1:
         raise ValueError(f"many-shot threshold must be >= 1, got {threshold}")

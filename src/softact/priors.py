@@ -113,29 +113,35 @@ class EmbeddingTable:
                 )
 
 
-def load_embeddings(text: str, dimension: int) -> EmbeddingTable:
-    """Parse plain-text embeddings: one ``word v1 ... vd`` line per word.
-
-    Later duplicates overwrite earlier entries. Wrong value count or a
-    non-numeric value raises ParseError with the line number.
-    """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+def load_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a plain-text embedding file: one ``word v1 ... vd`` line per
+    word, d from the first non-blank line. Later duplicates overwrite
+    earlier entries. An empty file, a line without d values or a
+    non-numeric value raises ParseError naming the file and line."""
+    dimension = 0
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         parts = line.split()
+        if not parts:
+            continue
+        if not dimension:
+            dimension = len(parts) - 1
+            if not dimension:
+                raise ParseError(f"{path}: line {lineno}: no embedding "
+                                 f"values after the word")
         if len(parts) != dimension + 1:
             raise ParseError(
-                f"line {lineno}: expected {dimension} values after the word, "
-                f"got {len(parts) - 1}"
+                f"{path}: line {lineno}: expected {dimension} values after "
+                f"the word, got {len(parts) - 1}"
             )
         try:
             vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric embedding value") from None
+            raise ParseError(f"{path}: line {lineno}: non-numeric embedding "
+                             f"value") from None
         vectors[parts[0]] = vec
+    if not dimension:
+        raise ParseError(f"{path}: empty embedding file")
     return EmbeddingTable(dimension, vectors)
 
 

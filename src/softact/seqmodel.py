@@ -471,15 +471,15 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelParams:
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {data[:4]!r}")
+        raise FormatError(f"{path}: bad checkpoint magic {data[:4]!r}")
     if len(data) < 12:
-        raise FormatError("truncated checkpoint header")
+        raise FormatError(f"{path}: truncated checkpoint header")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack_from("<I", data, 8)
     if len(data) < 12 + blob_len:
-        raise FormatError("truncated checkpoint config")
+        raise FormatError(f"{path}: truncated checkpoint config")
     where = f"{path}: bad checkpoint config"
     try:
         doc = json.loads(data[12:12 + blob_len].decode())
@@ -493,9 +493,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     offset = 12 + blob_len
     size = offset + 8 * sum(sizes)
     if len(data) < size:
-        raise FormatError("truncated checkpoint payload")
+        raise FormatError(f"{path}: truncated checkpoint payload")
     if len(data) > size:
-        raise FormatError(f"{len(data) - size} trailing bytes in checkpoint")
+        raise FormatError(f"{path}: {len(data) - size} trailing bytes in "
+                          f"checkpoint")
     flat = np.frombuffer(data, "<f8", offset=offset).astype(np.float64)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: a checkpoint value is not finite")

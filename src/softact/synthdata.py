@@ -319,8 +319,8 @@ def _record_dtype(dims, timesteps: int) -> np.dtype:
                                             for m, d in enumerate(dims)])
 
 
-def write_features(feature_set: FeatureSet, sink) -> None:
-    """Serialize to the binary feature format.
+def write_features(feature_set: FeatureSet, sink: str | Path) -> None:
+    """Write the binary feature format to the file at ``sink``.
 
     Layout: magic ``FEAT``, version u32, num_samples u32, num_modalities
     u32, per-modality dims u32, timesteps u32, then per sample a target
@@ -330,9 +330,6 @@ def write_features(feature_set: FeatureSet, sink) -> None:
     targets = feature_set.targets
     if targets.size and not (0 <= targets.min() and targets.max() <= 0xFFFFFFFF):
         raise ValueError("a target does not fit in u32")
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as f:
-            return write_features(feature_set, f)
     dims = feature_set.dims
     records = np.empty(feature_set.num_samples,
                        _record_dtype(dims, feature_set.timesteps))
@@ -342,38 +339,40 @@ def write_features(feature_set: FeatureSet, sink) -> None:
     header = struct.pack(f"<4sIII{len(dims)}II", FEATURE_MAGIC, FEATURE_VERSION,
                          feature_set.num_samples, len(dims), *dims,
                          feature_set.timesteps)
-    sink.write(header)
-    sink.write(records.data)
+    with open(sink, "wb") as out:
+        out.write(header)
+        out.write(records.data)
 
 
-def read_features(source) -> FeatureSet:
-    """Inverse of :func:`write_features`. The payload size the header
-    implies is checked against the data before anything is allocated."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
+def read_features(source: str | Path) -> FeatureSet:
+    """Inverse of :func:`write_features`: the file at ``source``. The
+    payload size the header implies is checked against the data before
+    anything is allocated; every FormatError names the file."""
+    data = Path(source).read_bytes()
     if data[:4] != FEATURE_MAGIC:
-        raise FormatError(f"bad feature-file magic {data[:4]!r}")
+        raise FormatError(f"{source}: bad feature-file magic {data[:4]!r}")
     if len(data) < 16:
-        raise FormatError("truncated feature-file header")
+        raise FormatError(f"{source}: truncated feature-file header")
     version, n, num_modalities = struct.unpack_from("<III", data, 4)
     if version != FEATURE_VERSION:
-        raise FormatError(f"unsupported feature-file version {version}")
+        raise FormatError(f"{source}: unsupported feature-file version "
+                          f"{version}")
     offset = 16 + 4 * (num_modalities + 1)
     if len(data) < offset:
-        raise FormatError("truncated feature-file header")
+        raise FormatError(f"{source}: truncated feature-file header")
     *dims, timesteps = struct.unpack_from(f"<{num_modalities + 1}I", data, 16)
     size = offset + n * (4 + 4 * timesteps * sum(dims))
     if len(data) < size:
-        raise FormatError(f"truncated feature file: {len(data)} bytes, the "
-                          f"header implies {size}")
+        raise FormatError(f"{source}: truncated feature file: {len(data)} "
+                          f"bytes, the header implies {size}")
     if len(data) > size:
-        raise FormatError(f"{len(data) - size} trailing bytes in feature file")
+        raise FormatError(f"{source}: {len(data) - size} trailing bytes in "
+                          f"feature file")
     try:
         dtype = _record_dtype(dims, timesteps)
     except ValueError as exc:
-        raise FormatError(f"unsupported feature-file shape: {exc}") from None
+        raise FormatError(f"{source}: unsupported feature-file shape: "
+                          f"{exc}") from None
     records = np.frombuffer(data, dtype, count=n, offset=offset)
     return FeatureSet(dims=tuple(dims),
                       features=tuple(records[f"m{m}"].copy()

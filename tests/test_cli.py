@@ -140,6 +140,27 @@ def test_build_prior_temporal(tmp_path, ab_vocab, capsys):
     capsys.readouterr()
 
 
+
+def test_build_prior_annotation_errors_name_the_file(tmp_path, ab_vocab,
+                                                     capsys):
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(ab_vocab.to_json())
+    ann_path = tmp_path / "annotations.csv"
+    out = tmp_path / "temporal.csv"
+    header = "video_id,start_s,verb,noun\n"
+    for text, message in (("", "line 1: missing header"),
+                          (header + "vid0,0,va\n",
+                           "line 2: expected 4 columns"),
+                          (header + "vid0,0,jump,rope\n",
+                           "unknown action ('jump', 'rope')")):
+        ann_path.write_text(text)
+        assert main(["build-prior", "--kind", "temporal", "--vocab",
+                     str(vocab_path), "--annotations", str(ann_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ann_path}: ") and message in err
+    assert not out.exists()
+
 def test_build_prior_glove_and_mix(tmp_path, toy_vocab, capsys):
     vocab_path = tmp_path / "vocab.json"
     vocab_path.write_text(toy_vocab.to_json())
@@ -516,6 +537,51 @@ def test_non_finite_feature_exits_2(tmp_path, data_dir, capsys):
     assert "not finite" in err and "Traceback" not in err
     assert not (tmp_path / "eval.csv").exists()
 
+
+
+@pytest.mark.parametrize("name", ["train", "test"])
+def test_empty_split_exits_2(tmp_path, data_dir, capsys, name):
+    # an empty train split used to end train in a ZeroDivisionError
+    # traceback, and an empty test split eval in exit code 1
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    path = bundle / f"{name}.feat"
+    write_features(read_features(path).subset([]), path)
+    dataset = load_dataset(data_dir)
+    save_checkpoint(init_params(ModelConfig(
+        modalities=dataset.modalities, num_classes=dataset.K,
+        hidden_size=2)), tmp_path / "model.bin")
+    run, csv = tmp_path / "run", tmp_path / "eval.csv"
+    for argv in (["train", "--data", str(bundle), "--out-dir", str(run),
+                  "--method", "vn", *FAST_FLAGS],
+                 ["eval", "--data", str(bundle), "--checkpoint",
+                  str(tmp_path / "model.bin"), "--out", str(csv)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: no samples" in err and "Traceback" not in err
+    assert not run.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("edit", ["cut", "retarget"])
+def test_train_rejects_train_pairs_unlike_train_split(tmp_path, data_dir,
+                                                      capsys, edit):
+    # a manifest cut to 3 pairs used to train on a temporal prior of them
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    K = load_dataset(bundle).K
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    pairs = manifest["train_pairs"]
+    if edit == "cut":
+        manifest["train_pairs"] = pairs[:3]
+    else:
+        pairs[-1][1] = (pairs[-1][1] + 1) % K
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "temporal", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "'train_pairs'" in err
+    assert not out.exists()
 
 @pytest.mark.parametrize("group", [0, 1, 2])  # weights, adam m, adam v
 def test_eval_rejects_non_finite_checkpoint(tmp_path, data_dir, capsys,

@@ -7,13 +7,14 @@ import pytest
 import softact.experiment
 from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      FormatError, GrammarConfig, GridSearchResult, MethodSpec,
-                     PriorMatrix, ProtocolConfig, SmoothingConfig,
+                     ParseError, PriorMatrix, ProtocolConfig, SmoothingConfig,
                      TrainingDiverged, build_prior_for_kind,
                      build_uniform_prior, build_verb_noun_prior,
                      default_methods, evaluate_model, gen_grammar,
                      generate_dataset, grid_search_alpha, grid_to_csv,
                      load_dataset, load_experiment_config, mix_priors,
-                     run_comparison, run_trial, save_dataset,
+                     parse_annotations, run_comparison, run_trial,
+                     save_dataset,
                      save_experiment_config, split_dataset, topk_accuracy,
                      train_model, train_trial)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
@@ -140,7 +141,7 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
     assert_same_features(loaded.val, tiny_dataset.val)
     assert_same_features(loaded.test, tiny_dataset.test)
     assert loaded.train_pairs == tiny_dataset.train_pairs
-    assert loaded.annotations == tiny_dataset.annotations
+    assert loaded.annotations is None  # only build-prior reads them
     assert loaded.embeddings.dimension == tiny_dataset.embeddings.dimension
     for token, vec in tiny_dataset.embeddings.vectors.items():
         np.testing.assert_array_equal(loaded.embeddings.vectors[token], vec)
@@ -183,6 +184,51 @@ def test_load_dataset_does_not_rebuild_the_grammar(tmp_path, tiny_dataset,
     assert isinstance(loaded.grammar, GrammarConfig)
     assert loaded.grammar == tiny_dataset.grammar
 
+
+
+def test_load_dataset_does_not_parse_annotations(tmp_path, tiny_dataset,
+                                                 monkeypatch):
+    # no run reads the annotations, so loading only checks they are UTF-8
+    def refuse(text):
+        raise AssertionError("load_dataset called parse_annotations")
+
+    patched = 0
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("softact"):
+            for name, value in list(vars(module).items()):
+                if value is parse_annotations:
+                    monkeypatch.setattr(module, name, refuse)
+                    patched += 1
+    assert patched
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    loaded = load_dataset(out)
+    assert loaded.annotations is None
+    # so a loaded bundle saves again without annotations.csv
+    save_dataset(loaded, tmp_path / "again")
+    assert not (tmp_path / "again" / "annotations.csv").exists()
+    assert load_dataset(tmp_path / "again").train_pairs == loaded.train_pairs
+
+
+def test_load_dataset_takes_the_embedding_width_from_the_file(tmp_path,
+                                                              tiny_dataset):
+    out = tmp_path / "bundle"
+    save_dataset(tiny_dataset, out)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["embedding_dimension"] += 1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="malformed manifest: "
+                       "'embedding_dimension' is 9, embeddings.txt holds "
+                       "8-d vectors"):
+        load_dataset(out)
+    manifest["embedding_dimension"] -= 1
+    path.write_text(json.dumps(manifest))
+    embeddings = out / "embeddings.txt"
+    embeddings.write_text(embeddings.read_text() + "extra 1 2\n")
+    with pytest.raises(ParseError, match="expected") as info:
+        load_dataset(out)
+    assert str(info.value).startswith(f"{embeddings}: line ")
 
 def test_load_dataset_errors(tmp_path, tiny_dataset):
     with pytest.raises(FormatError, match="manifest"):

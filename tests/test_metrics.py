@@ -109,7 +109,7 @@ def test_compute_many_shot(toy_vocab):
     assert strict.verbs == {0}
     assert strict.nouns == {0, 1}
     with pytest.raises(ValueError):
-        many_shot_from_labels([4], toy_vocab)
+        many_shot_from_labels([4], toy_vocab, threshold=1)
 
 
 def test_many_shot_high_threshold_empty(toy_vocab):

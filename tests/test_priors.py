@@ -91,27 +91,42 @@ def test_verb_noun_prior_support_property():
 # -------------------------------------------------------------- embeddings
 
 
-def test_load_embeddings():
-    table = load_embeddings("cat 1 2\n\ndog 3 4\ncat 5 6\n", dimension=2)
+@pytest.fixture
+def embed(tmp_path):
+    """load_embeddings of a file holding the given text."""
+    def load(text: str) -> EmbeddingTable:
+        path = tmp_path / "embeddings.txt"
+        path.write_text(text)
+        return load_embeddings(path)
+    return load
+
+
+def test_load_embeddings(embed):
+    table = embed("\n  \ncat 1 2\n\ndog 3 4\ncat 5 6\n")
+    assert table.dimension == 2  # from the first non-blank line
     assert len(table.vectors) == 2
     np.testing.assert_array_equal(table.vectors["cat"], [5.0, 6.0])
     np.testing.assert_array_equal(table.vectors["dog"], [3.0, 4.0])
     assert "cat" in table.vectors and "fish" not in table.vectors
 
 
-def test_load_embeddings_errors():
-    with pytest.raises(ParseError, match="line 2"):
-        load_embeddings("cat 1 2\ndog 3\n", dimension=2)
-    with pytest.raises(ParseError, match="line 1"):
-        load_embeddings("cat 1 oops\n", dimension=2)
-    with pytest.raises(ValueError):
-        load_embeddings("", dimension=0)
+def test_load_embeddings_errors(embed, tmp_path):
+    for text, message in (
+            ("cat 1 2\ndog 3\n",
+             "line 2: expected 2 values after the word, got 1"),
+            ("cat 1 oops\n", "line 1: non-numeric embedding value"),
+            ("\ncat\ndog 1\n", "line 2: no embedding values"),
+            ("", "empty embedding file"),
+            (" \n\n", "empty embedding file")):
+        with pytest.raises(ParseError, match=message) as info:
+            embed(text)
+        assert str(info.value).startswith(f"{tmp_path / 'embeddings.txt'}: ")
     with pytest.raises(ValueError):
         EmbeddingTable(3, {"cat": np.zeros(2)})
 
 
-def test_embed_action_concatenates_verb_and_noun(toy_vocab):
-    table = load_embeddings("cut 1 0\nonion 0 2\n", dimension=2)
+def test_embed_action_concatenates_verb_and_noun(toy_vocab, embed):
+    table = embed("cut 1 0\nonion 0 2\n")
     phi = action_embedding_matrix(toy_vocab, table)
     assert phi.shape == (4, 4)
     np.testing.assert_array_equal(phi[0], [1.0, 0.0, 0.0, 2.0])
@@ -119,9 +134,9 @@ def test_embed_action_concatenates_verb_and_noun(toy_vocab):
     np.testing.assert_array_equal(phi[3], np.zeros(4))  # (wash, carrot)
 
 
-def test_embed_action_multiword_token_mean():
+def test_embed_action_multiword_token_mean(embed):
     vocab = ActionVocab(("cut",), ("pumpkin:seeds",), ((0, 0),))
-    table = load_embeddings("cut 1 0\npumpkin 2 0\nseeds 0 2\n", dimension=2)
+    table = embed("cut 1 0\npumpkin 2 0\nseeds 0 2\n")
     phi = action_embedding_matrix(vocab, table)
     np.testing.assert_array_equal(phi, [[1.0, 0.0, 1.0, 1.0]])
 
@@ -129,12 +144,12 @@ def test_embed_action_multiword_token_mean():
 # ------------------------------------------------------------------ glove
 
 
-def test_glove_prior_hand_case():
+def test_glove_prior_hand_case(embed):
     # phi_1 = (1, 0), phi_2 = (1, 1):
     #   row 1: |1|/(1+1) each -> [1/2, 1/2]
     #   row 2: [1, 2]/3      -> [1/3, 2/3]
     vocab = ActionVocab(("cook", "stir"), ("pan", "pot"), ((0, 0), (1, 1)))
-    table = load_embeddings("cook 1\nstir 1\npot 1\n", dimension=1)
+    table = embed("cook 1\nstir 1\npot 1\n")
     phi = action_embedding_matrix(vocab, table)
     np.testing.assert_array_equal(phi, [[1.0, 0.0], [1.0, 1.0]])
     p = build_glove_prior(vocab, table)
@@ -143,15 +158,15 @@ def test_glove_prior_hand_case():
                                rtol=0, atol=1e-15)
 
 
-def test_glove_prior_orthogonal_embeddings_identity(ab_vocab):
-    table = load_embeddings("va 1 0\nvb 0 1\nna 1 0\nnb 0 1\n", dimension=2)
+def test_glove_prior_orthogonal_embeddings_identity(ab_vocab, embed):
+    table = embed("va 1 0\nvb 0 1\nna 1 0\nnb 0 1\n")
     p = build_glove_prior(ab_vocab, table)
     np.testing.assert_array_equal(p.rows, np.eye(2))
 
 
-def test_glove_prior_zero_row_uniform(toy_vocab):
+def test_glove_prior_zero_row_uniform(toy_vocab, embed):
     # (wash, carrot) has no known words -> zero embedding -> uniform row
-    table = load_embeddings("cut 1 0\nonion 0 1\n", dimension=2)
+    table = embed("cut 1 0\nonion 0 1\n")
     p = build_glove_prior(toy_vocab, table)
     np.testing.assert_array_equal(p.rows[3], np.full(4, 0.25))
     assert_row_stochastic(p)
@@ -282,8 +297,8 @@ def test_mix_priors_errors(toy_vocab):
 # ------------------------------------------------------------- dispatch
 
 
-def test_build_prior_dispatches_every_kind(toy_vocab):
-    table = load_embeddings("cut 1 0\nwash 0 1\nonion 1 0\n", dimension=2)
+def test_build_prior_dispatches_every_kind(toy_vocab, embed):
+    table = embed("cut 1 0\nwash 0 1\nonion 1 0\n")
     pairs = [(0, 1), (1, 3), (3, 1)]
     built = {kind: build_prior(kind, toy_vocab, table, pairs)
              for kind in KINDS}

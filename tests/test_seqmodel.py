@@ -549,6 +549,24 @@ def test_checkpoint_format_errors(tmp_path):
             load_checkpoint(bad)
 
 
+
+def test_checkpoint_errors_name_the_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(init_params(tiny_config()), path)
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    bad = tmp_path / "bad.bin"
+    for corrupt in (b"XXXX" + data[4:],                        # magic
+                    data[:8],                                  # header
+                    data[:4] + b"\x02\x00\x00\x00" + data[8:],  # version
+                    data[:12 + blob_len - 1],                  # config
+                    data[:-8],                                 # payload
+                    data + b"\x00" * 8):                       # trailing
+        bad.write_bytes(corrupt)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+
 def test_params_copy_is_deep():
     params = init_params(tiny_config())
     clone = params.copy()

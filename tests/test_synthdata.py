@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import struct
 
@@ -309,9 +308,9 @@ def test_feature_file_roundtrip(tmp_path):
     loaded = read_features(path)
     assert_same_features(loaded, fs)
     # byte-identical on re-write
-    buf = io.BytesIO()
-    write_features(loaded, buf)
-    assert buf.getvalue() == path.read_bytes()
+    again = tmp_path / "again.feat"
+    write_features(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _per_sample_feature_bytes(fs: FeatureSet) -> bytes:
@@ -373,3 +372,20 @@ def test_feature_file_format_errors(tmp_path):
                                   features=(np.ones((1, 3, 2), np.float32),),
                                   targets=np.array([-1])), unwritten)
     assert not unwritten.exists()
+
+
+def test_feature_file_errors_name_the_file(tmp_path):
+    fs = FeatureSet(dims=(2,), features=(np.ones((1, 3, 2), np.float32),),
+                    targets=np.array([1]))
+    path = tmp_path / "x.feat"
+    write_features(fs, path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.feat"
+    for corrupt in (b"JUNK" + data[4:], data[:10], data[:18],
+                    data[:4] + b"\x09\x00\x00\x00" + data[8:], data[:-5],
+                    data + b"\x00" * 4,
+                    b"FEAT" + struct.pack("<5I", 1, 0, 1, 2 ** 32 - 1, 3)):
+        bad.write_bytes(corrupt)
+        with pytest.raises(FormatError) as info:
+            read_features(bad)
+        assert str(info.value).startswith(f"{bad}: ")
