@@ -29,8 +29,8 @@ from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, load_checkpoint,
                        loss_and_gradients_batch, save_checkpoint,
                        weight_shapes)
-from .smoothing import (SmoothingConfig, SoftLabel, one_hot, smooth_label,
-                        smooth_label_matrix, soft_cross_entropy, softmax)
+from .smoothing import (SoftLabel, one_hot, smooth_label, smooth_label_matrix,
+                        soft_cross_entropy, softmax)
 from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
@@ -47,7 +47,6 @@ __all__ = [
     "HitCounts", "ManyShotSets",
     "MethodSpec", "MetricCell", "MetricsReport", "ModelConfig", "ModelParams",
     "ParseError", "PriorMatrix", "ProtocolConfig", "Scorer",
-    "SmoothingConfig",
     "SoftLabel", "SyntheticGrammar", "TrainResult",
     "TrainingDiverged", "adam_step", "aggregate_trials",
     "build_glove_prior", "build_prior", "build_prior_for_kind",

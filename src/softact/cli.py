@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: build-prior, synth, train, grid-search, compare, eval,
-report. Single-method commands read an optional JSON config file (keys
-mirror ExperimentConfig; individual flags override it). Exit codes: 0 on
-success, 1 for usage problems, 2 for data/format/training failures.
+report. train, grid-search and compare read an optional JSON config of
+ExperimentConfig's keys, which flags override. Exit codes: 0 on success,
+1 for usage problems, 2 for data/format/training failures.
 """
 
 from __future__ import annotations
@@ -155,11 +155,10 @@ def _cmd_train(args) -> int:
                          f"use compare (or grid-search) --trials for several")
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
-    smoothing = config.smoothing
-    kind = _CLI_KINDS[args.method] if args.method else smoothing.prior_kind
-    alpha = DEFAULT_ALPHAS[kind] if args.method else smoothing.alpha
+    kind = _CLI_KINDS[args.method]
     # a compare method of one trial, so both commands check it alike
-    method = MethodSpec(kind, kind, alpha if args.alpha is None else args.alpha)
+    method = MethodSpec(kind, kind, DEFAULT_ALPHAS[kind]
+                        if args.alpha is None else args.alpha)
     prior = build_prior_for_kind(method.kind, dataset)
     result = train_trial(dataset, prior, method.alpha, 0, config,
                          log=print if args.verbose else None)
@@ -180,10 +179,8 @@ def _cmd_train(args) -> int:
 def _cmd_grid_search(args) -> int:
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
-    kind = (_CLI_KINDS[args.method] if args.method
-            else config.smoothing.prior_kind)
-    grid = replace(config.alpha_grid,
-                   **_given_flags(args, AlphaGrid, prefix="alpha_"))
+    kind = _CLI_KINDS[args.method]
+    grid = AlphaGrid(**_given_flags(args, AlphaGrid, prefix="alpha_"))
     log = print if args.verbose else None
     result = grid_search_alpha(dataset, kind, config, grid, log=log)
     out = Path(args.out_dir)
@@ -318,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model and score the test split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=sorted(_CLI_KINDS), default="",
-                   help="smoothing method (default: the config's smoothing)")
+    p.add_argument("--method", choices=sorted(_CLI_KINDS), default="onehot",
+                   help="smoothing method (default: %(default)s)")
     p.add_argument("--alpha", type=float, default=None,
                    help="smoothing strength (default: the method's tuned value)")
     p.add_argument("--verbose", action="store_true")
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="search alpha on the validation split")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=_PRIOR_CHOICES, default="")
+    p.add_argument("--method", choices=_PRIOR_CHOICES, required=True)
     p.add_argument("--alpha-start", type=float, default=None)
     p.add_argument("--alpha-stop", type=float, default=None)
     p.add_argument("--alpha-step", type=float, default=None)

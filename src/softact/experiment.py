@@ -25,7 +25,7 @@ from .priors import (KINDS, EmbeddingTable, PriorMatrix, build_prior,
 from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, loss_and_gradients_batch,
                        save_checkpoint)
-from .smoothing import SmoothingConfig, smooth_label_matrix
+from .smoothing import smooth_label_matrix
 from .synthdata import (FeatureSet, GrammarConfig, _check_grammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
@@ -69,16 +69,14 @@ class ExperimentConfig:
     """Optimization and trial settings shared by all runs.
 
     Model selection ("early stopping") is by best validation top-5 at the
-    decode step closest to ``early_stop_time`` seconds. ``smoothing`` is
-    the default method for single-method commands; comparisons pass their
-    own method list.
+    decode step closest to ``early_stop_time`` seconds. The method (kind
+    and alpha) and the alpha grid are not settings: each run is given its
+    own.
     """
 
-    smoothing: SmoothingConfig = SmoothingConfig()
     epochs: int = 100
     batch_size: int = 256
     trials: int = 10
-    alpha_grid: AlphaGrid = AlphaGrid()
     hidden_size: int = 64
     learning_rate: float = 0.001
     seed: int = 0
@@ -105,8 +103,7 @@ def _read_json(path: str | Path):
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Read a config file; omitted keys, nested ones too, keep their
-    defaults."""
+    """Read a config file; omitted keys keep their defaults."""
     return config_from_json(ExperimentConfig, _read_json(path), str(path),
                             defaults=ExperimentConfig())
 
@@ -145,18 +142,14 @@ class Dataset:
         return self.vocab.K
 
 
-def split_dataset(num_samples: int, fractions=(0.7, 0.15, 0.15),
+def split_dataset(num_samples: int,
                   seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint train/val/test index arrays from a seeded permutation."""
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("need three positive split fractions")
-    if sum(fractions) > 1.0 + 1e-9:
-        raise ValueError(f"split fractions sum to {sum(fractions)} > 1")
+    """Seeded disjoint 70/15/15 train/val/test index arrays."""
     perm = np.random.default_rng(seed).permutation(num_samples)
-    n_train = round(fractions[0] * num_samples)
-    n_val = round(fractions[1] * num_samples)
+    n_train = round(0.7 * num_samples)
+    n_val = round(0.15 * num_samples)
     if n_train < 1 or n_val < 1 or n_train + n_val >= num_samples:
-        raise ValueError(f"{num_samples} samples are too few for {fractions}")
+        raise ValueError(f"{num_samples} samples are too few to split")
     return (np.sort(perm[:n_train]),
             np.sort(perm[n_train:n_train + n_val]),
             np.sort(perm[n_train + n_val:]))
@@ -323,14 +316,20 @@ def build_prior_for_kind(kind: str, dataset: Dataset) -> PriorMatrix | None:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A named training recipe: which prior and how much smoothing."""
+    """A named training recipe: a library kind and its smoothing alpha."""
 
     name: str
     kind: str
     alpha: float
 
     def __post_init__(self):
-        SmoothingConfig(self.alpha, self.kind)  # the one kind/alpha check
+        if self.kind not in KINDS:
+            raise ValueError(
+                f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.kind == "onehot" and self.alpha != 0.0:
+            raise ValueError("onehot runs must use alpha 0")
 
 
 def default_methods() -> list[MethodSpec]:
@@ -524,20 +523,13 @@ def grid_to_csv(result: GridSearchResult) -> str:
 
 
 def grid_search_alpha(dataset: Dataset, kind: str, config: ExperimentConfig,
-                      grid: AlphaGrid | None = None,
-                      prior: PriorMatrix | None = None,
+                      grid: AlphaGrid = AlphaGrid(),
                       log=None) -> GridSearchResult:
     """Train ``config.trials`` seeds at every grid alpha and rank by mean
-    validation top-5 at the early-stop time.
-
-    ``prior`` overrides the matrix the method kind would normally build.
-    """
+    validation top-5 at the early-stop time."""
     if kind == "onehot":
         raise ValueError("grid search needs a prior; onehot has none")
-    if grid is None:
-        grid = config.alpha_grid
-    if prior is None:
-        prior = build_prior_for_kind(kind, dataset)
+    prior = build_prior_for_kind(kind, dataset)
     points = []
     for alpha in grid.values():
         scores = []

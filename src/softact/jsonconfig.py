@@ -6,18 +6,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import FormatError
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string",
              tuple: "a list"}
+_type_hints = functools.cache(get_type_hints)  # a dataclass's field types
 
 
 def config_to_json(cfg) -> dict:
-    """The dataclass as a dict in field order, nested ones included; tuples
-    stay tuples, which ``json.dumps`` writes as lists."""
+    """The dataclass as a dict in field order; tuples stay tuples, which
+    ``json.dumps`` writes as lists."""
     return asdict(cfg)
 
 
@@ -27,14 +28,31 @@ def config_from_json(cls, doc, where: str, defaults=None, ignore=()):
     Each value is checked against its field's type: ``int`` takes JSON
     integers only (not a bool or a float), ``float`` an integer or a finite
     float (not a bool, NaN or an infinity), ``str`` a string, ``tuple[...]``
-    a list (or a tuple, for in-memory dicts), and a nested dataclass is
-    decoded the same way. A key that is not a field is an error unless it
-    is in ``ignore`` (keys the caller reads itself), and so is a missing
-    one unless ``defaults`` (an instance of ``cls``) supplies it. The
-    ValueError of the class's own checks becomes a FormatError too; every
-    message begins with ``where``.
+    a list (or a tuple, for in-memory dicts). A key that is not a field is
+    an error unless it is in ``ignore`` (keys the caller reads itself), and
+    so is a missing one unless ``defaults`` (an instance of ``cls``)
+    supplies it. The ValueError of the class's own checks becomes a
+    FormatError too; every message begins with ``where``.
     """
-    return _decode(cls, doc, where, "", defaults, ignore)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: not a JSON object")
+    hints = _type_hints(cls)
+    names = [f.name for f in fields(cls) if f.init]
+    unknown = sorted(set(doc) - set(names) - set(ignore))
+    if unknown:
+        raise FormatError(f"{where}: unknown keys {unknown}")
+    kwargs = {}
+    for name in names:
+        if name in doc:
+            kwargs[name] = json_value(hints[name], doc[name], where, name)
+        elif defaults is not None:
+            kwargs[name] = getattr(defaults, name)
+        else:
+            raise FormatError(f"{where}: no key {name!r}")
+    try:
+        return cls(**kwargs)
+    except (OverflowError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def json_value(tp, value, where: str, key: str):
@@ -92,32 +110,3 @@ def _checker(tp):
     return check_scalar
 
 
-_type_hints = functools.cache(get_type_hints)  # a dataclass's field types
-
-
-def _decode(cls, doc, where: str, prefix: str, defaults, ignore=()):
-    if not isinstance(doc, dict):
-        what = f"{prefix[:-1]!r} is " if prefix else ""
-        raise FormatError(f"{where}: {what}not a JSON object")
-    hints = _type_hints(cls)
-    names = [f.name for f in fields(cls) if f.init]
-    unknown = sorted(set(doc) - set(names) - set(ignore))
-    if unknown:
-        raise FormatError(f"{where}: unknown keys "
-                          f"{[prefix + k for k in unknown]}")
-    kwargs = {}
-    for name in names:
-        if name in doc:
-            tp = hints[name]
-            kwargs[name] = (_decode(tp, doc[name], where, f"{prefix}{name}.",
-                                    getattr(defaults, name, None))
-                            if is_dataclass(tp) else
-                            json_value(tp, doc[name], where, prefix + name))
-        elif defaults is not None:
-            kwargs[name] = getattr(defaults, name)
-        else:
-            raise FormatError(f"{where}: no key {prefix + name!r}")
-    try:
-        return cls(**kwargs)
-    except (OverflowError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from None

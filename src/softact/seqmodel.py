@@ -366,10 +366,10 @@ def loss_and_gradients_batch(params: ModelParams, features,
     dlogits -= targets[:, None, :]
     dlogits /= B * S
 
-    grads = [np.zeros_like(w) for w in params.weights]
     M = len(cfg.modalities)
-    grads[2 * M] = hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K)
-    grads[2 * M + 1] = dlogits.sum(axis=(0, 1))
+    grads = [np.zeros_like(w) for w in params.weights[:2 * M]]
+    grads.append(hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K))
+    grads.append(dlogits.sum(axis=(0, 1)))
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
     dz = np.empty((B, 4 * H))

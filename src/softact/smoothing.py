@@ -13,31 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import KINDS, PriorMatrix
+from .priors import PriorMatrix
 
 PROB_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Smoothing factor plus the prior family (library kind) it applies to.
-
-    ``onehot`` means no smoothing, so its alpha must be 0. These are the
-    checks of every smoothing recipe (``experiment.MethodSpec`` too).
-    """
-
-    alpha: float = 0.0
-    prior_kind: str = "onehot"
-
-    def __post_init__(self):
-        if self.prior_kind not in KINDS:
-            raise ValueError(
-                f"prior_kind must be one of {tuple(KINDS)}, got {self.prior_kind!r}"
-            )
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.prior_kind == "onehot" and self.alpha != 0.0:
-            raise ValueError("onehot runs must use alpha 0")
 
 
 @dataclass(frozen=True)

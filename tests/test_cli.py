@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -13,9 +14,9 @@ import softact
 from softact import (ActionInstance, AnnotationSet, ExperimentConfig,
                      GrammarConfig, ModelConfig, ProtocolConfig,
                      build_verb_noun_prior, format_annotations, gen_grammar,
-                     generate_dataset, init_params, load_dataset, load_prior,
-                     read_features, save_checkpoint, save_dataset,
-                     write_features)
+                     generate_dataset, init_params, load_dataset,
+                     load_experiment_config, load_prior, read_features,
+                     save_checkpoint, save_dataset, write_features)
 from softact.cli import main
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -319,18 +320,6 @@ def test_train_and_compare_write_one_run_format(tmp_path, data_dir, capsys):
     assert stdout[-1].startswith("verb_noun alpha=0.45: best epoch ")
 
 
-def test_train_uses_config_file_smoothing(tmp_path, data_dir, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "smoothing": {"alpha": 0.2, "prior_kind": "uniform"},
-        "epochs": 2, "batch_size": 32, "trials": 1, "hidden_size": 8,
-    }))
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
-                 "--config", str(config)]) == 0
-    assert "uniform alpha=0.2" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("kind, cli", [(k, c) for k, (c, _) in KINDS.items()])
 def test_train_every_method_spelling(tmp_path, data_dir, capsys, kind, cli):
     out = tmp_path / "run"
@@ -345,18 +334,6 @@ def test_train_rejects_unknown_spellings(tmp_path, data_dir, capsys):
                      str(tmp_path / "run"), "--method", name,
                      *FAST_FLAGS]) == 1
     capsys.readouterr()
-
-
-def test_train_config_uses_library_kind_names(tmp_path, data_dir, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "smoothing": {"alpha": 0.5, "prior_kind": "mixture"}}))
-    assert main(["train", "--data", str(data_dir), "--out-dir",
-                 str(tmp_path / "run"), "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert "'mixture'" in err
-    for kind in KINDS:
-        assert repr(kind) in err
 
 
 @pytest.mark.parametrize("past_end", [True, False])
@@ -466,7 +443,6 @@ def test_train_rejects_bundle_file_not_utf8(tmp_path, data_dir, capsys, name):
     (b"\xff\xfe{", "not UTF-8"),
     (b'{"learning_rate": NaN}', "'learning_rate' must be finite"),
     (b'{"early_stop_time": Infinity}', "'early_stop_time' must be finite"),
-    (b'{"smoothing": {"alpha": -Infinity}}', "'smoothing.alpha' must be"),
 ])
 def test_train_rejects_config_not_utf8_or_not_finite(tmp_path, data_dir,
                                                      capsys, text, message):
@@ -614,17 +590,29 @@ def test_train_onehot_rejects_nonzero_alpha(tmp_path, data_dir, capsys):
         assert not out.exists()
 
 
-def test_train_config_onehot_rejects_nonzero_alpha(tmp_path, data_dir,
-                                                  capsys):
-    # the config file's smoothing obeys the rule the flags do
+@pytest.mark.parametrize("key, value", [
+    ("smoothing", {"alpha": 0.2, "prior_kind": "uniform"}),
+    ("alpha_grid", {"start": 0.0, "stop": 0.5, "step": 0.25}),
+], ids=["smoothing", "alpha_grid"])
+def test_config_file_holds_no_method_or_grid(tmp_path, data_dir, capsys, key,
+                                             value):
+    # the method and the alpha grid come from flags, so a config file that
+    # still names them is refused like any unknown key
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(
-        {"smoothing": {"prior_kind": "onehot", "alpha": 0.3}}))
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
-                 "--config", str(config), *FAST_FLAGS]) == 2
-    err = capsys.readouterr().err
-    assert "config.json" in err and "onehot runs must use alpha 0" in err
+    config.write_text(json.dumps({key: value, "epochs": 2}))
+    for command, flags in (("train", []), ("grid-search", ["--method", "vn"]),
+                           ("compare", [])):
+        out = tmp_path / command
+        assert main([command, "--data", str(data_dir), "--out-dir", str(out),
+                     "--config", str(config), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config.json" in err and f"unknown keys ['{key}']" in err
+        assert not out.exists()
+    # grid-search has no default method
+    out = tmp_path / "grid"
+    assert main(["grid-search", "--data", str(data_dir), "--out-dir",
+                 str(out), *FAST_FLAGS]) == 1
+    assert "--method" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -695,6 +683,25 @@ def test_compare_and_report_roundtrip(tmp_path, data_dir, capsys):
     assert "onehot" in saved.read_text()
 
 
+def test_compare_record_replays(tmp_path, data_dir, capsys):
+    # config.json holds the run's settings and nothing else, so compare
+    # --config of it, with the same methods, reruns the comparison
+    methods = ["--methods", "onehot,vn", "--set-alpha", "vn=0.3"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(first),
+                 *methods, *FAST_FLAGS, "--trials", "2", "--seed", "3"]) == 0
+    record = first / "config.json"
+    assert list(json.loads(record.read_text())) == [
+        f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert load_experiment_config(record) == ExperimentConfig(
+        epochs=2, batch_size=32, hidden_size=8, trials=2, seed=3)
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(again),
+                 "--config", str(record), *methods]) == 0
+    capsys.readouterr()
+    assert ((again / "report.csv").read_bytes()
+            == (first / "report.csv").read_bytes())
+
+
 def test_compare_accepts_every_method_spelling(tmp_path, data_dir, capsys):
     spellings = [cli for cli, _ in KINDS.values()]
     out = tmp_path / "cmp"
@@ -732,8 +739,8 @@ def test_compare_rejects_jobs_below_one(tmp_path, data_dir, capsys, jobs):
 def test_eval_checkpoint(tmp_path, data_dir, capsys):
     run = tmp_path / "run"
     assert main(["train", "--data", str(data_dir), "--out-dir", str(run),
-                 "--method", "onehot", *FAST_FLAGS]) == 0
-    capsys.readouterr()
+                 *FAST_FLAGS]) == 0
+    assert capsys.readouterr().out.startswith("onehot alpha=0:")  # default
     assert main(["eval", "--data", str(data_dir), "--checkpoint",
                  str(run / "checkpoint.bin"), "--split", "val",
                  "--name", "mymodel"]) == 0

@@ -6,17 +6,15 @@ import pytest
 
 import softact.experiment
 from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
-                     FormatError, GrammarConfig, GridSearchResult, MethodSpec,
-                     ParseError, PriorMatrix, ProtocolConfig, SmoothingConfig,
-                     TrainingDiverged, build_prior_for_kind,
-                     build_uniform_prior, build_verb_noun_prior,
-                     default_methods, evaluate_model, gen_grammar,
-                     generate_dataset, grid_search_alpha, grid_to_csv,
-                     load_dataset, load_experiment_config, mix_priors,
-                     parse_annotations, run_comparison, run_trial,
-                     save_dataset,
-                     save_experiment_config, split_dataset, topk_accuracy,
-                     train_model, train_trial)
+                     FormatError, GrammarConfig, GridPoint, GridSearchResult,
+                     MethodSpec, ParseError, ProtocolConfig, TrainingDiverged,
+                     build_prior_for_kind, build_uniform_prior,
+                     build_verb_noun_prior, default_methods, evaluate_model,
+                     gen_grammar, generate_dataset, grid_search_alpha,
+                     grid_to_csv, load_dataset, load_experiment_config,
+                     mix_priors, parse_annotations, run_comparison, run_trial,
+                     save_dataset, save_experiment_config, split_dataset,
+                     topk_accuracy, train_model, train_trial)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -50,11 +48,9 @@ def test_alpha_grid_validation():
 
 def test_experiment_config_roundtrip(tmp_path):
     config = ExperimentConfig(
-        smoothing=SmoothingConfig(alpha=0.45, prior_kind="verb_noun"),
-        epochs=7, batch_size=16, trials=3,
-        alpha_grid=AlphaGrid(0.0, 0.5, 0.25),
-        hidden_size=12, learning_rate=0.01, seed=4,
-        early_stop_time=0.5, many_shot_threshold=2,
+        epochs=7, batch_size=16, trials=3, hidden_size=12,
+        learning_rate=0.01, seed=4, early_stop_time=0.5,
+        many_shot_threshold=2,
     )
     clone = config_from_json(ExperimentConfig, config_to_json(config), "x")
     assert clone == config
@@ -92,25 +88,24 @@ def test_load_experiment_config_errors(tmp_path):
 
 
 def test_split_dataset_partitions():
-    train, val, test = split_dataset(100, (0.7, 0.15, 0.15), seed=3)
+    train, val, test = split_dataset(100, seed=3)
     assert (len(train), len(val), len(test)) == (70, 15, 15)
     combined = np.concatenate([train, val, test])
     assert len(set(combined.tolist())) == 100
     for part in (train, val, test):
         np.testing.assert_array_equal(part, np.sort(part))
-    again = split_dataset(100, (0.7, 0.15, 0.15), seed=3)
+    again = split_dataset(100, seed=3)
     np.testing.assert_array_equal(train, again[0])
-    other = split_dataset(100, (0.7, 0.15, 0.15), seed=4)
+    other = split_dataset(100, seed=4)
     assert not np.array_equal(train, other[0])
 
 
 def test_split_dataset_errors():
-    with pytest.raises(ValueError):
-        split_dataset(3, (0.7, 0.15, 0.15))
-    with pytest.raises(ValueError):
-        split_dataset(100, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        split_dataset(100, (0.8, 0.3, 0.3))
+    # a 70/15/15 split of fewer than 6 samples leaves a split empty
+    for n in (0, 3, 5):
+        with pytest.raises(ValueError, match=f"{n} samples are too few"):
+            split_dataset(n)
+    assert [len(part) for part in split_dataset(6)] == [4, 1, 1]
 
 
 # ---------------------------------------------------------------- dataset
@@ -329,19 +324,22 @@ def test_build_prior_requires_embeddings(tiny_dataset):
 
 
 def test_method_kind_and_specs():
-    # configs name kinds by their library names, as methods do
-    assert SmoothingConfig(0.5, "glove+verb_noun").prior_kind in DEFAULT_ALPHAS
-    with pytest.raises(ValueError, match="glove\\+verb_noun"):
-        SmoothingConfig(0.5, "mixture")
+    # methods name kinds by their library names; an unknown one lists them
+    assert MethodSpec("m", "glove+verb_noun", 0.5).kind in DEFAULT_ALPHAS
+    for kind in ("mixture", "gaussian"):
+        with pytest.raises(ValueError, match="glove\\+verb_noun") as err:
+            MethodSpec("m", kind, 0.5)
+        assert all(repr(k) in str(err.value) for k in DEFAULT_ALPHAS)
+    # onehot means no smoothing, so any other alpha is an error
+    with pytest.raises(ValueError, match="onehot runs must use alpha 0"):
+        MethodSpec("m", "onehot", 0.3)
+    assert MethodSpec("m", "onehot", 0.0).alpha == 0.0
+    for alpha in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            MethodSpec("m", "uniform", alpha)
     methods = default_methods()
     assert [m.name for m in methods] == list(DEFAULT_ALPHAS)
     assert all(m.alpha == DEFAULT_ALPHAS[m.kind] for m in methods)
-    with pytest.raises(ValueError):
-        MethodSpec(name="x", kind="gaussian", alpha=0.5)
-    with pytest.raises(ValueError):
-        MethodSpec(name="x", kind="uniform", alpha=1.5)
-    with pytest.raises(ValueError):
-        MethodSpec(name="x", kind="onehot", alpha=0.5)
 
 
 # --------------------------------------------------------------- training
@@ -453,20 +451,15 @@ def test_evaluate_model_chunking_consistent(tiny_dataset, fast_config):
 # ------------------------------------------------------------ grid search
 
 
-def test_grid_search_identity_prior_ties_resolve_to_zero(tiny_dataset,
-                                                         fast_config):
-    # the identity prior makes every smoothed label exactly one-hot, so all
-    # grid points score identically and the tie must break to alpha = 0
-    identity = PriorMatrix(np.eye(tiny_dataset.K))
-    grid = AlphaGrid(0.0, 1.0, 0.5)
-    config = ExperimentConfig(epochs=2, batch_size=32, trials=1,
-                              hidden_size=8)
-    result = grid_search_alpha(tiny_dataset, "uniform", config, grid=grid,
-                               prior=identity)
-    assert [p.alpha for p in result.points] == [0.0, 0.5, 1.0]
-    scores = [p.mean_score for p in result.points]
-    assert scores[0] == scores[1] == scores[2]
-    assert result.best_alpha == 0.0
+def test_grid_search_ties_resolve_to_smaller_alpha():
+    # points come in grid order; equal mean scores break to the smaller
+    # alpha, and only a strictly higher mean moves the choice
+    tied = (GridPoint(0.0, (60.0, 62.0)), GridPoint(0.5, (61.0, 61.0)),
+            GridPoint(1.0, (62.0, 60.0)))
+    assert len({p.mean_score for p in tied}) == 1
+    assert GridSearchResult("uniform", tied).best_alpha == 0.0
+    better = (*tied[:2], GridPoint(1.0, (62.0, 60.5)))
+    assert GridSearchResult("uniform", better).best_alpha == 1.0
 
 
 def test_grid_search_onehot_rejected(tiny_dataset, fast_config):
@@ -476,8 +469,8 @@ def test_grid_search_onehot_rejected(tiny_dataset, fast_config):
 
 def test_grid_to_csv():
     result = GridSearchResult(kind="verb_noun", points=(
-        __import__("softact").GridPoint(alpha=0.0, scores=(50.0, 52.0)),
-        __import__("softact").GridPoint(alpha=0.5, scores=(60.0, 62.0)),
+        GridPoint(alpha=0.0, scores=(50.0, 52.0)),
+        GridPoint(alpha=0.5, scores=(60.0, 62.0)),
     ))
     text = grid_to_csv(result)
     assert text.splitlines() == [

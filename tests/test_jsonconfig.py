@@ -17,10 +17,10 @@ import struct
 import pytest
 
 from softact import (AlphaGrid, ExperimentConfig, FormatError, GrammarConfig,
-                     ModelConfig, ProtocolConfig, SmoothingConfig,
-                     gen_grammar, generate_dataset, init_params,
-                     load_checkpoint, load_dataset, load_experiment_config,
-                     save_checkpoint, save_dataset, save_experiment_config)
+                     ModelConfig, ProtocolConfig, gen_grammar,
+                     generate_dataset, init_params, load_checkpoint,
+                     load_dataset, load_experiment_config, save_checkpoint,
+                     save_dataset, save_experiment_config)
 from softact.cli import main
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -140,7 +140,7 @@ def test_reader_accepts_its_own_output(tmp_path, bundle, name):
 
 
 def test_codec_type_rules():
-    # float fields take integers; nested values are checked by path
+    # float fields take integers; tuple items are checked by path
     grid = config_from_json(AlphaGrid, {"start": 0, "stop": 1, "step": 0.5},
                             "x")
     assert grid.values() == (0.0, 0.5, 1.0)
@@ -153,10 +153,6 @@ def test_codec_type_rules():
             ({"start": 0, "stop": 1, "step": 0.3}, "x: step 0.3 does not")):
         with pytest.raises(FormatError, match=message):
             config_from_json(AlphaGrid, doc, "x")
-    with pytest.raises(FormatError, match="'smoothing.prior_kind' must be a "
-                                          "string"):
-        config_from_json(ExperimentConfig, {"smoothing": {"prior_kind": 1}},
-                         "x", ExperimentConfig())
     for modalities, key in (([["rgb", 2.0]], r"'modalities\[0\]\[1\]'"),
                             ([["rgb"]], r"'modalities\[0\]' must be a list "
                                         "of 2"),
@@ -170,26 +166,19 @@ def test_codec_type_rules():
 
 def test_experiment_config_omitted_keys_keep_defaults(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"smoothing": {"prior_kind": "uniform"},
-                                "alpha_grid": {"step": 0.5}, "epochs": 3}))
+    path.write_text(json.dumps({"epochs": 3, "learning_rate": 0.01}))
     assert load_experiment_config(path) == ExperimentConfig(
-        smoothing=SmoothingConfig(alpha=0.0, prior_kind="uniform"),
-        alpha_grid=AlphaGrid(step=0.5), epochs=3)
+        epochs=3, learning_rate=0.01)
 
 
 # The writers' hand-written dicts before the codec replaced them.
 
 
 def _old_experiment_dict(c: ExperimentConfig) -> dict:
-    return {"smoothing": {"alpha": c.smoothing.alpha,
-                          "prior_kind": c.smoothing.prior_kind},
-            "epochs": c.epochs, "batch_size": c.batch_size,
-            "trials": c.trials,
-            "alpha_grid": {"start": c.alpha_grid.start,
-                           "stop": c.alpha_grid.stop,
-                           "step": c.alpha_grid.step},
-            "hidden_size": c.hidden_size, "learning_rate": c.learning_rate,
-            "seed": c.seed, "early_stop_time": c.early_stop_time,
+    return {"epochs": c.epochs, "batch_size": c.batch_size,
+            "trials": c.trials, "hidden_size": c.hidden_size,
+            "learning_rate": c.learning_rate, "seed": c.seed,
+            "early_stop_time": c.early_stop_time,
             "many_shot_threshold": c.many_shot_threshold}
 
 
@@ -219,9 +208,7 @@ def _old_protocol_dict(p: ProtocolConfig) -> dict:
 
 
 def test_writers_give_the_old_bytes(tmp_path, bundle):
-    config = ExperimentConfig(
-        smoothing=SmoothingConfig(alpha=0.45, prior_kind="verb_noun"),
-        epochs=7, alpha_grid=AlphaGrid(0.0, 0.5, 0.25), learning_rate=0.01)
+    config = ExperimentConfig(epochs=7, learning_rate=0.01)
     save_experiment_config(config, tmp_path / "config.json")
     assert (tmp_path / "config.json").read_text() == json.dumps(
         _old_experiment_dict(config), indent=2) + "\n"

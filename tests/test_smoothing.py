@@ -1,31 +1,11 @@
 import numpy as np
 import pytest
 
-from softact import (PriorMatrix, SmoothingConfig, SoftLabel,
-                     build_uniform_prior, build_verb_noun_prior, one_hot,
-                     smooth_label, smooth_label_matrix, soft_cross_entropy,
-                     softmax)
+from softact import (PriorMatrix, SoftLabel, build_uniform_prior,
+                     build_verb_noun_prior, one_hot, smooth_label,
+                     smooth_label_matrix, soft_cross_entropy, softmax)
 
 from conftest import random_vocab
-
-
-# ---------------------------------------------------------------- configs
-
-
-def test_smoothing_config():
-    cfg = SmoothingConfig(alpha=0.45, prior_kind="verb_noun")
-    assert cfg.alpha == 0.45
-    # onehot means no smoothing, so any other alpha is an error
-    with pytest.raises(ValueError, match="onehot runs must use alpha 0"):
-        SmoothingConfig(alpha=0.3, prior_kind="onehot")
-    assert SmoothingConfig(alpha=0.0, prior_kind="onehot").alpha == 0.0
-    assert SmoothingConfig().prior_kind == "onehot"
-    with pytest.raises(ValueError):
-        SmoothingConfig(alpha=1.5, prior_kind="uniform")
-    with pytest.raises(ValueError):
-        SmoothingConfig(alpha=-0.1, prior_kind="uniform")
-    with pytest.raises(ValueError):
-        SmoothingConfig(alpha=0.5, prior_kind="gaussian")
 
 
 def test_soft_label_validation():
