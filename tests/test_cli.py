@@ -320,6 +320,23 @@ def test_train_and_compare_write_one_run_format(tmp_path, data_dir, capsys):
     assert stdout[-1].startswith("verb_noun alpha=0.45: best epoch ")
 
 
+def test_train_uses_config_file_smoothing(tmp_path, data_dir, capsys):
+    # the smoothing (kind, alpha) comes from the flags and the training
+    # settings from the config file; train runs with both
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "epochs": 2, "batch_size": 32, "trials": 1, "hidden_size": 8,
+        "early_stop_time": 0.5,
+    }))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out-dir", str(out),
+                 "--config", str(config), "--method", "uniform",
+                 "--alpha", "0.2"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("uniform alpha=0.2: best epoch ")
+    assert "@0.5s " in stdout
+
+
 @pytest.mark.parametrize("kind, cli", [(k, c) for k, (c, _) in KINDS.items()])
 def test_train_every_method_spelling(tmp_path, data_dir, capsys, kind, cli):
     out = tmp_path / "run"
@@ -443,6 +460,8 @@ def test_train_rejects_bundle_file_not_utf8(tmp_path, data_dir, capsys, name):
     (b"\xff\xfe{", "not UTF-8"),
     (b'{"learning_rate": NaN}', "'learning_rate' must be finite"),
     (b'{"early_stop_time": Infinity}', "'early_stop_time' must be finite"),
+    # the nested smoothing key is gone, so its file fails as an unknown key
+    (b'{"smoothing": {"alpha": -Infinity}}', "unknown keys ['smoothing']"),
 ])
 def test_train_rejects_config_not_utf8_or_not_finite(tmp_path, data_dir,
                                                      capsys, text, message):

@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
 
-from softact import (PriorMatrix, SoftLabel, build_uniform_prior,
+from softact import (MethodSpec, PriorMatrix, SoftLabel, build_uniform_prior,
                      build_verb_noun_prior, one_hot, smooth_label,
                      smooth_label_matrix, soft_cross_entropy, softmax)
 
 from conftest import random_vocab
+
+
+# ---------------------------------------------------------------- configs
+
+
+def test_smoothing_config():
+    # a method's smoothing is its (kind, alpha) pair, checked by MethodSpec
+    assert MethodSpec("m", "verb_noun", 0.45).alpha == 0.45
+    # onehot means no smoothing, so any other alpha is an error
+    with pytest.raises(ValueError, match="onehot runs must use alpha 0"):
+        MethodSpec("m", "onehot", 0.3)
+    assert MethodSpec("m", "onehot", 0.0).alpha == 0.0
+    for alpha in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            MethodSpec("m", "uniform", alpha)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        MethodSpec("m", "gaussian", 0.5)
 
 
 def test_soft_label_validation():
