@@ -195,20 +195,28 @@ def _cmd_grid_search(args) -> int:
 def _cmd_compare(args) -> int:
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
-    overrides: dict[str, float] = {}
-    for spec in args.set_alpha or []:
-        name, _, value = spec.partition("=")
-        if name not in _CLI_KINDS or not value:
-            raise ValueError(f"bad --set-alpha {spec!r}; use kind=alpha")
-        overrides[_CLI_KINDS[name]] = float(value)
     names = ([m.strip() for m in args.methods.split(",") if m.strip()]
              if args.methods else list(_CLI_KINDS))
     bad = [m for m in names if m not in _CLI_KINDS]
     if bad:
         raise ValueError(f"unknown methods {bad}; "
                          f"choose from {sorted(_CLI_KINDS)}")
+    kinds = [_CLI_KINDS[m] for m in names]
+    overrides: dict[str, float] = {}
+    for spec in args.set_alpha or []:
+        name, _, value = spec.partition("=")
+        if name not in _CLI_KINDS or not value:
+            raise ValueError(f"bad --set-alpha {spec!r}; use kind=alpha")
+        kind = _CLI_KINDS[name]
+        if kind not in kinds:
+            raise ValueError(f"--set-alpha {spec!r}: {name} is not one of "
+                             f"the methods compared")
+        if kind in overrides:
+            raise ValueError(f"--set-alpha {spec!r}: {name} already has "
+                             f"an alpha")
+        overrides[kind] = float(value)
     methods = [MethodSpec(k, k, overrides.get(k, DEFAULT_ALPHAS[k]))
-               for k in map(_CLI_KINDS.get, names)]
+               for k in kinds]
     reports = run_comparison(dataset, methods, config, out_dir=args.out_dir,
                              jobs=args.jobs, log=print)
     print()

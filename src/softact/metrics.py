@@ -103,13 +103,8 @@ def topk_hit_count(probs: np.ndarray, labels: np.ndarray, k: int) -> int:
 def cohort_indicator(vocab: ActionVocab) -> tuple[np.ndarray, np.ndarray]:
     """(K, |verbs|) and (K, |nouns|) 0/1 matrices mapping actions to
     their verb and noun."""
-    K = vocab.K
-    mv = np.zeros((K, len(vocab.verbs)))
-    mn = np.zeros((K, len(vocab.nouns)))
-    for k, (v, n) in enumerate(vocab.actions):
-        mv[k, v] = 1.0
-        mn[k, n] = 1.0
-    return mv, mn
+    return (np.eye(len(vocab.verbs))[vocab.verb_of],
+            np.eye(len(vocab.nouns))[vocab.noun_of])
 
 
 @dataclass(frozen=True)
@@ -131,11 +126,8 @@ def many_shot_from_labels(labels, vocab: ActionVocab,
     if labels.size and (labels.min() < 0 or labels.max() >= vocab.K):
         raise ValueError("label out of range for the vocabulary")
     action_counts = np.bincount(labels, minlength=vocab.K)
-    verb_counts = np.zeros(len(vocab.verbs), dtype=np.int64)
-    noun_counts = np.zeros(len(vocab.nouns), dtype=np.int64)
-    for k, (v, n) in enumerate(vocab.actions):
-        verb_counts[v] += action_counts[k]
-        noun_counts[n] += action_counts[k]
+    verb_counts = np.bincount(vocab.verb_of[labels], minlength=len(vocab.verbs))
+    noun_counts = np.bincount(vocab.noun_of[labels], minlength=len(vocab.nouns))
     return ManyShotSets(
         actions=frozenset(np.flatnonzero(action_counts >= threshold).tolist()),
         verbs=frozenset(np.flatnonzero(verb_counts >= threshold).tolist()),
@@ -228,8 +220,8 @@ class Scorer:
         # per task: (cohort matrix, label map), None for the action task
         self._cohorts = (
             (None, None),
-            (mv, np.array([v for v, _ in vocab.actions], dtype=np.int64)),
-            (mn, np.array([n for _, n in vocab.actions], dtype=np.int64)),
+            (mv, vocab.verb_of),
+            (mn, vocab.noun_of),
         )
         self._classes = {}
         if many_shot is not None:

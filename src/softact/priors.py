@@ -88,13 +88,10 @@ def build_verb_noun_prior(vocab: ActionVocab) -> PriorMatrix:
     single member of both cohorts, so the support size is exactly C_k and
     each row sums to 1 by construction.
     """
-    K = vocab.K
-    rows = np.zeros((K, K))
-    for k, (v, n) in enumerate(vocab.actions):
-        support = vocab.verb_cohort(v) | vocab.noun_cohort(n)
-        c_k = len(vocab.verb_cohort(v)) + len(vocab.noun_cohort(n)) - 1
-        rows[k, sorted(support)] = 1.0 / c_k
-    return PriorMatrix(rows, kind="verb_noun")
+    verb_of, noun_of = vocab.verb_of, vocab.noun_of
+    support = (verb_of[:, None] == verb_of) | (noun_of[:, None] == noun_of)
+    return PriorMatrix(support / support.sum(axis=1, keepdims=True),
+                       kind="verb_noun")
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,10 @@ def _embed_token(token: str, table: EmbeddingTable) -> np.ndarray:
 def action_embedding_matrix(vocab: ActionVocab, table: EmbeddingTable) -> np.ndarray:
     """(K, 2d) matrix; row k is action k's verb embedding concatenated
     with its noun embedding."""
-    return np.array([np.concatenate([_embed_token(vocab.verbs[v], table),
-                                     _embed_token(vocab.nouns[n], table)])
-                     for v, n in vocab.actions])
+    verb_vecs = np.array([_embed_token(t, table) for t in vocab.verbs])
+    noun_vecs = np.array([_embed_token(t, table) for t in vocab.nouns])
+    return np.concatenate([verb_vecs[vocab.verb_of], noun_vecs[vocab.noun_of]],
+                          axis=1)
 
 
 def build_glove_prior(vocab: ActionVocab, table: EmbeddingTable) -> PriorMatrix:

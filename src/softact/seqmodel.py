@@ -43,6 +43,8 @@ from .smoothing import PROB_EPS, softmax
 
 CHECKPOINT_MAGIC = b"LSAM"
 CHECKPOINT_VERSION = 1
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,6 @@ class ModelConfig:
     num_classes: int
     hidden_size: int = 64
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -440,7 +439,7 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
         raise ValueError("gradient list does not match parameter list")
     params.adam_step += 1
     t = params.adam_step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
     for w, g, m, v in zip(params.weights, grads, params.adam_m, params.adam_v):
@@ -449,7 +448,7 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
         v *= b2
         v += (1.0 - b2) * (g * g)
         w -= cfg.learning_rate * (m / correction1) \
-            / (np.sqrt(v / correction2) + cfg.adam_eps)
+            / (np.sqrt(v / correction2) + ADAM_EPS)
     return params
 
 

@@ -160,11 +160,9 @@ def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
         verb_anchor = rng.normal(size=(len(vocab.verbs), dim)) / np.sqrt(dim)
         noun_anchor = rng.normal(size=(len(vocab.nouns), dim)) / np.sqrt(dim)
         jitter = rng.normal(size=(K, dim)) / np.sqrt(dim)
-        mk = np.empty((K, dim))
-        for k, (v, n) in enumerate(vocab.actions):
-            mk[k] = config.sigma_between * (verb_anchor[v] + noun_anchor[n]) \
-                + config.sigma_within * jitter[k]
-        means.append(mk)
+        means.append(config.sigma_between * (verb_anchor[vocab.verb_of]
+                                             + noun_anchor[vocab.noun_of])
+                     + config.sigma_within * jitter)
     return SyntheticGrammar(config=config, vocab=vocab, transition=transition,
                             class_means=tuple(means))
 

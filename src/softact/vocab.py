@@ -1,9 +1,9 @@
 """Annotation parsing and verb-noun action vocabularies.
 
 An action is a (verb, noun) pair. The vocabulary holds dense integer ids
-for verbs, nouns and actions, and exposes the cohort sets (all actions
-sharing a verb, all actions sharing a noun) that the structured priors are
-built from.
+for verbs, nouns and actions, and exposes the action table as two arrays,
+``verb_of`` and ``noun_of`` (action id -> verb id, noun id), from which the
+structured priors and the verb and noun scores are built.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FormatError, ParseError
 from .jsonconfig import config_from_json
@@ -143,20 +145,16 @@ def format_annotations(annotations: AnnotationSet) -> str:
 class ActionVocab:
     """Dense id spaces for verbs, nouns and (verb, noun) actions.
 
-    ``actions[k]`` is the (verb_id, noun_id) pair of action k.
+    ``actions[k]`` is the (verb_id, noun_id) pair of action k. Its columns
+    are also kept as read-only int64 arrays of shape (K,), ``verb_of`` and
+    ``noun_of``, so a per-action map is one gather; being derived, they
+    take no part in ``==`` or ``hash``. Tokens must be normalized (see
+    :func:`normalize_token`), since :meth:`action_id` normalizes its query.
     """
 
     verbs: tuple[str, ...]
     nouns: tuple[str, ...]
     actions: tuple[tuple[int, int], ...]
-    action_index: dict[tuple[int, int], int] = field(init=False, repr=False,
-                                                     compare=False)
-    _verb_ids: dict[str, int] = field(init=False, repr=False, compare=False)
-    _noun_ids: dict[str, int] = field(init=False, repr=False, compare=False)
-    _verb_cohorts: tuple[frozenset[int], ...] = field(init=False, repr=False,
-                                                      compare=False)
-    _noun_cohorts: tuple[frozenset[int], ...] = field(init=False, repr=False,
-                                                      compare=False)
 
     def __post_init__(self):
         if not self.verbs or not self.nouns or not self.actions:
@@ -165,28 +163,22 @@ class ActionVocab:
             raise ValueError("duplicate verb tokens")
         if len(set(self.nouns)) != len(self.nouns):
             raise ValueError("duplicate noun tokens")
-        if any(not t.strip() for t in self.verbs + self.nouns):
-            raise ValueError("empty verb/noun token")
-        index: dict[tuple[int, int], int] = {}
-        verb_sets = [set() for _ in self.verbs]
-        noun_sets = [set() for _ in self.nouns]
+        for token in self.verbs + self.nouns:
+            if not token or normalize_token(token) != token:
+                raise ValueError(f"token {token!r} is empty or not normalized "
+                                 f"(lowercase, trimmed)")
+        ids: dict[tuple[str, str], int] = {}
         for k, (v, n) in enumerate(self.actions):
-            if not (0 <= v < len(self.verbs)) or not (0 <= n < len(self.nouns)):
+            if not (0 <= v < len(self.verbs) and 0 <= n < len(self.nouns)):
                 raise ValueError(f"action {k} has out-of-range verb/noun id ({v}, {n})")
-            if (v, n) in index:
-                raise ValueError(f"duplicate action ({self.verbs[v]}, {self.nouns[n]})")
-            index[(v, n)] = k
-            verb_sets[v].add(k)
-            noun_sets[n].add(k)
-        object.__setattr__(self, "action_index", index)
-        object.__setattr__(self, "_verb_ids",
-                           {v: i for i, v in enumerate(self.verbs)})
-        object.__setattr__(self, "_noun_ids",
-                           {n: i for i, n in enumerate(self.nouns)})
-        object.__setattr__(self, "_verb_cohorts",
-                           tuple(frozenset(s) for s in verb_sets))
-        object.__setattr__(self, "_noun_cohorts",
-                           tuple(frozenset(s) for s in noun_sets))
+            key = (self.verbs[v], self.nouns[n])
+            if ids.setdefault(key, k) != k:
+                raise ValueError(f"duplicate action ({key[0]}, {key[1]})")
+        columns = np.array(self.actions, dtype=np.int64).T.copy()
+        columns.setflags(write=False)
+        object.__setattr__(self, "verb_of", columns[0])
+        object.__setattr__(self, "noun_of", columns[1])
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def K(self) -> int:
@@ -194,21 +186,7 @@ class ActionVocab:
 
     def action_id(self, verb: str, noun: str) -> int:
         """Id of the action with the given (normalized) tokens; KeyError if absent."""
-        key = (self._verb_ids[normalize_token(verb)],
-               self._noun_ids[normalize_token(noun)])
-        return self.action_index[key]
-
-    def verb_cohort(self, verb_id: int) -> frozenset[int]:
-        """All action ids whose verb is ``verb_id``."""
-        if not (0 <= verb_id < len(self.verbs)):
-            raise IndexError(f"verb_id {verb_id} out of range (|verbs|={len(self.verbs)})")
-        return self._verb_cohorts[verb_id]
-
-    def noun_cohort(self, noun_id: int) -> frozenset[int]:
-        """All action ids whose noun is ``noun_id``."""
-        if not (0 <= noun_id < len(self.nouns)):
-            raise IndexError(f"noun_id {noun_id} out of range (|nouns|={len(self.nouns)})")
-        return self._noun_cohorts[noun_id]
+        return self._ids[normalize_token(verb), normalize_token(noun)]
 
     def to_json(self) -> str:
         doc = {

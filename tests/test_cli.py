@@ -441,6 +441,37 @@ def test_build_prior_rejects_mistyped_vocab(tmp_path, toy_vocab, capsys,
     assert not out.exists()
 
 
+def test_vocab_with_unnormalized_token_exits_2(tmp_path, data_dir, capsys):
+    # "Cut" could never be looked up (action_id normalizes its query), so
+    # the vocabulary is refused where it is read, by build-prior --vocab
+    # and load_dataset alike, not row by row of --annotations
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"verbs": ["Cut"], "nouns": ["onion"],
+                                 "actions": [[0, 0]]}))
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text("video_id,start_s,verb,noun\nv,0,Cut,onion\n"
+                           "v,1,cut,onion\n")
+    out = tmp_path / "p.csv"
+    assert main(["build-prior", "--kind", "temporal", "--vocab", str(vocab),
+                 "--annotations", str(annotations), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{vocab}: token 'Cut' is empty or not normalized" in err
+    assert not out.exists()
+
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    path = bundle / "vocab.json"
+    doc = json.loads(path.read_text())
+    doc["nouns"][0] = " " + doc["nouns"][0]
+    path.write_text(json.dumps(doc))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(run),
+                 *FAST_FLAGS]) == 2
+    assert (f"{path}: token {doc['nouns'][0]!r} is empty or not normalized"
+            in capsys.readouterr().err)
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("name", ["manifest.json", "vocab.json",
                                   "grammar.json", "annotations.csv",
                                   "embeddings.txt"])
@@ -740,6 +771,23 @@ def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):
                  str(tmp_path / "cmp"), "--set-alpha", "bogus",
                  *FAST_FLAGS]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("specs, refused", [
+    (["glove=0.3"], "glove=0.3"),
+    (["vn=0.2", "vn=0.3"], "vn=0.3"),
+    (["glove=0.3", "vn=0.2", "vn=0.3"], "glove=0.3"),
+], ids=["kind-not-compared", "kind-given-twice", "both"])
+def test_compare_set_alpha_drops_no_spec(tmp_path, data_dir, capsys, specs,
+                                         refused):
+    # an alpha for a kind that is not compared, or a kind's second alpha,
+    # would change nothing, so the spec is named rather than dropped
+    out = tmp_path / "cmp"
+    flags = [f for spec in specs for f in ("--set-alpha", spec)]
+    assert main(["compare", "--data", str(data_dir), "--out-dir", str(out),
+                 "--methods", "onehot,vn", *flags, *FAST_FLAGS]) == 1
+    assert f"--set-alpha {refused!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

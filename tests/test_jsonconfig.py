@@ -139,6 +139,16 @@ def test_reader_accepts_its_own_output(tmp_path, bundle, name):
     reader(tmp_path, bundle, lambda doc: doc)
 
 
+def test_checkpoint_header_with_adam_settings_is_refused(tmp_path, bundle):
+    # Adam's betas and epsilon are seqmodel constants, so a header that
+    # records them is refused rather than read with its values ignored
+    with pytest.raises(FormatError, match=r"unknown keys \['adam_beta1'\]") \
+            as info:
+        _checkpoint_header(tmp_path, bundle,
+                           lambda doc: {**doc, "adam_beta1": 0.9})
+    assert str(info.value).startswith(f"{tmp_path / 'model.bin'}: ")
+
+
 def test_codec_type_rules():
     # float fields take integers; tuple items are checked by path
     grid = config_from_json(AlphaGrid, {"start": 0, "stop": 1, "step": 0.5},
@@ -186,9 +196,8 @@ def _old_checkpoint_dict(params) -> dict:
     c = params.config
     return {"modalities": [[n, d] for n, d in c.modalities],
             "num_classes": c.num_classes, "hidden_size": c.hidden_size,
-            "learning_rate": c.learning_rate, "adam_beta1": c.adam_beta1,
-            "adam_beta2": c.adam_beta2, "adam_eps": c.adam_eps,
-            "seed": c.seed, "adam_step": params.adam_step}
+            "learning_rate": c.learning_rate, "seed": c.seed,
+            "adam_step": params.adam_step}
 
 
 def _old_grammar_dict(grammar) -> dict:

@@ -12,6 +12,8 @@ from softact import (ActionVocab, ManyShotSets, MetricsReport, ParseError,
                      topk_accuracy)
 from softact.metrics import cohort_indicator
 
+from conftest import random_vocab
+
 
 # ----------------------------------------------------------------- top-k
 
@@ -91,6 +93,32 @@ def test_cohort_indicator_rows(toy_vocab):
     np.testing.assert_array_equal(mv.sum(axis=1), 1.0)
     np.testing.assert_array_equal(mn.sum(axis=1), 1.0)
     assert mv[0, 0] == 1.0 and mn[1, 1] == 1.0
+
+
+def test_cohort_indicator_and_many_shot_match_per_action_loops():
+    # per-action reference loops; the indexing forms give the same values
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vocab = random_vocab(rng)
+        V, N = len(vocab.verbs), len(vocab.nouns)
+        mv, mn = np.zeros((vocab.K, V)), np.zeros((vocab.K, N))
+        for k, (v, n) in enumerate(vocab.actions):
+            mv[k, v] = 1.0
+            mn[k, n] = 1.0
+        got_v, got_n = cohort_indicator(vocab)
+        assert np.array_equal(got_v, mv) and np.array_equal(got_n, mn)
+
+        labels = rng.integers(0, vocab.K, size=int(rng.integers(0, 40)))
+        action_counts = np.bincount(labels, minlength=vocab.K)
+        verb_counts = np.zeros(V, dtype=np.int64)
+        noun_counts = np.zeros(N, dtype=np.int64)
+        for k, (v, n) in enumerate(vocab.actions):
+            verb_counts[v] += action_counts[k]
+            noun_counts[n] += action_counts[k]
+        for threshold in (1, 2, 5):
+            shots = many_shot_from_labels(labels, vocab, threshold)
+            assert shots.verbs == set(np.flatnonzero(verb_counts >= threshold))
+            assert shots.nouns == set(np.flatnonzero(noun_counts >= threshold))
 
 
 # -------------------------------------------------------------- many-shot

@@ -9,7 +9,8 @@ from softact import (ActionInstance, ActionVocab, AnnotationSet,
                      build_uniform_prior, build_verb_noun_prior,
                      load_embeddings, load_prior, mix_priors, save_prior,
                      temporal_prior_from_pairs, transition_pairs)
-from softact.priors import KINDS, ROW_SUM_TOL, action_embedding_matrix
+from softact.priors import (KINDS, ROW_SUM_TOL, _embed_token,
+                            action_embedding_matrix)
 
 from conftest import make_annotations, random_vocab
 
@@ -77,11 +78,12 @@ def test_verb_noun_prior_support_property():
         p = build_verb_noun_prior(vocab)
         for k in range(vocab.K):
             vk, nk = vocab.actions[k]
-            support = [i for i in range(vocab.K)
-                       if vocab.actions[i][0] == vk
-                       or vocab.actions[i][1] == nk]
-            c_k = (len(vocab.verb_cohort(vk))
-                   + len(vocab.noun_cohort(nk)) - 1)
+            verb_cohort = {i for i, (v, _) in enumerate(vocab.actions)
+                           if v == vk}
+            noun_cohort = {i for i, (_, n) in enumerate(vocab.actions)
+                           if n == nk}
+            support = verb_cohort | noun_cohort
+            c_k = len(verb_cohort) + len(noun_cohort) - 1
             assert len(support) == c_k
             for i in range(vocab.K):
                 want = 1.0 / c_k if i in support else 0.0
@@ -139,6 +141,21 @@ def test_embed_action_multiword_token_mean(embed):
     table = embed("cut 1 0\npumpkin 2 0\nseeds 0 2\n")
     phi = action_embedding_matrix(vocab, table)
     np.testing.assert_array_equal(phi, [[1.0, 0.0, 1.0, 1.0]])
+
+
+def test_embedding_matrix_matches_per_action_loop():
+    # a per-action reference concatenation; the gather by verb_of/noun_of
+    # gives the same bits
+    rng = np.random.default_rng(12)
+    words = [f"{kind}{c}" for kind in ("verb", "noun") for c in "abcdefgh"]
+    for _ in range(20):
+        vocab = random_vocab(rng)
+        known = [w for w in words if rng.random() < 0.7]
+        table = EmbeddingTable(3, {w: rng.normal(size=3) for w in known})
+        loop = np.array([np.concatenate([_embed_token(vocab.verbs[v], table),
+                                         _embed_token(vocab.nouns[n], table)])
+                         for v, n in vocab.actions])
+        assert np.array_equal(action_embedding_matrix(vocab, table), loop)
 
 
 # ------------------------------------------------------------------ glove

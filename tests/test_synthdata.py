@@ -94,6 +94,29 @@ def test_grammar_cohort_means_are_closer():
     assert np.mean(related) < np.mean(unrelated)
 
 
+def test_class_means_match_per_action_loop():
+    # a per-action reference sum over the same random stream; the gather
+    # by verb_of/noun_of gives the same bits
+    for seed in range(6):
+        config = small_grammar(num_verbs=5, num_nouns=4, action_density=0.6,
+                               sigma_within=0.3, sigma_between=1.7, seed=seed)
+        grammar = gen_grammar(config)
+        vocab, K = grammar.vocab, grammar.K
+        rng = np.random.default_rng(seed)
+        rng.choice(config.num_verbs * config.num_nouns, size=K, replace=False)
+        rng.dirichlet(np.full(K, config.markov_concentration), size=K)
+        for (_, dim), means in zip(config.modalities, grammar.class_means):
+            verb_anchor = rng.normal(size=(len(vocab.verbs), dim)) / np.sqrt(dim)
+            noun_anchor = rng.normal(size=(len(vocab.nouns), dim)) / np.sqrt(dim)
+            jitter = rng.normal(size=(K, dim)) / np.sqrt(dim)
+            loop = np.empty((K, dim))
+            for k, (v, n) in enumerate(vocab.actions):
+                loop[k] = config.sigma_between * (verb_anchor[v]
+                                                  + noun_anchor[n]) \
+                    + config.sigma_within * jitter[k]
+            assert np.array_equal(means, loop)
+
+
 def test_grammar_json_roundtrip():
     # grammar.json holds the parameters and the vocabulary; they give back
     # the config, which regenerates the same arrays
@@ -250,9 +273,10 @@ def test_zero_similarity_embeddings_give_identity_glove():
     # orthogonal tokens + one action per verb/noun row -> diagonal dots only
     grammar = gen_grammar(small_grammar(num_verbs=3, num_nouns=3, seed=2))
     vocab = grammar.vocab
-    diag = [k for k in range(vocab.K)
-            if len(vocab.verb_cohort(vocab.actions[k][0])) == 1
-            and len(vocab.noun_cohort(vocab.actions[k][1])) == 1]
+    verb_counts = np.bincount([v for v, _ in vocab.actions])
+    noun_counts = np.bincount([n for _, n in vocab.actions])
+    diag = [k for k, (v, n) in enumerate(vocab.actions)
+            if verb_counts[v] == 1 and noun_counts[n] == 1]
     table = gen_synthetic_embeddings(grammar, 8, cohort_similarity=0.0, seed=3)
     prior = build_glove_prior(vocab, table)
     for k in diag:

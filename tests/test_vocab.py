@@ -1,9 +1,14 @@
 import json
+import pickle
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from softact import (ActionInstance, ActionVocab, AnnotationSet, FormatError,
                      ParseError, format_annotations, parse_annotations)
+
+from conftest import random_vocab
 
 CSV = """video_id,start_s,verb,noun
 v1,0,cut,onion
@@ -83,18 +88,37 @@ def test_annotation_set_rejects_disorder():
 
 
 def test_cohorts(toy_vocab):
-    assert toy_vocab.verb_cohort(0) == frozenset({0, 1})
-    assert toy_vocab.verb_cohort(1) == frozenset({2, 3})
-    assert toy_vocab.noun_cohort(0) == frozenset({0, 2})
-    assert toy_vocab.noun_cohort(1) == frozenset({1, 3})
-    with pytest.raises(IndexError):
-        toy_vocab.verb_cohort(2)
-    with pytest.raises(IndexError):
-        toy_vocab.noun_cohort(-3)
+    # verb_of/noun_of are the columns of actions, read-only as built
+    assert toy_vocab.verb_of.tolist() == [0, 0, 1, 1]
+    assert toy_vocab.noun_of.tolist() == [0, 1, 0, 1]
+    for column in (toy_vocab.verb_of, toy_vocab.noun_of):
+        assert column.dtype == np.int64 and column.shape == (toy_vocab.K,)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1
+    # derived, so == and hash see only verbs, nouns and actions
+    assert [f.name for f in fields(ActionVocab)] == ["verbs", "nouns",
+                                                     "actions"]
+    same = ActionVocab(toy_vocab.verbs, toy_vocab.nouns, toy_vocab.actions)
+    object.__setattr__(same, "verb_of", np.zeros(4, dtype=np.int64))
+    assert same == toy_vocab and hash(same) == hash(toy_vocab)
+    # the --jobs workers get the vocabulary pickled; the read-only flag is
+    # not pickled, the values are
+    again = pickle.loads(pickle.dumps(toy_vocab))
+    assert again == toy_vocab
+    np.testing.assert_array_equal(again.verb_of, toy_vocab.verb_of)
+    np.testing.assert_array_equal(again.noun_of, toy_vocab.noun_of)
+    assert again.action_id("wash", "carrot") == 3
     assert toy_vocab.action_id("cut", "carrot") == 1
     assert toy_vocab.action_id("wash", "onion") == 2
+    assert toy_vocab.action_id(" Wash ", "ONION") == 2
     with pytest.raises(KeyError):
         toy_vocab.action_id("cut", "pan")
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        vocab = random_vocab(rng)
+        assert vocab.verb_of.tolist() == [v for v, _ in vocab.actions]
+        assert vocab.noun_of.tolist() == [n for _, n in vocab.actions]
 
 
 def test_vocab_validation():
@@ -106,6 +130,25 @@ def test_vocab_validation():
         ActionVocab(("a",), ("x",), ((1, 0),))
     with pytest.raises(ValueError):
         ActionVocab((), (), ())
+
+
+@pytest.mark.parametrize("verbs, nouns", [
+    (("Cut",), ("onion",)),
+    (("cut",), (" onion",)),
+    (("cut",), ("onion\t",)),
+    (("cut", "WASH"), ("onion",)),
+])
+def test_vocab_refuses_tokens_action_id_cannot_find(verbs, nouns):
+    # action_id normalizes its query, so an unnormalized token's actions
+    # could never be looked up
+    actions = tuple((v, 0) for v in range(len(verbs)))
+    with pytest.raises(ValueError, match="not normalized"):
+        ActionVocab(verbs, nouns, actions)
+    doc = {"verbs": list(verbs), "nouns": list(nouns),
+           "actions": [list(a) for a in actions]}
+    with pytest.raises(FormatError, match="^the/vocab.json: token .* is "
+                                          "empty or not normalized"):
+        ActionVocab.from_json(json.dumps(doc), "the/vocab.json")
 
 
 def test_vocab_json_round_trip(toy_vocab):
