@@ -205,16 +205,18 @@ def _cmd_compare(args) -> int:
     overrides: dict[str, float] = {}
     for spec in args.set_alpha or []:
         name, _, value = spec.partition("=")
-        if name not in _CLI_KINDS or not value:
-            raise ValueError(f"bad --set-alpha {spec!r}; use kind=alpha")
-        kind = _CLI_KINDS[name]
+        try:
+            kind, alpha = _CLI_KINDS[name], float(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"bad --set-alpha {spec!r}; "
+                             f"use kind=alpha") from None
         if kind not in kinds:
             raise ValueError(f"--set-alpha {spec!r}: {name} is not one of "
                              f"the methods compared")
         if kind in overrides:
             raise ValueError(f"--set-alpha {spec!r}: {name} already has "
                              f"an alpha")
-        overrides[kind] = float(value)
+        overrides[kind] = alpha
     methods = [MethodSpec(k, k, overrides.get(k, DEFAULT_ALPHAS[k]))
                for k in kinds]
     reports = run_comparison(dataset, methods, config, out_dir=args.out_dir,

@@ -33,8 +33,8 @@ from .synthdata import (FeatureSet, GrammarConfig, _check_grammar,
 from .vocab import ActionVocab, AnnotationSet, format_annotations
 
 DATASET_FORMAT = "softact-dataset"
-DATASET_VERSION = 1
-_MANIFEST_KEYS = ("protocol", "vocab_sha256", "modalities", "train_pairs")
+DATASET_VERSION = 2
+_MANIFEST_KEYS = ("protocol", "vocab_sha256", "modalities", "train_previous")
 
 DEFAULT_ALPHAS = {kind: alpha for kind, (_, alpha) in KINDS.items()}
 
@@ -48,8 +48,9 @@ class AlphaGrid:
     step: float = 0.05
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got "
+                             f"{self.step}")
         if not (0.0 <= self.start <= self.stop <= 1.0):
             raise ValueError("need 0 <= start <= stop <= 1")
         span = (self.stop - self.start) / self.step
@@ -122,7 +123,8 @@ class Dataset:
 
     ``train_pairs`` holds the (previous, target) action ids of the train
     samples so the transition prior can be estimated without touching
-    validation or test data. Only :func:`generate_dataset` sets
+    validation or test data; a bundle stores only the previous ids, since
+    the targets are train.feat's. Only :func:`generate_dataset` sets
     ``annotations`` (for :func:`save_dataset`): no run reads them.
     """
 
@@ -189,8 +191,10 @@ def generate_dataset(grammar_config: GrammarConfig,
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     """Write the bundle: manifest.json, vocab.json, the three .feat splits,
-    plus embeddings.txt, grammar.json (generator parameters and vocab) and
-    annotations.csv when present."""
+    plus embeddings.txt, grammar.json (the generator parameters) and
+    annotations.csv when present. Each fact is stored once: the manifest
+    keeps only the previous action id of each train sample, whose target
+    train.feat holds."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "vocab.json").write_text(dataset.vocab.to_json() + "\n")
@@ -204,18 +208,15 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
             token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n"
             for token, vec in sorted(dataset.embeddings.vectors.items())))
     if dataset.grammar is not None:
-        (out / "grammar.json").write_text(json.dumps(
-            {**config_to_json(dataset.grammar),
-             "vocab": json.loads(dataset.vocab.to_json())}) + "\n")
+        (out / "grammar.json").write_text(
+            json.dumps(config_to_json(dataset.grammar)) + "\n")
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "protocol": config_to_json(dataset.protocol),
         "modalities": [[n, d] for n, d in dataset.modalities],
         "vocab_sha256": dataset.vocab.content_hash(),
-        "embedding_dimension": (dataset.embeddings.dimension
-                                if dataset.embeddings is not None else None),
-        "train_pairs": [[int(a), int(b)] for a, b in dataset.train_pairs],
+        "train_previous": [int(a) for a, _ in dataset.train_pairs],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -223,9 +224,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 def load_dataset(in_dir: str | Path) -> Dataset:
     """Inverse of :func:`save_dataset`, but ``annotations.csv`` is only
     checked to be UTF-8. Checks the manifest, the vocabulary hash, the
-    grammar, every split (none empty) and the train pairs, so a bad bundle
-    raises FormatError (ParseError for malformed text) here, not part-way
-    through a run."""
+    grammar, every split (none empty) and the previous action ids (one in
+    [0, K) per train sample), so a bad bundle raises FormatError
+    (ParseError for malformed text) here, not part-way through a run."""
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -251,16 +252,11 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                                 f"{where} protocol")
     modalities = json_value(tuple[tuple[str, int], ...],
                             manifest["modalities"], where, "modalities")
-    # A bundle holds thousands of pairs, so they are checked here in one
-    # pass rather than item by item by json_value.
-    try:
-        train_pairs = tuple((a, b) for a, b in manifest["train_pairs"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: 'train_pairs' ({exc})") from None
-    if not all(type(k) is int and 0 <= k < vocab.K
-               for pair in train_pairs for k in pair):
-        raise FormatError(f"{where}: a train pair has an action id that is "
-                          f"not an integer in [0, {vocab.K})")
+    previous = json_value(tuple[int, ...], manifest["train_previous"], where,
+                          "train_previous")
+    if not all(0 <= k < vocab.K for k in previous):
+        raise FormatError(f"{where}: 'train_previous' has an action id "
+                          f"outside [0, {vocab.K})")
     dims = tuple(d for _, d in modalities)
     splits = {}
     for name in ("train", "val", "test"):
@@ -279,18 +275,13 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                               f"[0, {vocab.K})")
         if not all(np.isfinite(x).all() for x in split.features):
             raise FormatError(f"{path}: a feature value is not finite")
-    if [b for _, b in train_pairs] != splits["train"].targets.tolist():
-        raise FormatError(f"{where}: 'train_pairs' is not one (previous, "
-                          f"target) pair per sample of train.feat")
-    embeddings = None
-    embedding_dim = manifest.get("embedding_dimension")
-    if embedding_dim is not None:
-        embeddings = load_embeddings(root / "embeddings.txt")
-        if (type(embedding_dim) is not int
-                or embedding_dim != embeddings.dimension):
-            raise FormatError(f"{where}: 'embedding_dimension' is "
-                              f"{embedding_dim!r}, embeddings.txt holds "
-                              f"{embeddings.dimension}-d vectors")
+    targets = splits["train"].targets.tolist()
+    if len(previous) != len(targets):
+        raise FormatError(f"{where}: 'train_previous' holds {len(previous)} "
+                          f"ids, train.feat {len(targets)} samples")
+    embeddings_path = root / "embeddings.txt"
+    embeddings = (load_embeddings(embeddings_path)
+                  if embeddings_path.exists() else None)
     grammar = None
     grammar_path = root / "grammar.json"
     if grammar_path.exists():
@@ -300,8 +291,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if annotations_path.exists():
         read_text(annotations_path)
     return Dataset(vocab=vocab, protocol=protocol, modalities=modalities,
-                   train_pairs=train_pairs, embeddings=embeddings,
-                   grammar=grammar, **splits)
+                   train_pairs=tuple(zip(previous, targets)),
+                   embeddings=embeddings, grammar=grammar, **splits)
 
 
 # ---------------------------------------------------------------------------

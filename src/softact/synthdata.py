@@ -98,17 +98,14 @@ def _check_grammar(doc, where: str, modalities,
                    vocab: ActionVocab) -> GrammarConfig:
     """The parameters stored in a bundle's grammar.json, checked without
     building the grammar's arrays: FormatError, naming ``where``, if they
-    are malformed, list other ``modalities``, store another vocabulary than
-    ``vocab`` or do not draw ``vocab`` (another seed or grid, or a numpy
-    whose random stream changed)."""
-    config = config_from_json(GrammarConfig, doc, where,
-                              ignore=("vocab", "transition", "class_means"))
+    are malformed, have a key that is not a GrammarConfig field, list other
+    ``modalities`` or do not draw ``vocab`` (another seed or grid, or a
+    numpy whose random stream changed)."""
+    config = config_from_json(GrammarConfig, doc, where)
     if config.modalities != tuple(modalities):
         raise FormatError(f"{where}: modalities {list(config.modalities)} "
                           f"differ from the bundle's {list(modalities)}")
     try:
-        if config_from_json(ActionVocab, doc.get("vocab"), "'vocab'") != vocab:
-            raise ValueError("its vocab differs from vocab.json")
         if config.num_actions != vocab.K:
             raise ValueError(f"grammar parameters give another action count "
                              f"than its {vocab.K}-action vocabulary")

@@ -41,8 +41,9 @@ class ActionInstance:
             raise ValueError("video_id must be non-empty")
         if not self.verb.strip() or not self.noun.strip():
             raise ValueError("verb and noun must be non-empty")
-        if self.start_time < 0:
-            raise ValueError(f"start_time must be >= 0, got {self.start_time}")
+        if not 0 <= self.start_time < np.inf:
+            raise ValueError(f"start_time must be finite and >= 0, got "
+                             f"{self.start_time}")
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,13 @@ def test_build_prior_annotation_errors_name_the_file(tmp_path, ab_vocab,
                           (header + "vid0,0,va\n",
                            "line 2: expected 4 columns"),
                           (header + "vid0,0,jump,rope\n",
-                           "unknown action ('jump', 'rope')")):
+                           "unknown action ('jump', 'rope')"),
+                          # NaN used to parse and leave its video's order
+                          # arbitrary; inf, and so 1e400, parsed too
+                          *((header + f"vid0,0,va,na\nvid0,{start},vb,nb\n",
+                             "line 3: start_time must be finite and >= 0, "
+                             f"got {float(start)}")
+                            for start in ("nan", "inf", "1e400"))):
         ann_path.write_text(text)
         assert main(["build-prior", "--kind", "temporal", "--vocab",
                      str(vocab_path), "--annotations", str(ann_path),
@@ -241,14 +247,15 @@ def test_synth_k1200_grammar_is_parameters_only(tmp_path, capsys):
                                   "dim"])
 def test_train_rejects_grammar_unlike_bundle(tmp_path, data_dir, capsys, edit):
     # another seed draws another vocabulary, as would a numpy whose random
-    # stream changed; another grid size, stored vocab or modality list is a
-    # foreign grammar, and a hostile dim must be refused before gen_grammar
-    # sizes arrays by it
+    # stream changed; another grid size or modality list is a foreign
+    # grammar, and a hostile dim must be refused before gen_grammar sizes
+    # arrays by it. grammar.json holds GrammarConfig's fields only, so the
+    # copy of vocab.json that version 1 stored is an unknown key.
     bundle = tmp_path / "bundle"
     shutil.copytree(data_dir, bundle)
     grammar = json.loads((bundle / "grammar.json").read_text())
     if edit == "vocab":
-        grammar["vocab"]["nouns"][0] = "nzz"
+        grammar["vocab"] = json.loads((bundle / "vocab.json").read_text())
     elif edit == "modalities":
         grammar["modalities"] = [["rgb", 5], ["depth", 3]]
     elif edit == "dim":
@@ -259,7 +266,31 @@ def test_train_rejects_grammar_unlike_bundle(tmp_path, data_dir, capsys, edit):
     out = tmp_path / "run"
     assert main(["train", "--data", str(bundle), "--out-dir", str(out),
                  "--method", "vn", *FAST_FLAGS]) == 2
-    assert "grammar.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grammar.json" in err
+    if edit == "vocab":
+        assert "unknown keys ['vocab']" in err
+    assert not out.exists()
+
+
+def test_train_rejects_version_1_bundle(tmp_path, data_dir, capsys):
+    # a version 1 manifest stored (previous, target) pairs and the
+    # embedding width; synth with the same flags writes the bundle anew
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    dataset = load_dataset(bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["train_previous"]
+    manifest.update(version=1,
+                    embedding_dimension=dataset.embeddings.dimension,
+                    train_pairs=[list(pair) for pair in dataset.train_pairs])
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--out-dir", str(out),
+                 "--method", "temporal", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json: unsupported version 1" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -354,20 +385,21 @@ def test_train_rejects_unknown_spellings(tmp_path, data_dir, capsys):
 
 
 @pytest.mark.parametrize("past_end", [True, False])
-def test_train_rejects_out_of_range_train_pairs(tmp_path, data_dir, capsys,
-                                                past_end):
+def test_train_rejects_out_of_range_train_previous(tmp_path, data_dir, capsys,
+                                                   past_end):
     # id K used to crash the temporal prior; -1 wrapped to action K - 1
     bundle = tmp_path / "bundle"
     shutil.copytree(data_dir, bundle)
     K = load_dataset(bundle).K
     manifest = json.loads((bundle / "manifest.json").read_text())
-    manifest["train_pairs"][0][0] = K if past_end else -1
+    manifest["train_previous"][0] = K if past_end else -1
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     assert main(["train", "--data", str(bundle), "--out-dir",
                  str(tmp_path / "run"), "--method", "temporal",
                  *FAST_FLAGS]) == 2
     err = capsys.readouterr().err
-    assert "train pair" in err and f"[0, {K})" in err
+    assert "'train_previous' has an action id outside" in err
+    assert f"[0, {K})" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -588,25 +620,25 @@ def test_empty_split_exits_2(tmp_path, data_dir, capsys, name):
     assert not run.exists() and not csv.exists()
 
 
-@pytest.mark.parametrize("edit", ["cut", "retarget"])
-def test_train_rejects_train_pairs_unlike_train_split(tmp_path, data_dir,
-                                                      capsys, edit):
+@pytest.mark.parametrize("edit", ["cut", "extend"])
+def test_train_rejects_train_previous_unlike_train_split(tmp_path, data_dir,
+                                                         capsys, edit):
     # a manifest cut to 3 pairs used to train on a temporal prior of them
     bundle = tmp_path / "bundle"
     shutil.copytree(data_dir, bundle)
-    K = load_dataset(bundle).K
+    n = load_dataset(bundle).train.num_samples
     manifest = json.loads((bundle / "manifest.json").read_text())
-    pairs = manifest["train_pairs"]
-    if edit == "cut":
-        manifest["train_pairs"] = pairs[:3]
-    else:
-        pairs[-1][1] = (pairs[-1][1] + 1) % K
+    previous = manifest["train_previous"]
+    manifest["train_previous"] = (previous[:3] if edit == "cut"
+                                  else previous * 2)
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "run"
     assert main(["train", "--data", str(bundle), "--out-dir", str(out),
                  "--method", "temporal", *FAST_FLAGS]) == 2
     err = capsys.readouterr().err
-    assert "manifest.json" in err and "'train_pairs'" in err
+    held = 3 if edit == "cut" else 2 * n
+    assert (f"manifest.json: malformed manifest: 'train_previous' holds "
+            f"{held} ids, train.feat {n} samples") in err
     assert not out.exists()
 
 @pytest.mark.parametrize("group", [0, 1, 2])  # weights, adam m, adam v
@@ -704,6 +736,19 @@ def test_grid_search_artifacts(tmp_path, data_dir, capsys):
     assert best["best_alpha"] in (0.0, 0.25, 0.5)
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_grid_search_rejects_non_finite_step(tmp_path, data_dir, capsys,
+                                             step):
+    # inf used to search the one alpha nan; nan failed in int()
+    out = tmp_path / "grid"
+    assert main(["grid-search", "--data", str(data_dir), "--out-dir",
+                 str(out), "--method", "vn", "--alpha-step", step,
+                 *FAST_FLAGS]) == 1
+    assert (f"error: step must be positive and finite, got {step}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -777,16 +822,21 @@ def test_compare_rejects_unknown_method(tmp_path, data_dir, capsys):
     (["glove=0.3"], "glove=0.3"),
     (["vn=0.2", "vn=0.3"], "vn=0.3"),
     (["glove=0.3", "vn=0.2", "vn=0.3"], "glove=0.3"),
-], ids=["kind-not-compared", "kind-given-twice", "both"])
+    (["vn=abc"], "vn=abc"),
+], ids=["kind-not-compared", "kind-given-twice", "both", "alpha-not-a-number"])
 def test_compare_set_alpha_drops_no_spec(tmp_path, data_dir, capsys, specs,
                                          refused):
     # an alpha for a kind that is not compared, or a kind's second alpha,
-    # would change nothing, so the spec is named rather than dropped
+    # would change nothing, so the spec is named rather than dropped; so is
+    # an alpha that is not a number, rather than float()'s message
     out = tmp_path / "cmp"
     flags = [f for spec in specs for f in ("--set-alpha", spec)]
     assert main(["compare", "--data", str(data_dir), "--out-dir", str(out),
                  "--methods", "onehot,vn", *flags, *FAST_FLAGS]) == 1
-    assert f"--set-alpha {refused!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--set-alpha {refused!r}" in err
+    if refused == "vn=abc":
+        assert err == "error: bad --set-alpha 'vn=abc'; use kind=alpha\n"
     assert not out.exists()
 
 

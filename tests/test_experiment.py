@@ -41,6 +41,11 @@ def test_alpha_grid_validation():
         AlphaGrid(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         AlphaGrid(-0.1, 1.0, 0.1)
+    # inf used to give the one value nan, and nan failed in int()
+    for step in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="step must be positive and "
+                                             f"finite, got {step}"):
+            AlphaGrid(step=step)
 
 
 # ----------------------------------------------------------------- config
@@ -148,17 +153,23 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
                                   gen_grammar(tiny_dataset.grammar).transition)
 
 
-def test_dataset_loads_grammar_with_stored_arrays(tmp_path, tiny_dataset):
-    # bundles used to store the arrays in grammar.json; they are ignored
+def test_load_dataset_refuses_grammar_with_stored_arrays(tmp_path,
+                                                         tiny_dataset):
+    # grammar.json holds GrammarConfig's fields and nothing else: the
+    # arrays, or the vocabulary, that older bundles stored are unknown keys
     out = tmp_path / "bundle"
     save_dataset(tiny_dataset, out)
+    path = out / "grammar.json"
+    good = json.loads(path.read_text())
+    assert good == json.loads(json.dumps(config_to_json(tiny_dataset.grammar)))
     grammar = gen_grammar(tiny_dataset.grammar)
-    doc = json.loads((out / "grammar.json").read_text())
-    assert "transition" not in doc and "class_means" not in doc
-    doc["transition"] = (grammar.transition + 1.0).tolist()
-    doc["class_means"] = [m.tolist() for m in grammar.class_means[:1]]
-    (out / "grammar.json").write_text(json.dumps(doc))
-    assert load_dataset(out).grammar == tiny_dataset.grammar
+    for key, value in (("transition", grammar.transition.tolist()),
+                       ("class_means", [grammar.class_means[0].tolist()]),
+                       ("vocab", json.loads(tiny_dataset.vocab.to_json()))):
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(FormatError,
+                           match=f"grammar.json: unknown keys \\['{key}'\\]"):
+            load_dataset(out)
 
 
 def test_load_dataset_does_not_rebuild_the_grammar(tmp_path, tiny_dataset,
@@ -207,23 +218,30 @@ def test_load_dataset_does_not_parse_annotations(tmp_path, tiny_dataset,
 
 def test_load_dataset_takes_the_embedding_width_from_the_file(tmp_path,
                                                               tiny_dataset):
+    # the manifest does not repeat the width, so embeddings.txt rewritten
+    # at another width loads as it is, and a bundle without it has none
     out = tmp_path / "bundle"
     save_dataset(tiny_dataset, out)
-    path = out / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["embedding_dimension"] += 1
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="malformed manifest: "
-                       "'embedding_dimension' is 9, embeddings.txt holds "
-                       "8-d vectors"):
-        load_dataset(out)
-    manifest["embedding_dimension"] -= 1
-    path.write_text(json.dumps(manifest))
     embeddings = out / "embeddings.txt"
+    assert tiny_dataset.embeddings.dimension == 8
+    wider = {token: np.append(vec, [0.5, -2.0])
+             for token, vec in tiny_dataset.embeddings.vectors.items()}
+    embeddings.write_text("".join(
+        token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n"
+        for token, vec in wider.items()))
+    loaded = load_dataset(out).embeddings
+    assert loaded.dimension == 10 and loaded.vectors.keys() == wider.keys()
+    for token, vec in wider.items():
+        np.testing.assert_array_equal(loaded.vectors[token], vec)
+    embeddings.unlink()
+    assert load_dataset(out).embeddings is None
+    # a ragged file is still refused, naming its line
+    save_dataset(tiny_dataset, out)
     embeddings.write_text(embeddings.read_text() + "extra 1 2\n")
     with pytest.raises(ParseError, match="expected") as info:
         load_dataset(out)
     assert str(info.value).startswith(f"{embeddings}: line ")
+
 
 def test_load_dataset_errors(tmp_path, tiny_dataset):
     with pytest.raises(FormatError, match="manifest"):
@@ -250,7 +268,7 @@ def test_load_dataset_errors(tmp_path, tiny_dataset):
 
 
 @pytest.mark.parametrize("key", ["protocol", "vocab_sha256", "modalities",
-                                 "train_pairs"])
+                                 "train_previous"])
 def test_load_dataset_rejects_manifest_without_key(tmp_path, tiny_dataset,
                                                    key):
     out = tmp_path / "bundle"
@@ -264,8 +282,8 @@ def test_load_dataset_rejects_manifest_without_key(tmp_path, tiny_dataset,
 
 @pytest.mark.parametrize("key, value", [
     ("protocol", [1, 2]), ("protocol", {"encode_steps": "six"}),
-    ("train_pairs", 7), ("train_pairs", [[0, 1, 2]]), ("train_pairs", [["a", 0]]),
-    ("modalities", [["rgb"]]), ("embedding_dimension", "8"),
+    ("train_previous", 7), ("train_previous", [[0, 1]]),
+    ("train_previous", [True]), ("modalities", [["rgb"]]),
 ])
 def test_load_dataset_rejects_malformed_manifest(tmp_path, tiny_dataset, key,
                                                  value):

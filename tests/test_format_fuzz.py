@@ -168,9 +168,8 @@ def bundle(work):
 
 @FUZZ
 @given(name=st.sampled_from(["manifest.json", "grammar.json", "vocab.json"]),
-       key=st.sampled_from(["protocol", "modalities", "train_pairs",
-                            "embedding_dimension", "num_verbs",
-                            "action_density", "seed", "vocab", "verbs",
+       key=st.sampled_from(["protocol", "modalities", "train_previous",
+                            "num_verbs", "action_density", "seed", "verbs",
                             "actions"]),
        value=edge_values | json_values)
 def test_random_bundle_json_raises_only_format_error(bundle, name, key, value):

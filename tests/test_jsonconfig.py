@@ -17,10 +17,10 @@ import struct
 import pytest
 
 from softact import (AlphaGrid, ExperimentConfig, FormatError, GrammarConfig,
-                     ModelConfig, ProtocolConfig, gen_grammar,
-                     generate_dataset, init_params, load_checkpoint,
-                     load_dataset, load_experiment_config, save_checkpoint,
-                     save_dataset, save_experiment_config)
+                     ModelConfig, ProtocolConfig, generate_dataset,
+                     init_params, load_checkpoint, load_dataset,
+                     load_experiment_config, save_checkpoint, save_dataset,
+                     save_experiment_config)
 from softact.cli import main
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -200,14 +200,12 @@ def _old_checkpoint_dict(params) -> dict:
             "adam_step": params.adam_step}
 
 
-def _old_grammar_dict(grammar) -> dict:
-    c = grammar.config
+def _old_grammar_dict(c: GrammarConfig) -> dict:
     return {"num_verbs": c.num_verbs, "num_nouns": c.num_nouns,
             "action_density": c.action_density,
             "sigma_within": c.sigma_within, "sigma_between": c.sigma_between,
             "markov_concentration": c.markov_concentration,
-            "modalities": [[n, d] for n, d in c.modalities], "seed": c.seed,
-            "vocab": json.loads(grammar.vocab.to_json())}
+            "modalities": [[n, d] for n, d in c.modalities], "seed": c.seed}
 
 
 def _old_protocol_dict(p: ProtocolConfig) -> dict:
@@ -232,11 +230,11 @@ def test_writers_give_the_old_bytes(tmp_path, bundle):
 
     dataset = load_dataset(bundle)
     assert (bundle / "grammar.json").read_text() == json.dumps(
-        _old_grammar_dict(gen_grammar(dataset.grammar))) + "\n"
+        _old_grammar_dict(dataset.grammar)) + "\n"
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert list(manifest) == ["format", "version", "protocol", "modalities",
-                              "vocab_sha256", "embedding_dimension",
-                              "train_pairs"]
+                              "vocab_sha256", "train_previous"]
+    assert manifest["train_previous"] == [a for a, _ in dataset.train_pairs]
     manifest["protocol"] = _old_protocol_dict(dataset.protocol)
     assert (bundle / "manifest.json").read_text() == json.dumps(
         manifest, indent=2) + "\n"

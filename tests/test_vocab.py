@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 from dataclasses import fields
 
@@ -45,6 +46,12 @@ def test_parse_annotations_errors():
     # empty token
     with pytest.raises(ParseError, match="line 2"):
         parse_annotations("video_id,start_s,verb,noun\nv,0,,onion\n")
+    # a NaN start time used to parse, and then sort its video arbitrarily
+    for start in ("nan", "NaN", "inf", "-inf", "1e400"):
+        with pytest.raises(ParseError, match="^line 3: start_time must be "
+                                             "finite and >= 0, got "):
+            parse_annotations(f"video_id,start_s,verb,noun\nv,0,cut,onion\n"
+                              f"v,{start},cut,onion\n")
 
 
 def test_format_annotations_round_trip():
@@ -56,6 +63,10 @@ def test_format_annotations_round_trip():
 def test_action_instance_validation():
     with pytest.raises(ValueError):
         ActionInstance("v", -1.0, "cut", "onion")
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"start_time must be finite "
+                                             f"and >= 0, got {start}"):
+            ActionInstance("v", start, "cut", "onion")
     with pytest.raises(ValueError):
         ActionInstance("v", 0.0, "", "onion")
     with pytest.raises(ValueError):
