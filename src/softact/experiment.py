@@ -21,7 +21,7 @@ from .metrics import (SCORE_BLOCK, HitCounts, ManyShotSets, MetricsReport,
                       Scorer, build_report, many_shot_from_labels, percent,
                       report_to_csv, topk_hit_count)
 from .priors import (KINDS, EmbeddingTable, PriorMatrix, build_prior,
-                     load_embeddings, transition_pairs)
+                     load_embeddings)
 from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, loss_and_gradients_batch,
                        save_checkpoint)
@@ -30,11 +30,12 @@ from .synthdata import (FeatureSet, GrammarConfig, _check_grammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
                         write_features)
-from .vocab import ActionVocab, AnnotationSet, format_annotations
+from .vocab import ActionVocab, format_annotations
 
 DATASET_FORMAT = "softact-dataset"
 DATASET_VERSION = 2
-_MANIFEST_KEYS = ("protocol", "vocab_sha256", "modalities", "train_previous")
+_MANIFEST_KEYS = ("format", "version", "protocol", "modalities",
+                  "vocab_sha256", "train_previous")
 
 DEFAULT_ALPHAS = {kind: alpha for kind, (_, alpha) in KINDS.items()}
 
@@ -121,11 +122,11 @@ def save_experiment_config(config: ExperimentConfig, path: str | Path) -> None:
 class Dataset:
     """A ready-to-train bundle: splits, vocabulary, and prior inputs.
 
-    ``train_pairs`` holds the (previous, target) action ids of the train
-    samples so the transition prior can be estimated without touching
-    validation or test data; a bundle stores only the previous ids, since
-    the targets are train.feat's. Only :func:`generate_dataset` sets
-    ``annotations`` (for :func:`save_dataset`): no run reads them.
+    ``train_previous`` holds the action id before each train sample, so
+    with ``train.targets`` it gives the (previous, target) pairs the
+    transition prior counts without touching validation or test data.
+    Only :func:`generate_dataset` sets ``walks``, the videos' action ids
+    (for :func:`save_dataset`'s annotations.csv): no run reads them.
     """
 
     vocab: ActionVocab
@@ -134,10 +135,10 @@ class Dataset:
     train: FeatureSet
     val: FeatureSet
     test: FeatureSet
-    train_pairs: tuple[tuple[int, int], ...]
+    train_previous: np.ndarray  # (n_train,) int64
     embeddings: EmbeddingTable | None = None
     grammar: GrammarConfig | None = None  # gen_grammar rebuilds the arrays
-    annotations: AnnotationSet | None = None
+    walks: np.ndarray | None = None  # (num_videos, video_length) int64
 
     @property
     def K(self) -> int:
@@ -164,11 +165,9 @@ def generate_dataset(grammar_config: GrammarConfig,
                      cohort_similarity: float = 0.6, seed: int = 0) -> Dataset:
     """Sample a grammar, roll out videos, featurize, embed, and split."""
     grammar = gen_grammar(grammar_config)
-    annotations = gen_annotation_sequences(grammar, num_videos, video_length,
-                                           seed=seed + 1)
-    full = gen_features(grammar, annotations, protocol, noise_sigma,
-                        seed=seed + 2)
-    pairs = transition_pairs(annotations, grammar.vocab)
+    walks = gen_annotation_sequences(grammar, num_videos, video_length,
+                                     seed=seed + 1)
+    full = gen_features(grammar, walks, protocol, noise_sigma, seed=seed + 2)
     train_idx, val_idx, test_idx = split_dataset(full.num_samples,
                                                  seed=seed + 3)
     if embed_dim is None:
@@ -182,10 +181,10 @@ def generate_dataset(grammar_config: GrammarConfig,
         train=full.subset(train_idx),
         val=full.subset(val_idx),
         test=full.subset(test_idx),
-        train_pairs=tuple(pairs[i] for i in train_idx),
+        train_previous=walks[:, :-1].ravel()[train_idx],
         embeddings=embeddings,
         grammar=grammar_config,
-        annotations=annotations,
+        walks=walks,
     )
 
 
@@ -200,9 +199,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     (out / "vocab.json").write_text(dataset.vocab.to_json() + "\n")
     for split in ("train", "val", "test"):
         write_features(getattr(dataset, split), out / f"{split}.feat")
-    if dataset.annotations is not None:
+    if dataset.walks is not None:
         (out / "annotations.csv").write_text(
-            format_annotations(dataset.annotations))
+            format_annotations(dataset.walks, dataset.vocab))
     if dataset.embeddings is not None:
         (out / "embeddings.txt").write_text("".join(
             token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n"
@@ -216,7 +215,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         "protocol": config_to_json(dataset.protocol),
         "modalities": [[n, d] for n, d in dataset.modalities],
         "vocab_sha256": dataset.vocab.content_hash(),
-        "train_previous": [int(a) for a, _ in dataset.train_pairs],
+        "train_previous": dataset.train_previous.tolist(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -243,6 +242,9 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
+    unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))
+    if unknown:
+        raise FormatError(f"{manifest_path}: unknown keys {unknown}")
     vocab_path = root / "vocab.json"
     vocab = ActionVocab.from_json(read_text(vocab_path), str(vocab_path))
     if vocab.content_hash() != manifest["vocab_sha256"]:
@@ -275,10 +277,10 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                               f"[0, {vocab.K})")
         if not all(np.isfinite(x).all() for x in split.features):
             raise FormatError(f"{path}: a feature value is not finite")
-    targets = splits["train"].targets.tolist()
-    if len(previous) != len(targets):
+    if len(previous) != splits["train"].num_samples:
         raise FormatError(f"{where}: 'train_previous' holds {len(previous)} "
-                          f"ids, train.feat {len(targets)} samples")
+                          f"ids, train.feat {splits['train'].num_samples} "
+                          f"samples")
     embeddings_path = root / "embeddings.txt"
     embeddings = (load_embeddings(embeddings_path)
                   if embeddings_path.exists() else None)
@@ -291,7 +293,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if annotations_path.exists():
         read_text(annotations_path)
     return Dataset(vocab=vocab, protocol=protocol, modalities=modalities,
-                   train_pairs=tuple(zip(previous, targets)),
+                   train_previous=np.array(previous, dtype=np.int64),
                    embeddings=embeddings, grammar=grammar, **splits)
 
 
@@ -302,7 +304,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
 def build_prior_for_kind(kind: str, dataset: Dataset) -> PriorMatrix | None:
     """The prior a method kind names, from the dataset; onehot has none."""
     return build_prior(kind, dataset.vocab, dataset.embeddings,
-                       dataset.train_pairs)
+                       np.stack([dataset.train_previous,
+                                 dataset.train.targets], axis=1))
 
 
 @dataclass(frozen=True)
@@ -352,13 +355,12 @@ def _best_line(best_epoch: int, best_score: float) -> str:
 
 
 def evaluate_model(params: ModelParams, feature_set: FeatureSet,
-                   protocol: ProtocolConfig,
-                   batch_size: int = SCORE_BLOCK) -> np.ndarray:
+                   protocol: ProtocolConfig) -> np.ndarray:
     """Per-step class probabilities, (num_samples, decode_steps, K),
-    scored ``batch_size`` samples at a time into one preallocated array."""
+    scored ``SCORE_BLOCK`` samples at a time into one preallocated array."""
     probs = np.empty((feature_set.num_samples, protocol.decode_steps,
                       params.config.num_classes))
-    for rows, feats in feature_set.batches(batch_size):
+    for rows, feats in feature_set.batches(SCORE_BLOCK):
         probs[rows] = forward_batch(params, feats, protocol)
     return probs
 

@@ -59,8 +59,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.encode_steps < 1 or self.decode_steps < 1:
             raise ValueError("encode_steps and decode_steps must be >= 1")
-        if self.snippet_stride <= 0:
-            raise ValueError("snippet_stride must be positive")
+        if not 0 < self.snippet_stride < np.inf:
+            raise ValueError("snippet_stride must be positive and finite")
         if self.snippet_len < 1:
             raise ValueError("snippet_len must be >= 1")
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import FormatError
 from .jsonconfig import config_from_json
-from .priors import EmbeddingTable, transition_pairs
+from .priors import EmbeddingTable
 from .seqmodel import ProtocolConfig
-from .vocab import ActionInstance, ActionVocab, AnnotationSet
+from .vocab import ActionVocab
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -68,10 +68,10 @@ class GrammarConfig:
             raise ValueError("need at least one verb and one noun")
         if not (0.0 < self.action_density <= 1.0):
             raise ValueError(f"action_density must be in (0, 1], got {self.action_density}")
-        if not (0.0 <= self.sigma_within < self.sigma_between):
-            raise ValueError("need 0 <= sigma_within < sigma_between")
-        if self.markov_concentration <= 0:
-            raise ValueError("markov_concentration must be positive")
+        if not 0.0 <= self.sigma_within < self.sigma_between < np.inf:
+            raise ValueError("need 0 <= sigma_within < sigma_between < inf")
+        if not 0 < self.markov_concentration < np.inf:
+            raise ValueError("markov_concentration must be positive and finite")
 
     @property
     def num_actions(self) -> int:
@@ -165,24 +165,19 @@ def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
 
 
 def gen_annotation_sequences(grammar: SyntheticGrammar, num_videos: int,
-                             length: int, seed: int) -> AnnotationSet:
-    """Markov walks over the grammar's chain; one annotation per second."""
+                             length: int, seed: int) -> np.ndarray:
+    """Markov walks over the grammar's chain: a (num_videos, length) int64
+    array whose row v is video v's action ids, one per second."""
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
     K = grammar.K
-    vocab = grammar.vocab
-    instances = []
-    for vid in range(num_videos):
-        video_id = f"synth{vid:04d}"
-        state = int(rng.integers(K))
-        for step in range(length):
-            v, n = vocab.actions[state]
-            instances.append(ActionInstance(video_id, float(step),
-                                            vocab.verbs[v], vocab.nouns[n]))
-            if step + 1 < length:
-                state = int(rng.choice(K, p=grammar.transition[state]))
-    return AnnotationSet(tuple(instances))
+    walks = np.empty((num_videos, length), dtype=np.int64)
+    for walk in walks:
+        walk[0] = rng.integers(K)
+        for step in range(1, length):
+            walk[step] = rng.choice(K, p=grammar.transition[walk[step - 1]])
+    return walks
 
 
 @dataclass(eq=False)
@@ -241,34 +236,30 @@ class FeatureSet:
             yield rows, [x[rows] for x in self.features]
 
 
-def gen_features(grammar: SyntheticGrammar, annotations: AnnotationSet,
+def gen_features(grammar: SyntheticGrammar, walks: np.ndarray,
                  protocol: ProtocolConfig, noise_sigma: float,
                  seed: int) -> FeatureSet:
-    """One sample per annotated action except each video's first.
+    """One sample per pair of consecutive walk steps, video by video: the
+    target is the later action, so each video's first action is none's.
 
     The observed snippet sequence drifts linearly from the previous
     action's mean to the target action's mean (reaching it exactly at the
-    last timestep), with Gaussian noise of scale ``noise_sigma``.
+    last timestep), with Gaussian noise of scale ``noise_sigma``, drawn
+    once per modality in sample order.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got "
+                         f"{noise_sigma}")
     rng = np.random.default_rng(seed)
-    vocab = grammar.vocab
-    T = protocol.total_steps
-    lam = np.linspace(0.0, 1.0, T)[:, None]
-
-    pairs = transition_pairs(annotations, vocab)
-    targets = np.array([tgt for _, tgt in pairs], dtype=np.int64)
+    lam = np.linspace(0.0, 1.0, protocol.total_steps)[:, None]
+    previous, targets = walks[:, :-1].ravel(), walks[:, 1:].ravel()
     blocks = []
     for means in grammar.class_means:
-        dim = means.shape[1]
-        block = np.empty((len(pairs), T, dim), dtype=np.float32)
-        for i, (prev, tgt) in enumerate(pairs):
-            path = (1.0 - lam) * means[prev] + lam * means[tgt]
-            noise = rng.normal(scale=noise_sigma, size=(T, dim)) \
-                if noise_sigma > 0 else 0.0
-            block[i] = (path + noise).astype(np.float32)
-        blocks.append(block)
+        path = (1.0 - lam) * means[previous][:, None]
+        path += lam * means[targets][:, None]
+        if noise_sigma > 0:
+            path += rng.normal(scale=noise_sigma, size=path.shape)
+        blocks.append(path.astype(np.float32))
     return FeatureSet(dims=tuple(d for _, d in grammar.config.modalities),
                       features=tuple(blocks), targets=targets)
 

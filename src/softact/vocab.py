@@ -131,14 +131,17 @@ def parse_annotations(text: str) -> AnnotationSet:
     return AnnotationSet.from_instances(instances)
 
 
-def format_annotations(annotations: AnnotationSet) -> str:
-    """CSV text parseable by :func:`parse_annotations`."""
+def format_annotations(walks: np.ndarray, vocab: ActionVocab) -> str:
+    """The annotation CSV of (num_videos, length) action-id walks, which
+    :func:`parse_annotations` reads: video v is ``synth%04d``, and its
+    step t starts at t seconds."""
+    tokens = [(vocab.verbs[v], vocab.nouns[n]) for v, n in vocab.actions]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(ANNOTATION_HEADER)
-    for inst in annotations.instances:
-        writer.writerow([inst.video_id, f"{inst.start_time:g}",
-                         inst.verb, inst.noun])
+    for v, walk in enumerate(walks.tolist()):
+        writer.writerows((f"synth{v:04d}", f"{t:g}", *tokens[k])
+                         for t, k in enumerate(walk))
     return out.getvalue()
 
 

@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 import softact
-from softact import (ActionInstance, AnnotationSet, ExperimentConfig,
-                     GrammarConfig, ModelConfig, ProtocolConfig,
-                     build_verb_noun_prior, format_annotations, gen_grammar,
-                     generate_dataset, init_params, load_dataset,
-                     load_experiment_config, load_prior, read_features,
-                     save_checkpoint, save_dataset, write_features)
+from softact import (ExperimentConfig, GrammarConfig, ModelConfig,
+                     ProtocolConfig, build_verb_noun_prior,
+                     format_annotations, gen_grammar, generate_dataset,
+                     init_params, load_dataset, load_experiment_config,
+                     load_prior, read_features, save_checkpoint, save_dataset,
+                     write_features)
 from softact.cli import main
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-
-from conftest import make_annotations
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +72,7 @@ def test_exit_codes(tmp_path, toy_vocab, data_dir, capsys):
                  "--vocab", str(tmp_path / "junk.json"),
                  "--out", str(tmp_path / "p.csv")]) == 2  # not a vocabulary
     ann_path = tmp_path / "annotations.csv"
-    ann_path.write_text(format_annotations(AnnotationSet(
-        (ActionInstance("v1", 0.0, "jump", "rope"),))))
+    ann_path.write_text("video_id,start_s,verb,noun\nv1,0,jump,rope\n")
     assert main(["build-prior", "--kind", "temporal", "--vocab",
                  str(vocab_path), "--annotations", str(ann_path),
                  "--out", str(tmp_path / "p.csv")]) == 2  # unknown action
@@ -127,8 +124,8 @@ def test_build_prior_temporal(tmp_path, ab_vocab, capsys):
     vocab_path = tmp_path / "vocab.json"
     vocab_path.write_text(ab_vocab.to_json())
     ann_path = tmp_path / "annotations.csv"
-    annotations = make_annotations(ab_vocab, [[0, 1, 0, 1]])
-    ann_path.write_text(format_annotations(annotations))
+    ann_path.write_text(format_annotations(np.array([[0, 1, 0, 1]]),
+                                           ab_vocab))
     out = tmp_path / "temporal.csv"
     assert main(["build-prior", "--kind", "temporal", "--vocab",
                  str(vocab_path), "--annotations", str(ann_path),
@@ -283,7 +280,9 @@ def test_train_rejects_version_1_bundle(tmp_path, data_dir, capsys):
     del manifest["train_previous"]
     manifest.update(version=1,
                     embedding_dimension=dataset.embeddings.dimension,
-                    train_pairs=[list(pair) for pair in dataset.train_pairs])
+                    train_pairs=[list(pair) for pair in zip(
+                        dataset.train_previous.tolist(),
+                        dataset.train.targets.tolist())])
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "run"
     assert main(["train", "--data", str(bundle), "--out-dir", str(out),
@@ -291,6 +290,33 @@ def test_train_rejects_version_1_bundle(tmp_path, data_dir, capsys):
     err = capsys.readouterr().err
     assert "manifest.json: unsupported version 1" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_manifest_with_stale_keys_exits_2(tmp_path, data_dir, capsys):
+    # a version 2 manifest that still holds version 1's copies: which copy
+    # would be read is hidden, so train and eval refuse the bundle
+    bundle = tmp_path / "bundle"
+    shutil.copytree(data_dir, bundle)
+    dataset = load_dataset(bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest.update(embedding_dimension=dataset.embeddings.dimension,
+                    train_pairs=[[0, 0]])
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    checkpoint = tmp_path / "model.bin"
+    save_checkpoint(init_params(ModelConfig(
+        modalities=dataset.modalities, num_classes=dataset.K,
+        hidden_size=2)), checkpoint)
+    out = tmp_path / "run"
+    for argv in (["train", "--data", str(bundle), "--out-dir", str(out),
+                  "--method", "temporal", *FAST_FLAGS],
+                 ["eval", "--data", str(bundle), "--checkpoint",
+                  str(checkpoint)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("manifest.json: unknown keys ['embedding_dimension', "
+                "'train_pairs']") in err
+        assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -10,11 +10,12 @@ from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      MethodSpec, ParseError, ProtocolConfig, TrainingDiverged,
                      build_prior_for_kind, build_uniform_prior,
                      build_verb_noun_prior, default_methods, evaluate_model,
-                     gen_grammar, generate_dataset, grid_search_alpha,
-                     grid_to_csv, load_dataset, load_experiment_config,
-                     mix_priors, parse_annotations, run_comparison, run_trial,
-                     save_dataset, save_experiment_config, split_dataset,
-                     topk_accuracy, train_model, train_trial)
+                     forward_batch, gen_grammar, generate_dataset,
+                     grid_search_alpha, grid_to_csv, load_dataset,
+                     load_experiment_config, mix_priors, parse_annotations,
+                     run_comparison, run_trial, save_dataset,
+                     save_experiment_config, split_dataset, topk_accuracy,
+                     train_model, train_trial)
 from softact.experiment import DEFAULT_ALPHAS, _model_config
 from softact.jsonconfig import config_from_json, config_to_json
 
@@ -122,12 +123,15 @@ def test_generate_dataset_shapes(tiny_dataset):
     assert total == 24 * (10 - 1)
     assert ds.K == 9
     assert ds.train.timesteps == SMALL_PROTOCOL.total_steps
-    assert len(ds.train_pairs) == ds.train.num_samples
-    # train pairs target column matches the train targets
-    np.testing.assert_array_equal([t for _, t in ds.train_pairs],
-                                  ds.train.targets)
+    assert ds.train_previous.shape == (ds.train.num_samples,)
+    # train sample i is a step of a walk: previous and target action ids
+    train_idx, _, _ = split_dataset(total, seed=7 + 3)
+    np.testing.assert_array_equal(ds.train_previous,
+                                  ds.walks[:, :-1].ravel()[train_idx])
+    np.testing.assert_array_equal(ds.train.targets,
+                                  ds.walks[:, 1:].ravel()[train_idx])
     assert ds.embeddings is not None
-    assert ds.annotations is not None and len(ds.annotations) == 240
+    assert ds.walks.shape == (24, 10)
 
 
 def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
@@ -140,8 +144,9 @@ def test_dataset_save_load_roundtrip(tmp_path, tiny_dataset):
     assert_same_features(loaded.train, tiny_dataset.train)
     assert_same_features(loaded.val, tiny_dataset.val)
     assert_same_features(loaded.test, tiny_dataset.test)
-    assert loaded.train_pairs == tiny_dataset.train_pairs
-    assert loaded.annotations is None  # only build-prior reads them
+    np.testing.assert_array_equal(loaded.train_previous,
+                                  tiny_dataset.train_previous)
+    assert loaded.walks is None  # only build-prior reads annotations.csv
     assert loaded.embeddings.dimension == tiny_dataset.embeddings.dimension
     for token, vec in tiny_dataset.embeddings.vectors.items():
         np.testing.assert_array_equal(loaded.embeddings.vectors[token], vec)
@@ -209,11 +214,12 @@ def test_load_dataset_does_not_parse_annotations(tmp_path, tiny_dataset,
     out = tmp_path / "bundle"
     save_dataset(tiny_dataset, out)
     loaded = load_dataset(out)
-    assert loaded.annotations is None
+    assert loaded.walks is None
     # so a loaded bundle saves again without annotations.csv
     save_dataset(loaded, tmp_path / "again")
     assert not (tmp_path / "again" / "annotations.csv").exists()
-    assert load_dataset(tmp_path / "again").train_pairs == loaded.train_pairs
+    np.testing.assert_array_equal(
+        load_dataset(tmp_path / "again").train_previous, loaded.train_previous)
 
 
 def test_load_dataset_takes_the_embedding_width_from_the_file(tmp_path,
@@ -318,7 +324,7 @@ def test_build_prior_for_kind(tiny_dataset):
                                   build_verb_noun_prior(ds.vocab).rows)
     temporal = build_prior_for_kind("temporal", ds)
     preceder = np.zeros((ds.K, ds.K))
-    for prev, nxt in ds.train_pairs:
+    for prev, nxt in zip(ds.train_previous, ds.train.targets):
         preceder[nxt, prev] += 1
     seen = preceder.sum(axis=1) > 0
     want = preceder[seen] / preceder[seen].sum(axis=1)[:, None]
@@ -336,7 +342,7 @@ def test_build_prior_requires_embeddings(tiny_dataset):
     ds = tiny_dataset
     stripped = Dataset(vocab=ds.vocab, protocol=ds.protocol,
                        modalities=ds.modalities, train=ds.train, val=ds.val,
-                       test=ds.test, train_pairs=ds.train_pairs)
+                       test=ds.test, train_previous=ds.train_previous)
     with pytest.raises(ValueError, match="embeddings"):
         build_prior_for_kind("glove", stripped)
 
@@ -442,7 +448,7 @@ def test_training_diverged_names_epoch_and_batch(tiny_dataset, fast_config):
                           targets=ds.train.targets)
     bad = Dataset(vocab=ds.vocab, protocol=ds.protocol,
                   modalities=ds.modalities, train=poisoned, val=ds.val,
-                  test=ds.test, train_pairs=ds.train_pairs)
+                  test=ds.test, train_previous=ds.train_previous)
     with pytest.raises(TrainingDiverged, match=r"epoch 1, batch \d"):
         run_trial(bad, None, 0.0, trial=0, config=fast_config)
 
@@ -450,12 +456,14 @@ def test_training_diverged_names_epoch_and_batch(tiny_dataset, fast_config):
 def test_evaluate_model_chunking_consistent(tiny_dataset, fast_config):
     result, _ = run_trial(tiny_dataset, None, 0.0, trial=0,
                           config=fast_config)
-    whole = evaluate_model(result.params, tiny_dataset.val,
-                           tiny_dataset.protocol)
-    chunked = evaluate_model(result.params, tiny_dataset.val,
-                             tiny_dataset.protocol, batch_size=7)
-    assert whole.shape == (tiny_dataset.val.num_samples,
-                           SMALL_PROTOCOL.decode_steps, tiny_dataset.K)
+    val = tiny_dataset.val
+    whole = evaluate_model(result.params, val, tiny_dataset.protocol)
+    assert whole.shape == (val.num_samples, SMALL_PROTOCOL.decode_steps,
+                           tiny_dataset.K)
+    # forwarding 7-sample slices gives the same probabilities
+    chunked = np.concatenate([
+        forward_batch(result.params, feats, tiny_dataset.protocol)
+        for _, feats in val.batches(7)])
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
 

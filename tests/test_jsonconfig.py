@@ -234,7 +234,7 @@ def test_writers_give_the_old_bytes(tmp_path, bundle):
     manifest = json.loads((bundle / "manifest.json").read_text())
     assert list(manifest) == ["format", "version", "protocol", "modalities",
                               "vocab_sha256", "train_previous"]
-    assert manifest["train_previous"] == [a for a, _ in dataset.train_pairs]
+    assert manifest["train_previous"] == dataset.train_previous.tolist()
     manifest["protocol"] = _old_protocol_dict(dataset.protocol)
     assert (bundle / "manifest.json").read_text() == json.dumps(
         manifest, indent=2) + "\n"

@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
-                     build_glove_prior, gen_annotation_sequences,
-                     gen_features, gen_grammar, gen_synthetic_embeddings,
-                     read_features, transition_pairs, write_features)
+                     build_glove_prior, format_annotations,
+                     gen_annotation_sequences, gen_features, gen_grammar,
+                     gen_synthetic_embeddings, generate_dataset,
+                     parse_annotations, read_features, transition_pairs,
+                     write_features)
+from softact.cli import main
 from softact.jsonconfig import config_to_json
 from softact.synthdata import _check_grammar
 
@@ -136,24 +141,26 @@ def test_grammar_json_roundtrip():
 
 
 def test_gen_annotation_sequences_layout():
+    # one row of action ids per video; annotations.csv names video v
+    # synth%04d and puts step t at t seconds
     grammar = gen_grammar(small_grammar())
-    annotations = gen_annotation_sequences(grammar, num_videos=4, length=6,
-                                           seed=1)
-    assert len(annotations) == 24
-    videos = annotations.videos()
+    walks = gen_annotation_sequences(grammar, num_videos=4, length=6, seed=1)
+    assert walks.shape == (4, 6) and walks.dtype == np.int64
+    assert walks.min() >= 0 and walks.max() < grammar.K
+    videos = parse_annotations(format_annotations(walks, grammar.vocab)).videos()
     assert [v[0].video_id for v in videos] == [f"synth{i:04d}" for i in range(4)]
-    for video in videos:
+    for walk, video in zip(walks, videos):
         assert [inst.start_time for inst in video] == [float(t) for t in range(6)]
-        for inst in video:
-            grammar.vocab.action_id(inst.verb, inst.noun)  # must be known
+        assert [grammar.vocab.action_id(inst.verb, inst.noun)
+                for inst in video] == walk.tolist()
 
 
 def test_gen_annotation_sequences_deterministic_and_empty():
     grammar = gen_grammar(small_grammar())
     a = gen_annotation_sequences(grammar, 3, 5, seed=2)
     b = gen_annotation_sequences(grammar, 3, 5, seed=2)
-    assert a == b
-    assert len(gen_annotation_sequences(grammar, 0, 5, seed=2)) == 0
+    np.testing.assert_array_equal(a, b)
+    assert gen_annotation_sequences(grammar, 0, 5, seed=2).shape == (0, 5)
     with pytest.raises(ValueError):
         gen_annotation_sequences(grammar, 1, 0, seed=2)
 
@@ -165,21 +172,17 @@ def test_gen_annotation_deterministic_chain_cycles():
     cycle = np.zeros((K, K))
     cycle[np.arange(K), (np.arange(K) + 1) % K] = 1.0
     rigged = dataclasses.replace(grammar, transition=cycle)
-    annotations = gen_annotation_sequences(rigged, 2, 7, seed=5)
-    for video in annotations.videos():
-        ids = [rigged.vocab.action_id(i.verb, i.noun) for i in video]
-        for prev, nxt in zip(ids, ids[1:]):
-            assert nxt == (prev + 1) % K
+    walks = gen_annotation_sequences(rigged, 2, 7, seed=5)
+    np.testing.assert_array_equal(walks[:, 1:], (walks[:, :-1] + 1) % K)
 
 
 def test_transition_frequencies_match_chain():
     # long-run empirical next-state frequencies approach the chain rows
     grammar = gen_grammar(small_grammar(num_verbs=2, num_nouns=2, seed=9))
-    annotations = gen_annotation_sequences(grammar, num_videos=8,
-                                           length=1500, seed=4)
+    walks = gen_annotation_sequences(grammar, num_videos=8, length=1500,
+                                     seed=4)
     counts = np.zeros((grammar.K, grammar.K))
-    for prev, nxt in transition_pairs(annotations, grammar.vocab):
-        counts[prev, nxt] += 1
+    np.add.at(counts, (walks[:, :-1], walks[:, 1:]), 1)
     rowsum = counts.sum(axis=1, keepdims=True)
     assert np.all(rowsum > 0)
     empirical = counts / rowsum
@@ -197,14 +200,16 @@ def test_sample_transition_pairs(ab_vocab):
 
 def test_gen_features_counts_and_targets():
     grammar = gen_grammar(small_grammar())
-    annotations = gen_annotation_sequences(grammar, 3, 6, seed=1)
-    fs = gen_features(grammar, annotations, SMALL_PROTOCOL, noise_sigma=0.3,
-                      seed=2)
-    # one sample per instance except each video's first
+    walks = gen_annotation_sequences(grammar, 3, 6, seed=1)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, noise_sigma=0.3, seed=2)
+    # one sample per walk step except each video's first
     assert fs.num_samples == 3 * (6 - 1)
     assert fs.timesteps == SMALL_PROTOCOL.total_steps
     assert fs.dims == (6, 5)
-    pairs = transition_pairs(annotations, grammar.vocab)
+    # the targets are the later actions of the pairs the annotations give
+    pairs = transition_pairs(
+        parse_annotations(format_annotations(walks, grammar.vocab)),
+        grammar.vocab)
     np.testing.assert_array_equal(fs.targets, [tgt for _, tgt in pairs])
 
 
@@ -212,9 +217,8 @@ def test_gen_features_noiseless_reaches_target_mean():
     # with zero noise the last timestep equals the target's class mean, so
     # a nearest-mean decode of the final snippet is always right
     grammar = gen_grammar(small_grammar(seed=6))
-    annotations = gen_annotation_sequences(grammar, 2, 8, seed=3)
-    fs = gen_features(grammar, annotations, SMALL_PROTOCOL, noise_sigma=0.0,
-                      seed=0)
+    walks = gen_annotation_sequences(grammar, 2, 8, seed=3)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, noise_sigma=0.0, seed=0)
     for m, means in enumerate(grammar.class_means):
         last = fs.features[m][:, -1, :].astype(np.float64)
         dists = np.linalg.norm(last[:, None, :] - means[None], axis=2)
@@ -223,15 +227,85 @@ def test_gen_features_noiseless_reaches_target_mean():
 
 def test_gen_features_deterministic_and_single_action_video():
     grammar = gen_grammar(small_grammar())
-    annotations = gen_annotation_sequences(grammar, 2, 5, seed=1)
-    a = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.3, seed=9)
-    b = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.3, seed=9)
+    walks = gen_annotation_sequences(grammar, 2, 5, seed=1)
+    a = gen_features(grammar, walks, SMALL_PROTOCOL, 0.3, seed=9)
+    b = gen_features(grammar, walks, SMALL_PROTOCOL, 0.3, seed=9)
     assert_same_features(a, b)
-    solo = make_annotations(grammar.vocab, [[0]])
-    empty = gen_features(grammar, solo, SMALL_PROTOCOL, 0.3, seed=9)
+    empty = gen_features(grammar, np.array([[0]]), SMALL_PROTOCOL, 0.3,
+                         seed=9)
     assert empty.num_samples == 0
     with pytest.raises(ValueError):
-        gen_features(grammar, annotations, SMALL_PROTOCOL, -0.1, seed=9)
+        gen_features(grammar, walks, SMALL_PROTOCOL, -0.1, seed=9)
+
+
+def test_gen_features_match_per_sample_draws():
+    # the whole-path build and one noise draw per modality give the bits
+    # of the earlier loop: a path and a (T, D) draw per sample
+    grammar = gen_grammar(small_grammar(seed=4))
+    walks = gen_annotation_sequences(grammar, 3, 7, seed=2)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, 0.7, seed=11)
+    rng = np.random.default_rng(11)
+    lam = np.linspace(0.0, 1.0, SMALL_PROTOCOL.total_steps)[:, None]
+    pairs = [(prev, tgt) for walk in walks.tolist()
+             for prev, tgt in zip(walk, walk[1:])]
+    for means, block in zip(grammar.class_means, fs.features):
+        for i, (prev, tgt) in enumerate(pairs):
+            path = (1.0 - lam) * means[prev] + lam * means[tgt]
+            noise = rng.normal(scale=0.7, size=path.shape)
+            assert np.array_equal(block[i], (path + noise).astype(np.float32))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProtocolConfig(snippet_stride=math.nan),
+    lambda: ProtocolConfig(snippet_stride=math.inf),
+    lambda: small_grammar(sigma_between=math.inf),
+    lambda: small_grammar(markov_concentration=math.inf),
+    lambda: generate_dataset(small_grammar(), SMALL_PROTOCOL, num_videos=4,
+                             video_length=5, noise_sigma=math.nan),
+    lambda: generate_dataset(small_grammar(), SMALL_PROTOCOL, num_videos=4,
+                             video_length=5, noise_sigma=math.inf),
+], ids=["stride-nan", "stride-inf", "sigma_between-inf",
+        "markov_concentration-inf", "noise-nan", "noise-inf"])
+def test_non_finite_generator_settings_are_refused(make):
+    # unchecked, each gives nan or inf times, means, transitions or
+    # features (or, for a nan noise, no noise at all, since nan > 0 fails)
+    with pytest.raises(ValueError, match="finite|inf"):
+        make()
+
+
+# sha256 of each file `synth` writes with GOLDEN_FLAGS, so that a change
+# of the generator's bytes shows across versions, not only across reruns;
+# embeddings.txt is left out, since its QR factorization depends on the
+# LAPACK build
+GOLDEN_FLAGS = ["--verbs", "4", "--nouns", "5", "--density", "0.6",
+                "--videos", "12", "--video-length", "6", "--noise", "0.5",
+                "--modalities", "rgb:3,flow:2", "--encode-steps", "3",
+                "--decode-steps", "4", "--seed", "5"]
+GOLDEN_SHA256 = {
+    "annotations.csv":
+        "ac687be48d73967792bb24725eabf902d745975948a9790c4675f78ae2eafb36",
+    "grammar.json":
+        "26791a759f633430bd18f35c85a4bf6ad40364e98c1ce9a390b6c9677af773bd",
+    "manifest.json":
+        "7c23301372db3c4e720889cd28c0c73cac5be70a9c9f743567b5dadd1b1b34e8",
+    "test.feat":
+        "4631bd8d171b9f984477f17704e9b00599f8f41017cc6c4b6059ba02d15abe63",
+    "train.feat":
+        "8b40d467b78787cc8eb42eaefdc913b947c0317b8c5085ac71b26f0335637ee5",
+    "val.feat":
+        "e3ea28fe123ab1d75bbdb97ba80d1ccacf67bec3b2f84e2ec43be8bd5c2bbfa6",
+    "vocab.json":
+        "224e6800d86c057005b13163c64495b76248013487a5c220db1af5a390aa62c6",
+}
+
+
+def test_synth_bundle_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert main(["synth", "--out-dir", str(out), *GOLDEN_FLAGS]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
 
 
 # -------------------------------------------------------------- embeddings
@@ -299,8 +373,8 @@ def test_feature_set_validation():
 
 def test_feature_set_subset_and_batches():
     grammar = gen_grammar(small_grammar())
-    annotations = gen_annotation_sequences(grammar, 2, 6, seed=1)
-    fs = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.2, seed=2)
+    walks = gen_annotation_sequences(grammar, 2, 6, seed=1)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, 0.2, seed=2)
     sub = fs.subset([3, 0])
     assert sub.num_samples == 2
     np.testing.assert_array_equal(sub.targets, fs.targets[[3, 0]])
@@ -323,8 +397,8 @@ def test_feature_set_subset_and_batches():
 
 def test_feature_file_roundtrip(tmp_path):
     grammar = gen_grammar(small_grammar())
-    annotations = gen_annotation_sequences(grammar, 2, 6, seed=1)
-    fs = gen_features(grammar, annotations, SMALL_PROTOCOL, 0.2, seed=2)
+    walks = gen_annotation_sequences(grammar, 2, 6, seed=1)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, 0.2, seed=2)
     path = tmp_path / "train.feat"
     write_features(fs, path)
     loaded = read_features(path)

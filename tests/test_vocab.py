@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from softact import (ActionInstance, ActionVocab, AnnotationSet, FormatError,
-                     ParseError, format_annotations, parse_annotations)
+                     ParseError, format_annotations, parse_annotations,
+                     transition_pairs)
 
 from conftest import random_vocab
 
@@ -54,10 +55,16 @@ def test_parse_annotations_errors():
                               f"v,{start},cut,onion\n")
 
 
-def test_format_annotations_round_trip():
-    ann = parse_annotations(CSV)
-    again = parse_annotations(format_annotations(ann))
-    assert again == ann
+def test_format_annotations_round_trip(toy_vocab):
+    # walks of action ids come back from the CSV as the same consecutive
+    # pairs, video by video
+    walks = np.array([[0, 3, 1, 1], [2, 0, 3, 2]])
+    text = format_annotations(walks, toy_vocab)
+    assert text.splitlines()[:3] == ["video_id,start_s,verb,noun",
+                                     "synth0000,0,cut,onion",
+                                     "synth0000,1,wash,carrot"]
+    pairs = transition_pairs(parse_annotations(text), toy_vocab)
+    assert pairs == [(0, 3), (3, 1), (1, 1), (2, 0), (0, 3), (3, 2)]
 
 
 def test_action_instance_validation():
