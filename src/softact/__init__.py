@@ -23,8 +23,7 @@ from .metrics import (HitCounts, ManyShotSets, MetricCell, MetricsReport,
 from .priors import (EmbeddingTable, PriorMatrix, build_glove_prior,
                      build_prior, build_temporal_prior, build_uniform_prior,
                      build_verb_noun_prior, load_embeddings, load_prior,
-                     mix_priors, save_prior, temporal_prior_from_pairs,
-                     transition_pairs)
+                     mix_priors, save_prior)
 from .seqmodel import (ModelConfig, ModelParams, ProtocolConfig, adam_step,
                        forward_batch, init_params, load_checkpoint,
                        loss_and_gradients_batch, save_checkpoint,
@@ -35,14 +34,13 @@ from .synthdata import (FeatureSet, GrammarConfig, SyntheticGrammar,
                         gen_annotation_sequences, gen_features, gen_grammar,
                         gen_synthetic_embeddings, read_features,
                         write_features)
-from .vocab import (ActionInstance, ActionVocab, AnnotationSet,
-                    format_annotations, parse_annotations)
+from .vocab import ActionVocab, format_annotations, parse_annotations
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionInstance", "ActionVocab", "AlphaGrid", "AnnotationSet", "Dataset",
-    "DEFAULT_ALPHAS", "EmbeddingTable", "ExperimentConfig", "FeatureSet",
+    "ActionVocab", "AlphaGrid", "Dataset", "DEFAULT_ALPHAS", "EmbeddingTable",
+    "ExperimentConfig", "FeatureSet",
     "FormatError", "GrammarConfig", "GridPoint", "GridSearchResult",
     "HitCounts", "ManyShotSets",
     "MethodSpec", "MetricCell", "MetricsReport", "ModelConfig", "ModelParams",
@@ -66,8 +64,7 @@ __all__ = [
     "save_checkpoint", "save_dataset", "save_experiment_config", "save_prior",
     "score_model",
     "smooth_label", "smooth_label_matrix", "soft_cross_entropy", "softmax",
-    "split_dataset", "temporal_prior_from_pairs",
-    "topk_accuracy", "transition_pairs",
+    "split_dataset", "topk_accuracy",
     "weight_shapes",
     "train_model", "train_trial", "write_features",
 ]

@@ -25,8 +25,7 @@ from .jsonconfig import config_from_json, json_value
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
                       report_to_table)
-from .priors import (KINDS, build_prior, load_embeddings, save_prior,
-                     transition_pairs)
+from .priors import KINDS, build_prior, load_embeddings, save_prior
 from .seqmodel import ProtocolConfig, load_checkpoint
 from .synthdata import GrammarConfig
 from .vocab import ActionVocab, parse_annotations
@@ -139,8 +138,7 @@ def _cmd_build_prior(args) -> int:
     pairs = None
     if args.annotations:
         try:
-            pairs = transition_pairs(
-                parse_annotations(read_text(args.annotations)), vocab)
+            pairs = parse_annotations(read_text(args.annotations), vocab)
         except ParseError as exc:
             raise ParseError(f"{args.annotations}: {exc}") from None
     prior = build_prior(_CLI_KINDS[args.kind], vocab, embeddings, pairs)
@@ -263,7 +261,10 @@ def _cmd_report(args) -> int:
     src = Path(args.runs)
     if src.is_dir():
         src = src / "report.csv"
-    reports = parse_report_csv(read_text(src))
+    try:
+        reports = parse_report_csv(read_text(src))
+    except ParseError as exc:
+        raise ParseError(f"{src}: {exc}") from None
     if args.format == "csv":
         text = report_to_csv(reports)
     elif args.format == "table":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, csv_records
 from .seqmodel import ProtocolConfig
 from .vocab import ActionVocab
 
@@ -353,8 +353,7 @@ def parse_report_csv(text: str) -> dict[str, MetricsReport]:
     """Inverse of :func:`report_to_csv` (trial counts are not stored, so
     the parsed reports carry trials=0). A method named on two rows is a
     ParseError naming both lines."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
+    rows = [(lineno, row) for lineno, row in csv_records(text) if row]
     if not rows or rows[0][1][:1] != ["method"]:
         raise ParseError("report CSV must start with a 'method' column")
     header = rows[0][1][1:]

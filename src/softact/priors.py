@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, read_text
-from .vocab import ActionVocab, AnnotationSet
+from .vocab import ActionVocab
 
 ROW_SUM_TOL = 1e-12
 
@@ -177,44 +177,20 @@ def build_glove_prior(vocab: ActionVocab, table: EmbeddingTable) -> PriorMatrix:
     return _normalize_rows(sims, vocab.K, kind="glove")
 
 
-def transition_pairs(annotations: AnnotationSet,
-                     vocab: ActionVocab) -> list[tuple[int, int]]:
-    """(previous, next) action ids of consecutive instances within each
-    video (never across videos), videos in annotation order."""
-    pairs: list[tuple[int, int]] = []
-    for video in annotations.videos():
-        ids = []
-        for inst in video:
-            try:
-                ids.append(vocab.action_id(inst.verb, inst.noun))
-            except KeyError:
-                raise ParseError(
-                    f"unknown action ({inst.verb!r}, {inst.noun!r}) in video "
-                    f"{inst.video_id!r} at t={inst.start_time}"
-                ) from None
-        pairs.extend(zip(ids, ids[1:]))
-    return pairs
-
-
-def temporal_prior_from_pairs(pairs, K: int) -> PriorMatrix:
-    """Row k entry i = #(i -> k) / #(any -> k) over the (previous, next)
-    action-id pairs.
+def build_temporal_prior(pairs, vocab: ActionVocab) -> PriorMatrix:
+    """Row k entry i = #(i -> k) / #(any -> k) over the (n, 2) (previous,
+    next) action-id pairs, such as :func:`parse_annotations` reads.
 
     Row k is the predecessor distribution of action k; actions never seen
     as a successor get a uniform row.
     """
+    K = vocab.K
     ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if ids.size and (ids.min() < 0 or ids.max() >= K):
         raise ValueError(f"transition pair action id outside [0, {K})")
     preceder = np.zeros((K, K))
     np.add.at(preceder, (ids[:, 1], ids[:, 0]), 1.0)
     return _normalize_rows(preceder, K, kind="temporal")
-
-
-def build_temporal_prior(annotations: AnnotationSet, vocab: ActionVocab) -> PriorMatrix:
-    """Predecessor-frequency prior estimated from consecutive annotations."""
-    return temporal_prior_from_pairs(transition_pairs(annotations, vocab),
-                                     vocab.K)
 
 
 def _normalize_rows(weights: np.ndarray, K: int, kind: str) -> PriorMatrix:
@@ -275,7 +251,7 @@ def build_prior(kind: str, vocab: ActionVocab,
     if kind == "glove":
         return build_glove_prior(vocab, embeddings)
     if kind == "temporal":
-        return temporal_prior_from_pairs(pairs, vocab.K)
+        return build_temporal_prior(pairs, vocab)
     return mix_priors([build_glove_prior(vocab, embeddings),
                        build_verb_noun_prior(vocab)], [0.5, 0.5])
 

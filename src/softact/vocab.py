@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, csv_records
 from .jsonconfig import config_from_json
 
 ANNOTATION_HEADER = ("video_id", "start_s", "verb", "noun")
@@ -27,108 +27,60 @@ def normalize_token(token: str) -> str:
     return token.strip().lower()
 
 
-@dataclass(frozen=True)
-class ActionInstance:
-    """One annotated action occurrence in a video."""
+def parse_annotations(text: str, vocab: ActionVocab) -> np.ndarray:
+    """The (n, 2) int64 (previous, next) action ids of annotation CSV text:
+    consecutive rows within each video, never across videos.
 
-    video_id: str
-    start_time: float
-    verb: str
-    noun: str
-
-    def __post_init__(self):
-        if not self.video_id.strip():
-            raise ValueError("video_id must be non-empty")
-        if not self.verb.strip() or not self.noun.strip():
-            raise ValueError("verb and noun must be non-empty")
-        if not 0 <= self.start_time < np.inf:
-            raise ValueError(f"start_time must be finite and >= 0, got "
-                             f"{self.start_time}")
-
-
-@dataclass(frozen=True)
-class AnnotationSet:
-    """Instances grouped by video (first-appearance order) and sorted by
-    start time within each video."""
-
-    instances: tuple[ActionInstance, ...]
-
-    @classmethod
-    def from_instances(cls, instances) -> "AnnotationSet":
-        """Group and sort arbitrary instances into a valid AnnotationSet."""
-        by_video: dict[str, list[ActionInstance]] = {}
-        for inst in instances:
-            by_video.setdefault(inst.video_id, []).append(inst)
-        ordered: list[ActionInstance] = []
-        for video in by_video.values():
-            ordered.extend(sorted(video, key=lambda i: i.start_time))
-        return cls(tuple(ordered))
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        current = None
-        prev_time = 0.0
-        for inst in self.instances:
-            if inst.video_id != current:
-                if inst.video_id in seen:
-                    raise ValueError(f"video {inst.video_id!r} is not contiguous")
-                seen.add(inst.video_id)
-                current = inst.video_id
-            elif inst.start_time < prev_time:
-                raise ValueError(
-                    f"video {inst.video_id!r} instances are not sorted by start_time"
-                )
-            prev_time = inst.start_time
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def videos(self) -> list[list[ActionInstance]]:
-        """Instances split per video, in first-appearance video order."""
-        groups: dict[str, list[ActionInstance]] = {}
-        for inst in self.instances:
-            groups.setdefault(inst.video_id, []).append(inst)
-        return list(groups.values())
-
-
-def parse_annotations(text: str) -> AnnotationSet:
-    """Parse annotation CSV content.
-
-    Expected header: ``video_id,start_s,verb,noun``. Tokens are normalized
-    (lowercased, trimmed). Raises ParseError naming the offending line on
-    malformed rows, and on an empty body.
+    Expected header: ``video_id,start_s,verb,noun``. Each row's action is
+    looked up in ``vocab`` (tokens normalized) as it is read. Videos come
+    in order of first appearance, each sorted stably by start time; with
+    no pairs the shape is (0, 2). A malformed row (not 4 columns, an empty
+    video id or token, a start time that is not finite and >= 0, an
+    unknown action), a CSV error and a body without rows are each a
+    ParseError naming the line.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: missing header") from None
+    records = csv_records(text)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise ParseError("line 1: missing header")
     if tuple(h.strip() for h in header) != ANNOTATION_HEADER:
         raise ParseError(
             f"line 1: expected header {','.join(ANNOTATION_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    instances = []
-    for lineno, row in enumerate(reader, start=2):
+    first_seen: dict[str, int] = {}
+    videos, starts, actions = [], [], []
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != 4:
             raise ParseError(f"line {lineno}: expected 4 columns, got {len(row)}")
-        video_id, start_s, verb, noun = row
+        video_id, start_s, verb, noun = (field.strip() for field in row)
         try:
             start = float(start_s)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric start_s {start_s!r}") from None
+        if not (video_id and verb and noun):
+            raise ParseError(f"line {lineno}: video_id, verb and noun must be "
+                             f"non-empty")
+        if not 0 <= start < np.inf:
+            raise ParseError(f"line {lineno}: start_time must be finite and "
+                             f">= 0, got {start}")
         try:
-            instances.append(
-                ActionInstance(video_id.strip(), start, normalize_token(verb),
-                               normalize_token(noun))
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    if not instances:
+            actions.append(vocab.action_id(verb, noun))
+        except KeyError:
+            raise ParseError(
+                f"line {lineno}: unknown action ({normalize_token(verb)!r}, "
+                f"{normalize_token(noun)!r}) in video {video_id!r}"
+            ) from None
+        videos.append(first_seen.setdefault(video_id, len(first_seen)))
+        starts.append(start)
+    if not actions:
         raise ParseError("no annotation rows (header only)")
-    return AnnotationSet.from_instances(instances)
+    order = np.lexsort((starts, videos))
+    ids = np.array(actions, dtype=np.int64)[order]
+    same = np.diff(np.array(videos)[order]) == 0
+    return np.stack([ids[:-1][same], ids[1:][same]], axis=1)
 
 
 def format_annotations(walks: np.ndarray, vocab: ActionVocab) -> str:

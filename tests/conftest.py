@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from softact import (ActionInstance, ActionVocab, AnnotationSet,
-                     ExperimentConfig, GrammarConfig, ProtocolConfig,
-                     generate_dataset)
+from softact import (ActionVocab, ExperimentConfig, GrammarConfig,
+                     ProtocolConfig, generate_dataset, parse_annotations)
 
 
 @pytest.fixture
@@ -26,15 +25,17 @@ def ab_vocab() -> ActionVocab:
                        actions=((0, 0), (1, 1)))
 
 
-def make_annotations(vocab: ActionVocab, videos: list[list[int]]) -> AnnotationSet:
-    """Annotation set from per-video action-id sequences."""
-    instances = []
+def make_annotations(vocab: ActionVocab,
+                     videos: list[list[int]]) -> np.ndarray:
+    """The (previous, next) pairs of per-video action-id sequences, written
+    as annotation CSV text (video v is ``vid<v>``, step t at t seconds)
+    and read back by parse_annotations."""
+    lines = ["video_id,start_s,verb,noun"]
     for vid, ids in enumerate(videos):
         for t, k in enumerate(ids):
             v, n = vocab.actions[k]
-            instances.append(ActionInstance(f"vid{vid}", float(t),
-                                            vocab.verbs[v], vocab.nouns[n]))
-    return AnnotationSet(tuple(instances))
+            lines.append(f"vid{vid},{t},{vocab.verbs[v]},{vocab.nouns[n]}")
+    return parse_annotations("\n".join(lines) + "\n", vocab)
 
 
 def random_vocab(rng: np.random.Generator) -> ActionVocab:

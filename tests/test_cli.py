@@ -150,7 +150,10 @@ def test_build_prior_annotation_errors_name_the_file(tmp_path, ab_vocab,
                           (header + "vid0,0,va\n",
                            "line 2: expected 4 columns"),
                           (header + "vid0,0,jump,rope\n",
-                           "unknown action ('jump', 'rope')"),
+                           "line 2: unknown action ('jump', 'rope')"),
+                          # csv.reader's field limit (131072 characters)
+                          (header + "vid0,0,va," + "n" * 200_000 + "\n",
+                           "line 2: field larger than field limit"),
                           # NaN used to parse and leave its video's order
                           # arbitrary; inf, and so 1e400, parsed too
                           *((header + f"vid0,0,va,na\nvid0,{start},vb,nb\n",
@@ -983,6 +986,15 @@ def test_report_missing_runs(tmp_path, capsys):
     bad.write_text("method\nfoo\n")
     assert main(["report", "--runs", str(bad)]) == 2
     assert "no metric columns" in capsys.readouterr().err
+    # csv.reader's field limit (131072 characters); the error names the
+    # file and the line
+    bad.write_text("method,action_top5@1,action_top5@1_std\n"
+                   + "x" * 200_000 + ",50.0,1.0\n")
+    assert main(["report", "--runs", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: field larger than field "
+                          f"limit")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("metric", ["nope", "action_precision"])

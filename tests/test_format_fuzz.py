@@ -2,9 +2,11 @@
 text file), never another exception, and never allocate what a header
 claims before checking it against the data.
 
-Truncations and byte flips of small valid files, plus random JSON values
-in the checkpoint's config blob, in a dataset bundle's JSON files (the
-manifest's protocol too) and in an experiment config file.
+Truncations and byte flips of small valid files, random JSON values in
+the checkpoint's config blob, in a dataset bundle's JSON files (the
+manifest's protocol too) and in an experiment config file, and character
+edits of the text files: an annotation CSV, an embedding file and a prior
+CSV.
 Hypothesis runs derandomized and without an example database, so every
 run tries the same inputs.
 """
@@ -17,12 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softact import (ExperimentConfig, FeatureSet, FormatError,
+from softact import (ActionVocab, ExperimentConfig, FeatureSet, FormatError,
                      GrammarConfig, ModelConfig, ParseError, ProtocolConfig,
+                     build_verb_noun_prior, format_annotations,
                      generate_dataset, init_params, load_checkpoint,
-                     load_dataset, load_experiment_config, read_features,
+                     load_dataset, load_embeddings, load_experiment_config,
+                     load_prior, parse_annotations, read_features,
                      save_checkpoint, save_dataset, save_experiment_config,
-                     write_features)
+                     save_prior, write_features)
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -77,6 +81,13 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8)
+# Each edit replaces up to 3 characters at a position with up to 3 others,
+# mostly of CSV and number syntax.
+edits = st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 3),
+              st.text(st.sampled_from(list(',\n\r" .-+0123456789eEinfa\t\x00'))
+                      | st.characters(), max_size=3)),
+    min_size=1, max_size=4)
 edge_values = st.sampled_from([float("inf"), float("nan"), 1e300, -1, 0,
                                2 ** 64, "16", True, None]) | st.floats()
 
@@ -111,6 +122,13 @@ def test_flipped_checkpoint_bytes_raise_only_format_error(checkpoint_bytes,
     flips = [(p % (12 + blob_len) if i == 0 else p, v)
              for i, (p, v) in enumerate(flips)]
     _read(load_checkpoint, _flip(checkpoint_bytes, flips), work)
+
+
+def _edit(text: str, edits) -> str:
+    for position, cut, insert in edits:
+        i = position % (len(text) + 1)
+        text = text[:i] + insert + text[i + cut:]
+    return text
 
 
 def _with_config(checkpoint_bytes: bytes, edit) -> bytes:
@@ -224,6 +242,56 @@ def test_random_experiment_config_raises_only_format_error(work, key, value):
         load_experiment_config(path)
     except (FormatError, ParseError):
         pass
+
+
+VOCAB = ActionVocab(verbs=("cut", "wash"), nouns=("onion", "carrot"),
+                    actions=((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+@FUZZ
+@given(edits=edits)
+def test_edited_annotations_raise_only_parse_error(edits):
+    text = _edit(format_annotations(np.array([[0, 3, 1, 1], [2, 0, 3, 2]]),
+                                    VOCAB), edits)
+    try:
+        pairs = parse_annotations(text, VOCAB)
+    except ParseError:
+        return
+    assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+    assert pairs.size == 0 or (pairs.min() >= 0 and pairs.max() < VOCAB.K)
+
+
+@FUZZ
+@given(edits=edits)
+def test_edited_embeddings_raise_only_parse_or_format_error(work, edits):
+    path = work / "embeddings.txt"
+    path.write_text(_edit("cut 1 0.5\nwash -0.25 1e-3\n\nonion 0 2\n", edits),
+                    encoding="utf-8")
+    try:
+        table = load_embeddings(path)
+    except (ParseError, FormatError):
+        return
+    assert all(v.shape == (table.dimension,) for v in table.vectors.values())
+
+
+@pytest.fixture(scope="module")
+def prior_text(work) -> str:
+    save_prior(build_verb_noun_prior(VOCAB), work / "prior.csv")
+    return (work / "prior.csv").read_text()
+
+
+@FUZZ
+@given(edits=edits)
+def test_edited_prior_csv_raises_only_parse_or_format_error(work, prior_text,
+                                                           edits):
+    # the sidecar stays beside the edited CSV
+    path = work / "prior.csv"
+    path.write_text(_edit(prior_text, edits), encoding="utf-8")
+    try:
+        prior = load_prior(path)
+    except (ParseError, FormatError):
+        return
+    assert prior.rows.shape == (prior.K, prior.K)
 
 
 def test_feature_header_sizes_are_checked_before_allocating(tmp_path):

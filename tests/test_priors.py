@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softact import (ActionInstance, ActionVocab, AnnotationSet,
-                     EmbeddingTable, ParseError, PriorMatrix,
+from softact import (ActionVocab, EmbeddingTable, ParseError, PriorMatrix,
                      build_glove_prior, build_prior, build_temporal_prior,
                      build_uniform_prior, build_verb_noun_prior,
-                     load_embeddings, load_prior, mix_priors, save_prior,
-                     temporal_prior_from_pairs, transition_pairs)
+                     load_embeddings, load_prior, mix_priors,
+                     parse_annotations, save_prior)
 from softact.priors import (KINDS, ROW_SUM_TOL, _embed_token,
                             action_embedding_matrix)
 
@@ -205,56 +204,54 @@ def test_glove_prior_scale_invariance(toy_vocab):
 
 def test_temporal_prior_alternating(ab_vocab):
     # one video A,B,A,B: A's only predecessor is B and vice versa
-    annotations = make_annotations(ab_vocab, [[0, 1, 0, 1]])
-    p = build_temporal_prior(annotations, ab_vocab)
+    pairs = make_annotations(ab_vocab, [[0, 1, 0, 1]])
+    p = build_temporal_prior(pairs, ab_vocab)
     assert p.kind == "temporal"
     np.testing.assert_array_equal(p.rows, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_temporal_prior_no_transitions_uniform(ab_vocab):
     # single-action videos contribute no pairs -> every row uniform
-    annotations = make_annotations(ab_vocab, [[0], [1]])
-    p = build_temporal_prior(annotations, ab_vocab)
+    pairs = make_annotations(ab_vocab, [[0], [1]])
+    p = build_temporal_prior(pairs, ab_vocab)
     np.testing.assert_array_equal(p.rows, np.full((2, 2), 0.5))
 
 
 def test_temporal_prior_ignores_video_boundaries(ab_vocab):
     # videos [A,B] and [B,A]: the B->B pair across the boundary must not
     # count, so B's predecessor row stays exactly [1, 0]
-    annotations = make_annotations(ab_vocab, [[0, 1], [1, 0]])
-    pairs = transition_pairs(annotations, ab_vocab)
-    assert pairs == [(0, 1), (1, 0)]
-    p = temporal_prior_from_pairs(pairs, ab_vocab.K)
+    pairs = make_annotations(ab_vocab, [[0, 1], [1, 0]])
+    assert pairs.tolist() == [[0, 1], [1, 0]]
+    p = build_temporal_prior(pairs, ab_vocab)
     np.testing.assert_array_equal(p.rows, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_temporal_prior_never_successor_uniform():
     vocab = ActionVocab(("va", "vb", "vc"), ("na", "nb", "nc"),
                         ((0, 0), (1, 1), (2, 2)))
-    annotations = make_annotations(vocab, [[2, 0, 1, 0]])  # C,A,B,A
-    p = build_temporal_prior(annotations, vocab)
+    pairs = make_annotations(vocab, [[2, 0, 1, 0]])  # C,A,B,A
+    p = build_temporal_prior(pairs, vocab)
     np.testing.assert_array_equal(p.rows[2], np.full(3, 1 / 3))  # C: no preds
     np.testing.assert_array_equal(p.rows[0], [0.0, 0.5, 0.5])
     np.testing.assert_array_equal(p.rows[1], [1.0, 0.0, 0.0])
 
 
 def test_count_transitions_unknown_action(ab_vocab):
-    annotations = AnnotationSet((
-        ActionInstance("vid0", 0.0, "va", "na"),
-        ActionInstance("vid0", 1.0, "jump", "rope"),
-    ))
-    with pytest.raises(ValueError, match="jump.*'vid0' at t=1.0"):
-        transition_pairs(annotations, ab_vocab)
-    with pytest.raises(ValueError, match="jump"):
-        build_temporal_prior(annotations, ab_vocab)
+    # the reader looks each row up as it reads it, so the error names the
+    # row's line
+    text = "video_id,start_s,verb,noun\nvid0,0,va,na\nvid0,1,jump,rope\n"
+    with pytest.raises(ParseError, match="^line 3: unknown action "
+                                         r"\('jump', 'rope'\) in video 'vid0'"):
+        parse_annotations(text, ab_vocab)
 
 
-def test_temporal_prior_from_pairs_rejects_out_of_range_ids():
+def test_temporal_prior_from_pairs_rejects_out_of_range_ids(ab_vocab):
     for bad in ([(0, 2)], [(-1, 0)]):
         with pytest.raises(ValueError, match="outside"):
-            temporal_prior_from_pairs(bad, 2)
-    np.testing.assert_array_equal(temporal_prior_from_pairs([], 2).rows,
-                                  np.full((2, 2), 0.5))
+            build_temporal_prior(bad, ab_vocab)
+    for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+        np.testing.assert_array_equal(
+            build_temporal_prior(empty, ab_vocab).rows, np.full((2, 2), 0.5))
 
 
 def test_temporal_prior_matches_count_columns():
@@ -264,11 +261,12 @@ def test_temporal_prior_matches_count_columns():
         vocab = random_vocab(rng)
         videos = [rng.integers(0, vocab.K, size=rng.integers(1, 8)).tolist()
                   for _ in range(rng.integers(1, 5))]
-        annotations = make_annotations(vocab, videos)
+        pairs = make_annotations(vocab, videos)
+        assert len(pairs) == sum(len(ids) - 1 for ids in videos)
         counts = np.zeros((vocab.K, vocab.K))
-        for prev, nxt in transition_pairs(annotations, vocab):
+        for prev, nxt in pairs:
             counts[prev, nxt] += 1
-        p = build_temporal_prior(annotations, vocab)
+        p = build_temporal_prior(pairs, vocab)
         for k in range(vocab.K):
             col = counts[:, k].astype(np.float64)
             want = col / col.sum() if col.sum() > 0 else np.full(vocab.K,
@@ -324,7 +322,7 @@ def test_build_prior_dispatches_every_kind(toy_vocab, embed):
         "uniform": build_uniform_prior(4),
         "verb_noun": build_verb_noun_prior(toy_vocab),
         "glove": build_glove_prior(toy_vocab, table),
-        "temporal": temporal_prior_from_pairs(pairs, 4),
+        "temporal": build_temporal_prior(np.array(pairs), toy_vocab),
         "glove+verb_noun": mix_priors([build_glove_prior(toy_vocab, table),
                                        build_verb_noun_prior(toy_vocab)],
                                       [0.5, 0.5]),
@@ -386,13 +384,15 @@ def test_save_prior_bytes_match_per_entry_formatting(tmp_path, toy_vocab):
     distinct[1:, 20:] = 0.0
     distinct[1:, :20] = 1 / 20
     assert np.unique(distinct[0]).size == 40
+    k300 = ActionVocab(tuple(f"v{i}" for i in range(15)),
+                       tuple(f"n{i}" for i in range(20)),
+                       tuple((v, n) for v in range(15) for n in range(20)))
     for prior in (PriorMatrix(dense / dense.sum(axis=1, keepdims=True)),
                   build_verb_noun_prior(toy_vocab),
                   build_verb_noun_prior(random_vocab(rng)),
                   PriorMatrix(edge),
                   PriorMatrix(zeros),
-                  temporal_prior_from_pairs(rng.integers(0, 300, (900, 2)),
-                                            300),
+                  build_temporal_prior(rng.integers(0, 300, (900, 2)), k300),
                   _repetitive_mix(rng),
                   PriorMatrix(distinct)):
         path = tmp_path / "prior.csv"
@@ -515,12 +515,12 @@ def test_all_builders_row_stochastic():
         table = EmbeddingTable(4, {w: rng.normal(size=4) for w in words})
         videos = [rng.integers(0, vocab.K, size=rng.integers(1, 10)).tolist()
                   for _ in range(rng.integers(1, 4))]
-        annotations = make_annotations(vocab, videos)
+        pairs = make_annotations(vocab, videos)
         priors = [
             build_uniform_prior(vocab.K),
             build_verb_noun_prior(vocab),
             build_glove_prior(vocab, table),
-            build_temporal_prior(annotations, vocab),
+            build_temporal_prior(pairs, vocab),
         ]
         priors.append(mix_priors(priors[1:3], [1.0, 1.0]))
         for p in priors:

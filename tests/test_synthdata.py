@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import struct
@@ -11,8 +13,7 @@ from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
                      build_glove_prior, format_annotations,
                      gen_annotation_sequences, gen_features, gen_grammar,
                      gen_synthetic_embeddings, generate_dataset,
-                     parse_annotations, read_features, transition_pairs,
-                     write_features)
+                     parse_annotations, read_features, write_features)
 from softact.cli import main
 from softact.jsonconfig import config_to_json
 from softact.synthdata import _check_grammar
@@ -147,12 +148,12 @@ def test_gen_annotation_sequences_layout():
     walks = gen_annotation_sequences(grammar, num_videos=4, length=6, seed=1)
     assert walks.shape == (4, 6) and walks.dtype == np.int64
     assert walks.min() >= 0 and walks.max() < grammar.K
-    videos = parse_annotations(format_annotations(walks, grammar.vocab)).videos()
-    assert [v[0].video_id for v in videos] == [f"synth{i:04d}" for i in range(4)]
-    for walk, video in zip(walks, videos):
-        assert [inst.start_time for inst in video] == [float(t) for t in range(6)]
-        assert [grammar.vocab.action_id(inst.verb, inst.noun)
-                for inst in video] == walk.tolist()
+    text = format_annotations(walks, grammar.vocab)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [(video, float(start)) for video, start, _, _ in rows] == [
+        (f"synth{v:04d}", float(t)) for v in range(4) for t in range(6)]
+    assert [grammar.vocab.action_id(verb, noun)
+            for _, _, verb, noun in rows] == walks.ravel().tolist()
 
 
 def test_gen_annotation_sequences_deterministic_and_empty():
@@ -193,9 +194,8 @@ def test_transition_frequencies_match_chain():
 
 
 def test_sample_transition_pairs(ab_vocab):
-    annotations = make_annotations(ab_vocab, [[0, 1, 0], [1, 1]])
-    assert transition_pairs(annotations, ab_vocab) == [
-        (0, 1), (1, 0), (1, 1)]
+    pairs = make_annotations(ab_vocab, [[0, 1, 0], [1, 1]])
+    assert pairs.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_gen_features_counts_and_targets():
@@ -207,10 +207,9 @@ def test_gen_features_counts_and_targets():
     assert fs.timesteps == SMALL_PROTOCOL.total_steps
     assert fs.dims == (6, 5)
     # the targets are the later actions of the pairs the annotations give
-    pairs = transition_pairs(
-        parse_annotations(format_annotations(walks, grammar.vocab)),
-        grammar.vocab)
-    np.testing.assert_array_equal(fs.targets, [tgt for _, tgt in pairs])
+    pairs = parse_annotations(format_annotations(walks, grammar.vocab),
+                              grammar.vocab)
+    np.testing.assert_array_equal(fs.targets, pairs[:, 1])
 
 
 def test_gen_features_noiseless_reaches_target_mean():

@@ -6,9 +6,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from softact import (ActionInstance, ActionVocab, AnnotationSet, FormatError,
-                     ParseError, format_annotations, parse_annotations,
-                     transition_pairs)
+from softact import (ActionVocab, FormatError, ParseError,
+                     build_temporal_prior, format_annotations,
+                     parse_annotations)
 
 from conftest import random_vocab
 
@@ -21,88 +21,117 @@ v2,1.5,cut,onion
 """
 
 
-def test_parse_annotations_basic():
-    ann = parse_annotations(CSV)
-    assert len(ann) == 5
-    first = ann.instances[0]
-    assert first == ActionInstance("v1", 0.0, "cut", "onion")
-    # tokens are normalized to lowercase
-    assert ann.instances[1].verb == "cut"
-    videos = ann.videos()
-    assert [len(v) for v in videos] == [3, 2]
-    assert videos[1][1].start_time == 1.5
+HEADER = "video_id,start_s,verb,noun\n"
 
 
-def test_parse_annotations_errors():
+def test_parse_annotations_basic(toy_vocab):
+    # tokens are normalized (Cut, padding) before the lookup; pairs never
+    # cross from v1 into v2
+    pairs = parse_annotations(CSV, toy_vocab)
+    assert pairs.dtype == np.int64 and pairs.shape == (3, 2)
+    assert pairs.tolist() == [[0, 1], [1, 2], [3, 0]]
+    padded = HEADER + "v1 , 0 , cut , onion\nv1,1, WASH ,Carrot\n"
+    assert parse_annotations(padded, toy_vocab).tolist() == [[0, 3]]
+    # one row per video gives no pairs, in the same (0, 2) layout
+    lone = parse_annotations(HEADER + "a,0,cut,onion\nb,0,wash,onion\n",
+                             toy_vocab)
+    assert lone.dtype == np.int64 and lone.shape == (0, 2)
+
+
+def test_parse_annotations_errors(toy_vocab):
     with pytest.raises(ParseError, match="line 1"):
-        parse_annotations("")
+        parse_annotations("", toy_vocab)
     with pytest.raises(ParseError, match="header"):
-        parse_annotations("a,b,c,d\nv,0,cut,onion\n")
+        parse_annotations("a,b,c,d\nv,0,cut,onion\n", toy_vocab)
     with pytest.raises(ParseError, match="line 3"):
-        parse_annotations("video_id,start_s,verb,noun\nv,0,cut,onion\nv,x,a,b\n")
+        parse_annotations(HEADER + "v,0,cut,onion\nv,x,a,b\n", toy_vocab)
     with pytest.raises(ParseError, match="line 2"):
-        parse_annotations("video_id,start_s,verb,noun\nv,0,cut\n")
+        parse_annotations(HEADER + "v,0,cut\n", toy_vocab)
     with pytest.raises(ParseError, match="no annotation rows"):
-        parse_annotations("video_id,start_s,verb,noun\n")
+        parse_annotations(HEADER, toy_vocab)
     # empty token
     with pytest.raises(ParseError, match="line 2"):
-        parse_annotations("video_id,start_s,verb,noun\nv,0,,onion\n")
+        parse_annotations(HEADER + "v,0,,onion\n", toy_vocab)
+    # an unknown action names its line, as the other row errors do
+    with pytest.raises(ParseError, match=r"^line 3: unknown action \('jump', "
+                                         r"'rope'\) in video 'v'$"):
+        parse_annotations(HEADER + "v,0,cut,onion\nv,1,Jump,rope\n",
+                          toy_vocab)
+    # a field over the csv module's limit is a csv.Error inside the reader
+    with pytest.raises(ParseError, match="^line 3: field larger than field "
+                                         "limit"):
+        parse_annotations(HEADER + "v,0,cut,onion\nv,1,cut,"
+                          + "o" * 200_000 + "\n", toy_vocab)
     # a NaN start time used to parse, and then sort its video arbitrarily
     for start in ("nan", "NaN", "inf", "-inf", "1e400"):
         with pytest.raises(ParseError, match="^line 3: start_time must be "
                                              "finite and >= 0, got "):
-            parse_annotations(f"video_id,start_s,verb,noun\nv,0,cut,onion\n"
-                              f"v,{start},cut,onion\n")
+            parse_annotations(f"{HEADER}v,0,cut,onion\nv,{start},cut,onion\n",
+                              toy_vocab)
 
 
 def test_format_annotations_round_trip(toy_vocab):
-    # walks of action ids come back from the CSV as the same consecutive
-    # pairs, video by video
+    # walks of action ids come back from the CSV as the walks' consecutive
+    # columns, video by video
     walks = np.array([[0, 3, 1, 1], [2, 0, 3, 2]])
     text = format_annotations(walks, toy_vocab)
     assert text.splitlines()[:3] == ["video_id,start_s,verb,noun",
                                      "synth0000,0,cut,onion",
                                      "synth0000,1,wash,carrot"]
-    pairs = transition_pairs(parse_annotations(text), toy_vocab)
-    assert pairs == [(0, 3), (3, 1), (1, 1), (2, 0), (0, 3), (3, 2)]
+    pairs = parse_annotations(text, toy_vocab)
+    want = np.stack([walks[:, :-1].ravel(), walks[:, 1:].ravel()], axis=1)
+    np.testing.assert_array_equal(pairs, want)
+    assert pairs.tolist() == [[0, 3], [3, 1], [1, 1], [2, 0], [0, 3], [3, 2]]
 
 
-def test_action_instance_validation():
-    with pytest.raises(ValueError):
-        ActionInstance("v", -1.0, "cut", "onion")
-    for start in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"start_time must be finite "
-                                             f"and >= 0, got {start}"):
-            ActionInstance("v", start, "cut", "onion")
-    with pytest.raises(ValueError):
-        ActionInstance("v", 0.0, "", "onion")
-    with pytest.raises(ValueError):
-        ActionInstance("", 0.0, "cut", "onion")
+def test_parse_annotations_checks_every_row(toy_vocab):
+    for row, message in (
+            ("v,-1,cut,onion", "start_time must be finite and >= 0, got -1.0"),
+            *((f"v,{start},cut,onion",
+               f"start_time must be finite and >= 0, got {start}")
+              for start in (math.nan, math.inf, -math.inf)),
+            ("v,0,,onion", "video_id, verb and noun must be non-empty"),
+            ("v,0,cut, ", "video_id, verb and noun must be non-empty"),
+            (" ,0,cut,onion", "video_id, verb and noun must be non-empty")):
+        with pytest.raises(ParseError) as info:
+            parse_annotations(f"{HEADER}v,0,cut,onion\n{row}\n", toy_vocab)
+        assert str(info.value) == f"line 3: {message}"
 
 
-def test_from_instances_sorts_and_groups():
+def test_parse_annotations_sorts_and_groups(toy_vocab):
     # interleaved videos arrive out of order; grouping is by first
-    # appearance, within-video order is by start time (stable)
-    raw = [
-        ActionInstance("b", 1.0, "cut", "onion"),
-        ActionInstance("a", 5.0, "wash", "onion"),
-        ActionInstance("b", 0.0, "cut", "carrot"),
-        ActionInstance("a", 2.0, "cut", "onion"),
-    ]
-    ann = AnnotationSet.from_instances(raw)
-    videos = ann.videos()
-    assert [v[0].video_id for v in videos] == ["b", "a"]
-    assert [i.start_time for i in videos[0]] == [0.0, 1.0]
-    assert [i.start_time for i in videos[1]] == [2.0, 5.0]
+    # appearance, within-video order is by start time, and rows with
+    # equal times keep their file order (a stable sort)
+    text = HEADER + ("b,1,cut,onion\n"
+                     "a,5,wash,onion\n"
+                     "b,0,cut,carrot\n"
+                     "a,2,cut,onion\n"
+                     "b,1,wash,carrot\n"
+                     "a,2,wash,carrot\n")
+    # b: carrot@0, onion@1, wash-carrot@1; a: onion@2, wash-carrot@2,
+    # wash-onion@5
+    assert parse_annotations(text, toy_vocab).tolist() == [
+        [1, 0], [0, 3], [0, 3], [3, 2]]
 
 
-def test_annotation_set_rejects_disorder():
-    ok = ActionInstance("a", 0.0, "cut", "onion")
-    with pytest.raises(ValueError):
-        AnnotationSet((ok, ActionInstance("b", 0.0, "cut", "onion"),
-                       ActionInstance("a", 1.0, "cut", "onion")))
-    with pytest.raises(ValueError):
-        AnnotationSet((ActionInstance("a", 2.0, "cut", "onion"), ok))
+def test_parse_annotations_ignores_row_order():
+    # rows shuffled at random give the same pairs (only the video order
+    # moves) and so a prior with the same bits
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        vocab = random_vocab(rng)
+        walks = rng.integers(0, vocab.K, size=(int(rng.integers(1, 6)),
+                                               int(rng.integers(1, 9))))
+        lines = format_annotations(walks, vocab).splitlines(keepends=True)
+        pairs = parse_annotations("".join(lines), vocab)
+        body = lines[1:]
+        rng.shuffle(body)
+        shuffled = parse_annotations(lines[0] + "".join(body), vocab)
+        assert sorted(map(tuple, shuffled.tolist())) == sorted(
+            map(tuple, pairs.tolist()))
+        np.testing.assert_array_equal(
+            build_temporal_prior(shuffled, vocab).rows.view(np.uint64),
+            build_temporal_prior(pairs, vocab).rows.view(np.uint64))
 
 
 def test_cohorts(toy_vocab):
