@@ -34,11 +34,14 @@ def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     descending-probability order with ties to the lower id; the label is
     a top-k hit when its rank is below k."""
     label_p = probs[np.arange(probs.shape[0]), labels][:, None]
-    higher = (probs > label_p).sum(axis=1)
-    ids = np.arange(probs.shape[1])
-    equal_lower = ((probs == label_p) & (ids[None, :] < labels[:, None])) \
-        .sum(axis=1)
-    return higher + equal_lower
+    ranks = np.count_nonzero(probs > label_p, axis=1)
+    # the tie-break runs only on rows where another class equals the label
+    tied = np.flatnonzero(np.count_nonzero(probs == label_p, axis=1) > 1)
+    if tied.size:
+        lower = np.arange(probs.shape[1]) < labels[tied, None]
+        ranks[tied] += np.count_nonzero(
+            (probs[tied] == label_p[tied]) & lower, axis=1)
+    return ranks
 
 
 def _class_counts(preds: np.ndarray, labels: np.ndarray,

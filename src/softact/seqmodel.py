@@ -121,7 +121,8 @@ class ModelParams:
     adam_v: list[np.ndarray] = field(default_factory=list)
     adam_step: int = 0
     # Scratch, never saved or copied: the training forward's backward-cache
-    # arrays per modality, reused from batch to batch (see _cache_arrays).
+    # and BPTT arrays per modality, reused from batch to batch (see
+    # _cache_arrays).
     _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -225,10 +226,13 @@ def _check_features(params: ModelParams, features) -> int:
 
 
 def _cache_arrays(params: ModelParams, m: int, B: int, T: int):
-    """Modality m's backward-cache arrays for a (B, T) batch:
-    ``(xh, gates, cs, tanh_cs)`` as :func:`_run_lstm` fills them.
+    """Modality m's step arrays for a (B, T) batch: the backward cache
+    ``(xh, gates, cs, tanh_cs)`` as :func:`_run_lstm` fills them, then the
+    BPTT scratch that :func:`loss_and_gradients_batch` overwrites, ``dz``
+    (B, 4H), ``dxh`` (B, D+H), ``dW_t`` (D+H, 4H) and a (5, B, H) block
+    for ``dh_sum``, ``dc``, ``tmp``, ``dh_next`` and ``dc_next``.
 
-    At B=256, H=64 they take about 13 MB per modality. Arrays that size
+    At B=256, H=64 they take about 15 MB per modality. Arrays that size
     come back from the allocator as fresh pages on every call, because it
     hands freed memory of that size back to the system, and faulting them
     in again cost about 15 ms of a 100 ms training batch. So ``params``
@@ -240,9 +244,13 @@ def _cache_arrays(params: ModelParams, m: int, B: int, T: int):
     held = params._step_arrays.get(m)
     if held is None or held[0].shape[1] < B or held[1].shape[0] != T:
         held = tuple(np.empty((n, B, w)) for n, w in
-                     ((T + 1, D + H), (T, 4 * H), (T + 1, H), (T, H)))
+                     ((T + 1, D + H), (T, 4 * H), (T + 1, H), (T, H), (5, H)))
+        held += (np.empty((B, 4 * H)), np.empty((B, D + H)),
+                 np.empty((D + H, 4 * H)))
         params._step_arrays[m] = held
-    return tuple(a[:, :B] for a in held)
+    xh, gates, cs, tanh_cs, bptt, dz, dxh, dW_t = held
+    return (*(a[:, :B] for a in (xh, gates, cs, tanh_cs)), dz[:B], dxh[:B],
+            dW_t, bptt[:, :B])
 
 
 def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -250,7 +258,8 @@ def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
     """Run one LSTM over (B, T, D) input from zero state and write the
     hidden states of the last S steps into ``h_out``, (B, S, H).
 
-    ``cache`` (from :func:`_cache_arrays`) is filled for the backward pass:
+    ``cache`` (from :func:`_cache_arrays`) is filled for the backward pass,
+    in its first four arrays:
     ``xh`` (T+1, B, D+H) with ``[x_t | h_{t-1}]`` in row t, the (T, B, 4H)
     gate activations packed [i | f | g | o], the (T+1, B, H) cell states
     from the zero start and the (T, B, H) ``tanh(c_t)``. Without it the
@@ -263,7 +272,7 @@ def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
     if cache is None:
         cache = (np.empty((2, B, D + H)), np.empty((1, B, 4 * H)),
                  np.empty((2, B, H)), np.empty((1, B, H)))
-    xh, gates, cs, tanh_cs = cache
+    xh, gates, cs, tanh_cs = cache[:4]
     n_rows, n_steps = xh.shape[0], gates.shape[0]
     xh[0, :, D:] = 0.0
     cs[0] = 0.0
@@ -371,23 +380,18 @@ def loss_and_gradients_batch(params: ModelParams, features,
     grads.append(dlogits.sum(axis=(0, 1)))
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
-    dz = np.empty((B, 4 * H))
-    dz_i, dz_f = dz[:, :H], dz[:, H:2 * H]
-    dz_g, dz_o = dz[:, 2 * H:3 * H], dz[:, 3 * H:]
-    dh_sum = np.empty((B, H))
-    dc = np.empty((B, H))
-    tmp = np.empty((B, H))
     for m in range(M):
         dim = cfg.modalities[m][1]
         W = params.lstm_weight(m)
         dW = grads[2 * m]
         db = grads[2 * m + 1]
-        dW_t = np.empty_like(W)
-        dxh = np.empty((B, dim + H))
         dh_out = dhcat[:, :, m * H:(m + 1) * H]
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        xh, gates, cs, tanh_cs = caches[m]
+        xh, gates, cs, tanh_cs, dz, dxh, dW_t, bptt = caches[m]
+        dz_i, dz_f = dz[:, :H], dz[:, H:2 * H]
+        dz_g, dz_o = dz[:, 2 * H:3 * H], dz[:, 3 * H:]
+        dh_sum, dc, tmp, dh_next, dc_next = bptt
+        dh_next[...] = 0.0
+        dc_next[...] = 0.0
         for t in range(T - 1, -1, -1):
             z = gates[t]
             gi, gf = z[:, :H], z[:, H:2 * H]

@@ -167,16 +167,29 @@ def gen_grammar(config: GrammarConfig) -> SyntheticGrammar:
 def gen_annotation_sequences(grammar: SyntheticGrammar, num_videos: int,
                              length: int, seed: int) -> np.ndarray:
     """Markov walks over the grammar's chain: a (num_videos, length) int64
-    array whose row v is video v's action ids, one per second."""
+    array whose row v is video v's action ids, one per second.
+
+    The walks are bit-identical by contract to the plain per-step sampler
+    (video by video, ``rng.integers(K)`` for the first action, then
+    ``rng.choice(K, p=transition[state])`` per step): ``Generator.choice``
+    draws one ``random()`` per call and searches it, side right, in the
+    row's cumulative sum divided by its last entry. Here those CDF rows are
+    built once, and each video's uniforms come in one ``rng.random`` call,
+    which yields the same stream. Bundles and the recorded test bytes
+    depend on these ids; ``tests/test_synthdata.py`` keeps the plain
+    sampler to check them.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
     K = grammar.K
+    cdf = np.cumsum(grammar.transition, axis=1)
+    cdf /= cdf[:, -1:]
     walks = np.empty((num_videos, length), dtype=np.int64)
     for walk in walks:
-        walk[0] = rng.integers(K)
-        for step in range(1, length):
-            walk[step] = rng.choice(K, p=grammar.transition[walk[step - 1]])
+        state = walk[0] = rng.integers(K)
+        for step, u in enumerate(rng.random(length - 1), start=1):
+            state = walk[step] = cdf[state].searchsorted(u, side="right")
     return walks
 
 

@@ -10,7 +10,7 @@ from softact import (ActionVocab, ManyShotSets, MetricsReport, ParseError,
                      many_shot_from_labels, parse_report_csv, report_to_csv,
                      report_to_plotdata, report_to_table, softmax,
                      topk_accuracy)
-from softact.metrics import cohort_indicator
+from softact.metrics import _label_ranks, cohort_indicator
 
 from conftest import random_vocab
 
@@ -43,6 +43,27 @@ def test_topk_accuracy_matches_topk_ids_on_ties():
         want = np.array([labels[i] in order[i][:k]
                          for i in range(40)]).mean() * 100
         assert topk_accuracy(probs, labels, k) == pytest.approx(want)
+
+
+def test_label_ranks_match_whole_array_tie_break():
+    # the plain formulation: classes above the label plus equal classes of
+    # lower id, counted over every row; NaN entries compare false
+    def plain(probs, labels):
+        label_p = probs[np.arange(probs.shape[0]), labels][:, None]
+        ids = np.arange(probs.shape[1])
+        return (probs > label_p).sum(axis=1) + \
+            ((probs == label_p) & (ids < labels[:, None])).sum(axis=1)
+
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n, k = int(rng.integers(0, 50)), int(rng.integers(1, 40))
+        raw = rng.random((n, k))
+        for probs in (raw, np.round(raw, 1), raw[:, rng.integers(k, size=k)],
+                      np.where(rng.random((n, k)) < 0.1, np.nan, raw)):
+            labels = rng.integers(k, size=n)
+            got = _label_ranks(probs, labels)
+            want = plain(probs, labels)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_topk_accuracy_errors():

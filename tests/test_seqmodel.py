@@ -404,6 +404,26 @@ def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
             assert g.tobytes() == ref.tobytes()
 
 
+def test_gradients_are_fresh_arrays():
+    # the step arrays are reused from batch to batch; the returned
+    # gradients are not, so a caller may hold them across calls
+    cfg = tiny_config()
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    rng = np.random.default_rng(3)
+    targets = rng.random((5, cfg.num_classes))
+    targets /= targets.sum(axis=1, keepdims=True)
+    first = loss_and_gradients_batch(
+        params, random_features(cfg, 5, protocol.total_steps, seed=1),
+        targets, protocol)[1]
+    held = [g.copy() for g in first]
+    loss_and_gradients_batch(
+        params, random_features(cfg, 5, protocol.total_steps, seed=2),
+        targets, protocol)
+    for g, copy in zip(first, held):
+        assert np.array_equal(g, copy)
+
+
 def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
     cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
                       num_classes=1200, hidden_size=64, seed=2)

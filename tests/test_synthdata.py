@@ -141,6 +141,27 @@ def test_grammar_json_roundtrip():
 # ------------------------------------------------------------ annotations
 
 
+def choice_walks(grammar, num_videos, length, seed):
+    # the plain sampler: one rng.choice per step
+    rng = np.random.default_rng(seed)
+    walks = np.empty((num_videos, length), dtype=np.int64)
+    for walk in walks:
+        walk[0] = rng.integers(grammar.K)
+        for step in range(1, length):
+            walk[step] = rng.choice(grammar.K,
+                                    p=grammar.transition[walk[step - 1]])
+    return walks
+
+
+def cycle_grammar():
+    # zero-probability entries give the CDF rows flat steps
+    grammar = gen_grammar(small_grammar())
+    K = grammar.K
+    cycle = np.zeros((K, K))
+    cycle[np.arange(K), (np.arange(K) + 1) % K] = 1.0
+    return dataclasses.replace(grammar, transition=cycle)
+
+
 def test_gen_annotation_sequences_layout():
     # one row of action ids per video; annotations.csv names video v
     # synth%04d and puts step t at t seconds
@@ -168,13 +189,31 @@ def test_gen_annotation_sequences_deterministic_and_empty():
 
 def test_gen_annotation_deterministic_chain_cycles():
     # forcing the transition matrix to a cycle makes walks deterministic
-    grammar = gen_grammar(small_grammar())
-    K = grammar.K
-    cycle = np.zeros((K, K))
-    cycle[np.arange(K), (np.arange(K) + 1) % K] = 1.0
-    rigged = dataclasses.replace(grammar, transition=cycle)
+    rigged = cycle_grammar()
     walks = gen_annotation_sequences(rigged, 2, 7, seed=5)
-    np.testing.assert_array_equal(walks[:, 1:], (walks[:, :-1] + 1) % K)
+    np.testing.assert_array_equal(walks[:, 1:],
+                                  (walks[:, :-1] + 1) % rigged.K)
+
+
+@pytest.mark.parametrize("make_grammar", [
+    lambda: gen_grammar(small_grammar(num_verbs=1, num_nouns=2)),
+    lambda: gen_grammar(small_grammar(seed=3)),
+    lambda: gen_grammar(small_grammar(num_verbs=4, num_nouns=5,
+                                      action_density=0.6,
+                                      markov_concentration=0.05)),
+    cycle_grammar,
+    lambda: gen_grammar(GrammarConfig(40, 60, action_density=0.5, seed=3)),
+], ids=["K2", "K9", "K12-sparse", "cycle", "K1200"])
+def test_walks_match_per_step_choice(make_grammar):
+    # the CDF-row sampler draws the ids of one rng.choice per step
+    grammar = make_grammar()
+    for seed in range(3):
+        for num_videos, length in ((0, 5), (1, 1), (1, 2), (3, 2), (4, 1),
+                                   (30, 23)):
+            want = choice_walks(grammar, num_videos, length, seed)
+            got = gen_annotation_sequences(grammar, num_videos, length, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (seed, num_videos, length)
 
 
 def test_transition_frequencies_match_chain():
