@@ -15,11 +15,12 @@ The LSTM step kernel is bit-identical by contract to the plain per-step
 formulation (concatenate ``[x_t | h]``, one GEMM, a two-branch sigmoid on
 each gate slice, then BPTT with freshly built ``dz``): every floating-point
 operation and GEMM is the same, in the same order, so a seeded run gives
-the same bytes. Only where results are stored changed: one preallocated
-step-input buffer, whole-block gate activations and ``out=`` ufuncs. The
-K-wide output layer keeps the plain order too (logits plus bias, softmax,
-loss terms, ``dlogits``), computed in place: the forward holds one
-(B, S, K) array, and training adds a second for the loss terms.
+the same bytes. Only where results are stored changed: the modalities'
+LSTMs advance in one step loop, with gates, cells and BPTT scratch in
+gate-major (4, M, B, H) blocks, so each element-wise op is one ``out=``
+call and only the GEMMs stay per modality. The K-wide output layer keeps
+the plain order too (logits plus bias, softmax, loss terms, ``dlogits``),
+in place: the forward holds one (B, S, K) array, training one more.
 Training results, checkpoints and the benchmark's recorded reference scores
 depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
 formulation to check them. A faster but different formulation (hoisting
@@ -120,9 +121,9 @@ class ModelParams:
     adam_m: list[np.ndarray] = field(default_factory=list)
     adam_v: list[np.ndarray] = field(default_factory=list)
     adam_step: int = 0
-    # Scratch, never saved or copied: the training forward's backward-cache
-    # and BPTT arrays per modality, reused from batch to batch (see
-    # _cache_arrays).
+    # Scratch, never saved or copied: one flat buffer for the training step
+    # arrays of every modality, and their views per (B, T) batch shape,
+    # reused from batch to batch (see _cache_arrays).
     _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -225,87 +226,91 @@ def _check_features(params: ModelParams, features) -> int:
     return batch
 
 
-def _cache_arrays(params: ModelParams, m: int, B: int, T: int):
-    """Modality m's step arrays for a (B, T) batch: the backward cache
-    ``(xh, gates, cs, tanh_cs)`` as :func:`_run_lstm` fills them, then the
-    BPTT scratch that :func:`loss_and_gradients_batch` overwrites, ``dz``
-    (B, 4H), ``dxh`` (B, D+H), ``dW_t`` (D+H, 4H) and a (5, B, H) block
-    for ``dh_sum``, ``dc``, ``tmp``, ``dh_next`` and ``dc_next``.
+def _cache_arrays(params: ModelParams, B: int, T: int):
+    """The training step arrays of a (B, T) batch: per modality ``xh``
+    (T+1, B, D+H), then the gates (T, 4, M, B, H), cells (T+1, M, B, H)
+    and ``tanh(c)`` (T, M, B, H) of :func:`_run_lstm`, its GEMM block
+    (M, B, 4H), which BPTT reuses for ``dz``, and a (6, M, B, H) BPTT
+    block; then per modality ``dxh`` (B, D+H) and ``dW_t`` (D+H, 4H).
 
-    At B=256, H=64 they take about 15 MB per modality. Arrays that size
-    come back from the allocator as fresh pages on every call, because it
-    hands freed memory of that size back to the system, and faulting them
-    in again cost about 15 ms of a 100 ms training batch. So ``params``
-    keeps the arrays of the largest batch seen, and a smaller batch uses
-    their leading rows (each step's (B, .) block stays C-contiguous).
+    They take about 30 MB at B=256, H=64, and faulting fresh pages of that
+    size in on every batch cost about 15 ms of a 100 ms batch. So
+    ``params`` keeps one flat buffer for the largest batch seen, and each
+    batch shape carves C-contiguous arrays from the front of it.
     """
-    D = params.config.modalities[m][1]
-    H = params.config.hidden_size
-    held = params._step_arrays.get(m)
-    if held is None or held[0].shape[1] < B or held[1].shape[0] != T:
-        held = tuple(np.empty((n, B, w)) for n, w in
-                     ((T + 1, D + H), (T, 4 * H), (T + 1, H), (T, H), (5, H)))
-        held += (np.empty((B, 4 * H)), np.empty((B, D + H)),
-                 np.empty((D + H, 4 * H)))
-        params._step_arrays[m] = held
-    xh, gates, cs, tanh_cs, bptt, dz, dxh, dW_t = held
-    return (*(a[:, :B] for a in (xh, gates, cs, tanh_cs)), dz[:B], dxh[:B],
-            dW_t, bptt[:, :B])
+    held = params._step_arrays
+    if (B, T) not in held:
+        H, M = params.config.hidden_size, len(params.config.modalities)
+        widths = [D + H for D in params.config.feature_dims]
+        shapes = ([(T + 1, B, w) for w in widths]
+                  + [(T, 4, M, B, H), (T + 1, M, B, H), (T, M, B, H),
+                     (M, B, 4 * H), (6, M, B, H)]
+                  + [(B, w) for w in widths] + [(w, 4 * H) for w in widths])
+        sizes = [math.prod(shape) for shape in shapes]
+        if "flat" not in held or held["flat"].size < sum(sizes):
+            held.clear()
+            held["flat"] = np.empty(sum(sizes))
+        arrays = [held["flat"][end - size:end].reshape(shape)
+                  for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
+        held[B, T] = (arrays[:M], *arrays[M:M + 5], arrays[M + 5:2 * M + 5],
+                      arrays[2 * M + 5:])
+    return held[B, T]
 
 
-def _run_lstm(W: np.ndarray, b: np.ndarray, x: np.ndarray,
-              h_out: np.ndarray, cache=None) -> None:
-    """Run one LSTM over (B, T, D) input from zero state and write the
-    hidden states of the last S steps into ``h_out``, (B, S, H).
-
-    ``cache`` (from :func:`_cache_arrays`) is filled for the backward pass,
-    in its first four arrays:
-    ``xh`` (T+1, B, D+H) with ``[x_t | h_{t-1}]`` in row t, the (T, B, 4H)
-    gate activations packed [i | f | g | o], the (T+1, B, H) cell states
-    from the zero start and the (T, B, H) ``tanh(c_t)``. Without it the
-    same arrays have two rows (or one), which every step reuses, so a
-    forward-only pass holds nothing that grows with T.
+def _run_lstm(Ws, bs, xs, h_outs, cache=None) -> None:
+    """Run one LSTM per modality over its (B, T, D) input from zero state,
+    all in one step loop, and write the hidden states of the last S steps
+    into ``h_outs``, (B, S, H) each. The bias add moves each GEMM output,
+    [i | f | g | o], into gate-major gates ordered [i | f | o | g], so one
+    sigmoid call covers three gates. ``cache`` (from :func:`_cache_arrays`)
+    keeps every step's ``[x_t | h_{t-1}]``, gates, cell and ``tanh(c_t)``
+    for the backward pass; without it the arrays have one or two rows, so
+    a forward-only pass holds nothing that grows with T.
     """
-    B, T, D = x.shape
-    H = b.shape[0] // 4
-    S = h_out.shape[1]
+    M, (B, T), H, S = len(Ws), xs[0].shape[:2], bs[0].size // 4, \
+        h_outs[0].shape[1]
     if cache is None:
-        cache = (np.empty((2, B, D + H)), np.empty((1, B, 4 * H)),
-                 np.empty((2, B, H)), np.empty((1, B, H)))
-    xh, gates, cs, tanh_cs = cache[:4]
-    n_rows, n_steps = xh.shape[0], gates.shape[0]
-    xh[0, :, D:] = 0.0
+        cache = ([np.empty((2, B, x.shape[2] + H)) for x in xs],
+                 *map(np.empty, [(1, 4, M, B, H), (2, M, B, H), (1, M, B, H),
+                                 (M, B, 4 * H), (1, M, B, H)]))
+    xhs, gates, cs, tanh_cs, zs, (gi_gg, *_) = cache[:6]
+    n_rows, n_steps = cs.shape[0], gates.shape[0]
+    # the [i | f] and [o | g] gate blocks of the GEMM outputs and biases
+    z4 = zs.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
+    b4 = np.stack(bs).reshape(M, 4, 1, H).transpose(1, 0, 2, 3)
+    dims = [x.shape[2] for x in xs]
+    for xh, D in zip(xhs, dims):
+        xh[0, :, D:] = 0.0
     cs[0] = 0.0
-    gg = np.empty((B, H))
-    gi_gg = np.empty((B, H))
     for t in range(T):
-        row = xh[t % n_rows]
-        row[:, :D] = x[:, t, :]
+        for m in range(M):
+            row = xhs[m][t % n_rows]
+            row[:, :dims[m]] = xs[m][:, t, :]
+            np.matmul(row, Ws[m], out=zs[m])
         z = gates[t % n_steps]
-        np.matmul(row, W, out=z)
-        z += b
-        np.tanh(z[:, 2 * H:3 * H], out=gg)
-        _sigmoid(z, out=z)
-        z[:, 2 * H:3 * H] = gg
-        c_prev = cs[t % n_rows]
-        c = cs[(t + 1) % n_rows]
-        tanh_c = tanh_cs[t % n_steps]
-        np.multiply(z[:, H:2 * H], c_prev, out=c)
-        np.multiply(z[:, :H], gg, out=gi_gg)
+        np.add(z4[:2], b4[:2], out=z[:2])
+        np.add(z4[3:1:-1], b4[3:1:-1], out=z[2:])
+        _sigmoid(z[:3], out=z[:3])
+        np.tanh(z[3], out=z[3])
+        c, tanh_c = cs[(t + 1) % n_rows], tanh_cs[t % n_steps]
+        np.multiply(z[1], cs[t % n_rows], out=c)
+        np.multiply(z[0], z[3], out=gi_gg)
         c += gi_gg
         np.tanh(c, out=tanh_c)
-        h = xh[(t + 1) % n_rows, :, D:]
-        np.multiply(z[:, 3 * H:], tanh_c, out=h)
-        if t >= T - S:
-            h_out[:, t - (T - S)] = h
+        for m in range(M):
+            h = xhs[m][(t + 1) % n_rows, :, dims[m]:]
+            np.multiply(z[2, m], tanh_c[m], out=h)
+            if t >= T - S:
+                h_outs[m][:, t - (T - S)] = h
 
 
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
-    """The probabilities, hcat and the LSTM caches (None without
-    ``keep_cache``) of a batch. The forward holds one K-wide array: the
-    softmax overwrites the logits, which nothing reads afterwards, and
-    raises FloatingPointError if one is not finite."""
+    """The probabilities, hcat and the step arrays (None without
+    ``keep_cache``) of a batch. Without them each modality's LSTM runs
+    alone: at eval's B=512, H=64 that beats one stacked call, 24.8 against
+    29.1 ms (2 vCPUs, 1 BLAS thread). The softmax overwrites the logits,
+    and raises FloatingPointError if one is not finite."""
     B = _check_features(params, features)
     cfg = params.config
     T = features[0].shape[1]
@@ -314,21 +319,20 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
             f"expected {protocol.total_steps} timesteps "
             f"({protocol.encode_steps}+{protocol.decode_steps}), got {T}"
         )
-    S = protocol.decode_steps
-    H = cfg.hidden_size
-    hcat = np.empty((B, S, len(cfg.modalities) * H))
-    caches = []
-    for m in range(len(cfg.modalities)):
-        cache = _cache_arrays(params, m, B, T) if keep_cache else None
-        _run_lstm(params.lstm_weight(m), params.lstm_bias(m), features[m],
-                  hcat[:, :, m * H:(m + 1) * H], cache)
-        caches.append(cache)
+    H, M = cfg.hidden_size, len(cfg.modalities)
+    hcat = np.empty((B, protocol.decode_steps, M * H))
+    Ws, bs = params.weights[0:2 * M:2], params.weights[1:2 * M:2]
+    h_outs = [hcat[:, :, m * H:(m + 1) * H] for m in range(M)]
+    cache = _cache_arrays(params, B, T) if keep_cache else None
+    singles = [slice(m, m + 1) for m in range(M)]
+    for g in [slice(0, M)] if keep_cache else singles:
+        _run_lstm(Ws[g], bs[g], features[g], h_outs[g], cache)
     # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
     # this batched one (checked at K=60), and the recorded references
     # depend on these bits.
     logits = np.matmul(hcat, params.fusion_weight)
     logits += params.fusion_bias
-    return softmax(logits, out=logits), hcat, caches
+    return softmax(logits, out=logits), hcat, cache
 
 
 def forward_batch(params: ModelParams, features,
@@ -349,12 +353,11 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample.
     """
-    probs, hcat, caches = _forward_full(params, features, protocol,
-                                        keep_cache=True)
+    probs, hcat, cache = _forward_full(params, features, protocol,
+                                       keep_cache=True)
     cfg = params.config
     B, S, K = probs.shape
-    T = features[0].shape[1]
-    H = cfg.hidden_size
+    T, H = features[0].shape[1], cfg.hidden_size
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (B, K):
         raise ValueError(f"targets shape {targets.shape}, expected {(B, K)}")
@@ -380,59 +383,55 @@ def loss_and_gradients_batch(params: ModelParams, features,
     grads.append(dlogits.sum(axis=(0, 1)))
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
-    for m in range(M):
-        dim = cfg.modalities[m][1]
-        W = params.lstm_weight(m)
-        dW = grads[2 * m]
-        db = grads[2 * m + 1]
-        dh_out = dhcat[:, :, m * H:(m + 1) * H]
-        xh, gates, cs, tanh_cs, dz, dxh, dW_t, bptt = caches[m]
-        dz_i, dz_f = dz[:, :H], dz[:, H:2 * H]
-        dz_g, dz_o = dz[:, 2 * H:3 * H], dz[:, 3 * H:]
-        dh_sum, dc, tmp, dh_next, dc_next = bptt
-        dh_next[...] = 0.0
-        dc_next[...] = 0.0
-        for t in range(T - 1, -1, -1):
-            z = gates[t]
-            gi, gf = z[:, :H], z[:, H:2 * H]
-            gg, go = z[:, 2 * H:3 * H], z[:, 3 * H:]
-            c_prev, tanh_c = cs[t], tanh_cs[t]
-            dh = dh_next
+    xhs, gates, cs, tanh_cs, zs, bptt, dxhs, dW_ts = cache
+    Ws, dims = params.weights[0:2 * M:2], cfg.feature_dims
+    # dz is built gate-major in the spent GEMM block, then copied into step
+    # t's spent gates as (B, 4H) rows, [i | f | g | o], for the GEMMs
+    dz = zs.reshape(4, M, B, H)
+    (dh, dc, dc_next), tmp3, tmp = bptt[:3], bptt[3:], bptt[3]
+    bptt[:3] = 0.0
+    dh_next = list(dh)
+    for t in range(T - 1, -1, -1):
+        z = gates[t]
+        gi, gf, go, gg = z
+        for m in range(M):
             if t >= T - S:
-                dh = np.add(dh_next, dh_out[:, t - (T - S), :], out=dh_sum)
-            # dc = dc_next + dh * go * (1 - tanh_c**2)
-            np.multiply(dh, go, out=dc)
-            np.multiply(tanh_c, tanh_c, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            dc *= tmp
-            dc += dc_next
-            # input gate: dc * gg * gi * (1 - gi)
-            np.multiply(dc, gg, out=dz_i)
-            dz_i *= gi
-            np.subtract(1.0, gi, out=tmp)
-            dz_i *= tmp
-            # forget gate: dc * c_prev * gf * (1 - gf)
-            np.multiply(dc, c_prev, out=dz_f)
-            dz_f *= gf
-            np.subtract(1.0, gf, out=tmp)
-            dz_f *= tmp
-            # cell candidate: dc * gi * (1 - gg**2)
-            np.multiply(dc, gi, out=dz_g)
-            np.multiply(gg, gg, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            dz_g *= tmp
-            # output gate: dh * tanh_c * go * (1 - go)
-            np.multiply(dh, tanh_c, out=dz_o)
-            dz_o *= go
-            np.subtract(1.0, go, out=tmp)
-            dz_o *= tmp
-            np.matmul(xh[t].T, dz, out=dW_t)
-            dW += dW_t
-            db += dz.sum(axis=0)
-            if t:  # step 0 has no earlier step to pass gradients to
-                np.matmul(dz, W.T, out=dxh)
-                dh_next = dxh[:, dim:]
-                np.multiply(dc, gf, out=dc_next)
+                np.add(dh_next[m], dhcat[:, t - (T - S), m * H:(m + 1) * H],
+                       out=dh[m])
+            else:
+                dh[m] = dh_next[m]
+        # dc = dc_next + dh * go * (1 - tanh_c**2)
+        np.multiply(dh, go, out=dc)
+        np.multiply(tanh_cs[t], tanh_cs[t], out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dc *= tmp
+        dc += dc_next
+        # i, f and o: dc * gg, dc * c_prev, dh * tanh_c; * gate * (1 - gate)
+        np.multiply(dc, gg, out=dz[0])
+        np.multiply(dc, cs[t], out=dz[1])
+        np.multiply(dh, tanh_cs[t], out=dz[2])
+        dz[:3] *= z[:3]
+        np.subtract(1.0, z[:3], out=tmp3)
+        dz[:3] *= tmp3
+        # cell candidate: dc * gi * (1 - gg**2)
+        np.multiply(dc, gi, out=dz[3])
+        np.multiply(gg, gg, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dz[3] *= tmp
+        if t:  # step 0 has no earlier step to pass gradients to
+            np.multiply(dc, gf, out=dc_next)
+        rows = z.reshape(M, B, 4 * H)
+        rows4 = z.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
+        np.copyto(rows4[:2], dz[:2])
+        np.copyto(rows4[3:1:-1], dz[2:])
+        db = np.add.reduce(rows, axis=1)
+        for m in range(M):
+            np.matmul(xhs[m][t].T, rows[m], out=dW_ts[m])
+            grads[2 * m] += dW_ts[m]
+            grads[2 * m + 1] += db[m]
+            if t:
+                np.matmul(rows[m], Ws[m].T, out=dxhs[m])
+                dh_next[m] = dxhs[m][:, dims[m]:]
     return loss, grads
 
 

@@ -370,27 +370,42 @@ def test_sigmoid_matches_masked_formula_bitwise():
     np.testing.assert_array_equal(inplace, got)
 
 
-@pytest.mark.parametrize("batch,hidden,dims,classes,weight_scale,dtype", [
-    (256, 64, (16, 16), 60, 1.0, np.float32),  # a (B, H) block is 128 KiB
-    (256, 64, (16, 16), 60, 4.0, np.float64),  # saturated gates
-    (3, 4, (3, 2), 3, 1.0, np.float64),
-])
+SWEEP_K16 = ProtocolConfig(encode_steps=3, decode_steps=4)
+
+
+@pytest.mark.parametrize(
+    "batch,hidden,dims,classes,weight_scale,dtype,protocol", [
+        # a (B, H) block is 128 KiB
+        pytest.param(256, 64, (16, 16), 60, 1.0, np.float32, ProtocolConfig(),
+                     id="256-64-dims0-60-1.0-float32"),
+        # saturated gates
+        pytest.param(256, 64, (16, 16), 60, 4.0, np.float64, ProtocolConfig(),
+                     id="256-64-dims1-60-4.0-float64"),
+        pytest.param(3, 4, (3, 2), 3, 1.0, np.float64, ProtocolConfig(),
+                     id="3-4-dims2-3-1.0-float64"),
+        pytest.param(64, 16, (8, 8), 16, 1.0, np.float32, SWEEP_K16,
+                     id="sweep-k16"),
+        # a stack of one, as every forward-only pass runs
+        pytest.param(40, 8, (6,), 5, 1.0, np.float64, SWEEP_K16,
+                     id="one-modality"),
+        pytest.param(33, 8, (5, 16, 3), 7, 2.0, np.float32, ProtocolConfig(),
+                     id="three-unequal-modalities"),
+    ])
 def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
                                                     classes, weight_scale,
-                                                    dtype):
+                                                    dtype, protocol):
     modalities = tuple((f"m{i}", d) for i, d in enumerate(dims))
     cfg = ModelConfig(modalities=modalities, num_classes=classes,
                       hidden_size=hidden, seed=4)
     params = init_params(cfg)
     for m in range(len(dims)):
         params.lstm_weight(m)[...] *= weight_scale
-    protocol = ProtocolConfig()
     rng = np.random.default_rng(11)
     feats = [rng.normal(size=(batch, protocol.total_steps, d)).astype(dtype)
              for d in dims]
     targets = rng.random((batch, classes))
     targets /= targets.sum(axis=1, keepdims=True)
-    # the second, smaller batch reuses the first one's cache arrays
+    # the second, smaller batch reuses the first one's held arrays
     for n in (batch, batch // 2 + 1):
         x, y = [f[:n] for f in feats], targets[:n]
         ref_probs, ref_loss, ref_grads = reference_loss_and_gradients(
@@ -422,6 +437,50 @@ def test_gradients_are_fresh_arrays():
         targets, protocol)
     for g, copy in zip(first, held):
         assert np.array_equal(g, copy)
+
+
+def test_forward_allocates_its_step_arrays_per_call():
+    # cli-k1200's eval shape: a forward-only pass holds no step arrays
+    # between calls, and its peak is the output layer's, 48.43 MB, as it
+    # was with one step loop per modality
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                      num_classes=1200, hidden_size=64)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, batch=512, steps=protocol.total_steps)
+    tracemalloc.start()
+    try:
+        forward_batch(params, feats, protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params._step_arrays == {}
+    assert peak <= 48.5e6
+
+
+def test_training_holds_its_step_arrays_at_the_per_modality_size():
+    # train-k60's shape. The per-modality kernels this replaced held
+    # 30.2 MB between batches and peaked at 36.0 MB in the first batch.
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                      num_classes=60, hidden_size=64)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, batch=256, steps=protocol.total_steps)
+    targets = np.full((256, 60), 1 / 60)
+    tracemalloc.start()
+    try:
+        loss_and_gradients_batch(params, feats, targets, protocol)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # a smaller batch carves its arrays from the same buffer
+        loss_and_gradients_batch(params, [x[:100] for x in feats],
+                                 targets[:100], protocol)
+        held_after_small, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 38.0e6
+    assert held <= 31.0e6
+    assert abs(held_after_small - held) < 0.1e6
 
 
 def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
