@@ -15,16 +15,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ParseError, csv_records
-from .seqmodel import ProtocolConfig
+from .seqmodel import ProtocolConfig, _in_threads, _scoring_threads
 from .vocab import ActionVocab
 
 PRIMARY_METRIC = "action_top5"
 # Rows a Scorer counts at once, and the chunk size of evaluation.
 SCORE_BLOCK = 512
+# A block of fewer (row x class) scores than this is counted on the
+# caller's thread (see Scorer._add_block).
+_SPLIT_MIN_SCORES = 32768
 
 _TASKS = ("action", "verb", "noun")
 
@@ -259,12 +263,21 @@ class Scorer:
         self.counts.samples += labels.shape[0]
 
     def _add_block(self, probs: np.ndarray, labels: np.ndarray) -> None:
+        """Count a block's (task, step) cells, split across
+        :func:`_scoring_threads` from ``_SPLIT_MIN_SCORES`` scores on. Each
+        cell's counts are written by one thread alone."""
         hits, confusion = self.counts.hits, self.counts.confusion
-        for t, (task, (cohort, task_of)) in enumerate(zip(_TASKS,
-                                                          self._cohorts)):
-            y = labels if task_of is None else task_of[labels]
-            classes = self._classes.get(task)
-            for s in range(probs.shape[1]):
+        S = probs.shape[1]
+        ys = [labels if task_of is None else task_of[labels]
+              for _, task_of in self._cohorts]
+        parts = (_scoring_threads() if labels.size * self.K
+                 >= _SPLIT_MIN_SCORES else 1)
+
+        def count(first):
+            for cell in range(first, cells, parts):
+                t, s = divmod(cell, S)
+                cohort, y = self._cohorts[t][0], ys[t]
+                classes = self._classes.get(_TASKS[t])
                 p = probs[:, s, :]
                 if cohort is not None:
                     p = p @ cohort
@@ -272,8 +285,11 @@ class Scorer:
                 hits[t, 0, s] += np.count_nonzero(ranks < 1)
                 hits[t, 1, s] += np.count_nonzero(ranks < min(5, p.shape[1]))
                 if classes is not None:
-                    confusion[task][s] += _class_counts(p.argmax(axis=1), y,
-                                                        classes)
+                    confusion[_TASKS[t]][s] += _class_counts(
+                        p.argmax(axis=1), y, classes)
+
+        cells = len(_TASKS) * S
+        _in_threads([partial(count, j) for j in range(min(parts, cells))])
 
 
 def build_report(trial_evals, protocol: ProtocolConfig, vocab: ActionVocab,

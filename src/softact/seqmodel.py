@@ -26,14 +26,23 @@ depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
 formulation to check them. A faster but different formulation (hoisting
 the input projection, one stacked ``dW`` GEMM, a ``tanh``-based sigmoid,
 float32) is a change of results and must come with new reference scores.
+
+A large forward-only batch (evaluation, validation) uses the usable CPUs
+that BLAS leaves free: its modalities' LSTMs, then row blocks of the output
+layer, run on threads that live only for the call, into arrays the caller
+allocated. Each sample meets the same operations on any thread, so the
+split never changes a result. Training stays on the caller's thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -190,16 +199,18 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config=config, weights=weights)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None,
+             den: np.ndarray) -> np.ndarray:
     """Logistic function, branch-free and overflow-free.
 
     ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + exp(-x))`` for
     x >= 0 (the numerator is exactly ``exp(0) = 1``) and
     ``exp(x) / (1 + exp(x))`` for x < 0 (``-|x|`` is exactly ``x``), so it
     gives the bits of the two-branch formula without a data-dependent mask.
-    ``out`` may be ``x``.
+    ``out`` may be ``x``; ``den``, of ``x``'s shape, is scratch for the
+    denominator.
     """
-    den = np.abs(x)
+    np.abs(x, out=den)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
@@ -231,7 +242,8 @@ def _cache_arrays(params: ModelParams, B: int, T: int):
     (T+1, B, D+H), then the gates (T, 4, M, B, H), cells (T+1, M, B, H)
     and ``tanh(c)`` (T, M, B, H) of :func:`_run_lstm`, its GEMM block
     (M, B, 4H), which BPTT reuses for ``dz``, and a (6, M, B, H) BPTT
-    block; then per modality ``dxh`` (B, D+H) and ``dW_t`` (D+H, 4H).
+    block, whose last three rows are the forward's sigmoid scratch; then
+    per modality ``dxh`` (B, D+H) and ``dW_t`` (D+H, 4H).
 
     They take about 30 MB at B=256, H=64, and faulting fresh pages of that
     size in on every batch cost about 15 ms of a 100 ms batch. So
@@ -257,23 +269,31 @@ def _cache_arrays(params: ModelParams, B: int, T: int):
     return held[B, T]
 
 
-def _run_lstm(Ws, bs, xs, h_outs, cache=None) -> None:
+def _forward_arrays(B: int, H: int, dims, M: int) -> tuple:
+    """Forward-only :func:`_run_lstm` arrays: ``xh`` (2, B, D+H) for each
+    width in ``dims``, then the gates, cells, ``tanh(c)``, GEMM and
+    (4, M, B, H) scratch blocks of M stacked modalities, with one or two
+    rows where training keeps T, so a forward holds nothing that grows
+    with T. Modalities run one at a time share one set of M=1 blocks."""
+    return ([np.empty((2, B, D + H)) for D in dims],
+            *map(np.empty, [(1, 4, M, B, H), (2, M, B, H), (1, M, B, H),
+                            (M, B, 4 * H), (4, M, B, H)]))
+
+
+def _run_lstm(Ws, bs, xs, h_outs, arrays) -> None:
     """Run one LSTM per modality over its (B, T, D) input from zero state,
     all in one step loop, and write the hidden states of the last S steps
     into ``h_outs``, (B, S, H) each. The bias add moves each GEMM output,
     [i | f | g | o], into gate-major gates ordered [i | f | o | g], so one
-    sigmoid call covers three gates. ``cache`` (from :func:`_cache_arrays`)
-    keeps every step's ``[x_t | h_{t-1}]``, gates, cell and ``tanh(c_t)``
-    for the backward pass; without it the arrays have one or two rows, so
-    a forward-only pass holds nothing that grows with T.
+    sigmoid call covers three gates. ``arrays`` come from
+    :func:`_cache_arrays`, which keeps every step's ``[x_t | h_{t-1}]``,
+    gates, cell and ``tanh(c_t)`` for the backward pass, or from
+    :func:`_forward_arrays`; this allocates nothing that grows with B.
     """
     M, (B, T), H, S = len(Ws), xs[0].shape[:2], bs[0].size // 4, \
         h_outs[0].shape[1]
-    if cache is None:
-        cache = ([np.empty((2, B, x.shape[2] + H)) for x in xs],
-                 *map(np.empty, [(1, 4, M, B, H), (2, M, B, H), (1, M, B, H),
-                                 (M, B, 4 * H), (1, M, B, H)]))
-    xhs, gates, cs, tanh_cs, zs, (gi_gg, *_) = cache[:6]
+    xhs, gates, cs, tanh_cs, zs, scratch = arrays[:6]
+    gi_gg, den = scratch[0], scratch[-3:]
     n_rows, n_steps = cs.shape[0], gates.shape[0]
     # the [i | f] and [o | g] gate blocks of the GEMM outputs and biases
     z4 = zs.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
@@ -290,7 +310,7 @@ def _run_lstm(Ws, bs, xs, h_outs, cache=None) -> None:
         z = gates[t % n_steps]
         np.add(z4[:2], b4[:2], out=z[:2])
         np.add(z4[3:1:-1], b4[3:1:-1], out=z[2:])
-        _sigmoid(z[:3], out=z[:3])
+        _sigmoid(z[:3], z[:3], den)
         np.tanh(z[3], out=z[3])
         c, tanh_c = cs[(t + 1) % n_rows], tanh_cs[t % n_steps]
         np.multiply(z[1], cs[t % n_rows], out=c)
@@ -304,13 +324,74 @@ def _run_lstm(Ws, bs, xs, h_outs, cache=None) -> None:
                 h_outs[m][:, t - (T - S)] = h
 
 
+# A forward-only batch of fewer (row x hidden unit) pairs than this runs
+# on the caller's thread with its modalities in one stacked step loop;
+# from it on, each modality runs alone and, with threads to spare, on a
+# thread of its own (see _forward_full for the timings).
+_SPLIT_MIN_WORK = 4096
+
+
+def _scoring_threads() -> int:
+    """How many threads scoring splits its work across: the usable CPUs
+    over the threads each BLAS call takes, read from the first of
+    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+    that is set. Without one, BLAS takes every CPU and this is 1."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value:
+            blas = int(value) if value.isdigit() else 0
+            return max(1, cpus // blas) if blas else 1
+    return 1
+
+
+def _in_threads(jobs) -> None:
+    """Call each of ``jobs``: the first on the caller's thread, each other
+    on a thread of its own that has ended when this returns. An exception
+    of the caller's job wins; else the first job's that raised is raised
+    here. A job allocates nothing large: a worker thread's allocations
+    would come from a malloc arena of its own and raise the RSS."""
+    errors = []
+
+    def guarded(job):
+        try:
+            job()
+        except BaseException as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=guarded, args=(job,))
+            thread.start()
+            threads.append(thread)
+        if jobs:
+            jobs[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
-    """The probabilities, hcat and the step arrays (None without
-    ``keep_cache``) of a batch. Without them each modality's LSTM runs
-    alone: at eval's B=512, H=64 that beats one stacked call, 24.8 against
-    29.1 ms (2 vCPUs, 1 BLAS thread). The softmax overwrites the logits,
-    and raises FloatingPointError if one is not finite."""
+    """The probabilities, hcat and the training step arrays (None without
+    ``keep_cache``) of a batch. The softmax overwrites the logits, and
+    raises FloatingPointError if one is not finite.
+
+    Training runs every modality's LSTM in one stacked step loop, and so
+    does a forward-only batch below ``_SPLIT_MIN_WORK``. From the gate on,
+    each modality runs alone, and the work splits across
+    :func:`_scoring_threads`: the modalities' LSTMs, then row blocks of
+    the output layer. Every sample's GEMMs and element-wise ops are the
+    same wherever they run, so the bits are too. Forward times of two
+    modalities, stacked / alone / alone on two threads (2 vCPUs, 1 BLAS
+    thread): 0.43 / 0.50 / 1.06 ms at B=64, H=16, K=16; 1.63 / 1.75 /
+    2.16 ms at B=32, H=64, K=60; 3.17 / 3.19 / 2.63 ms at B=64, H=64;
+    29.5 / 26.4 / 14.7 ms at B=512, H=64, K=60.
+    """
     B = _check_features(params, features)
     cfg = params.config
     T = features[0].shape[1]
@@ -319,20 +400,46 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
             f"expected {protocol.total_steps} timesteps "
             f"({protocol.encode_steps}+{protocol.decode_steps}), got {T}"
         )
-    H, M = cfg.hidden_size, len(cfg.modalities)
+    H, M, K = cfg.hidden_size, len(cfg.modalities), cfg.num_classes
     hcat = np.empty((B, protocol.decode_steps, M * H))
     Ws, bs = params.weights[0:2 * M:2], params.weights[1:2 * M:2]
     h_outs = [hcat[:, :, m * H:(m + 1) * H] for m in range(M)]
-    cache = _cache_arrays(params, B, T) if keep_cache else None
-    singles = [slice(m, m + 1) for m in range(M)]
-    for g in [slice(0, M)] if keep_cache else singles:
-        _run_lstm(Ws[g], bs[g], features[g], h_outs[g], cache)
+    cache, parts = None, 1
+    if keep_cache:
+        cache = _cache_arrays(params, B, T)
+        _run_lstm(Ws, bs, features, h_outs, cache)
+    elif B * H < _SPLIT_MIN_WORK:
+        _run_lstm(Ws, bs, features, h_outs,
+                  _forward_arrays(B, H, cfg.feature_dims, M))
+    else:
+        parts = _scoring_threads()
+        jobs = [range(j, M, parts) for j in range(min(parts, M))]
+        arrays = [_forward_arrays(B, H, [cfg.feature_dims[m] for m in job], 1)
+                  for job in jobs]
+
+        def lstms(job, own):
+            xhs, *blocks = own
+            for m, xh in zip(job, xhs):
+                g = slice(m, m + 1)
+                _run_lstm(Ws[g], bs[g], features[g], h_outs[g],
+                          ([xh], *blocks))
+
+        _in_threads([partial(lstms, *job) for job in zip(jobs, arrays)])
+        del arrays
     # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
-    # this batched one (checked at K=60), and the recorded references
-    # depend on these bits.
-    logits = np.matmul(hcat, params.fusion_weight)
-    logits += params.fusion_bias
-    return softmax(logits, out=logits), hcat, cache
+    # this batched one, one GEMM per sample (checked at K=60), and the
+    # recorded references depend on these bits.
+    probs = np.empty((B, protocol.decode_steps, K))
+
+    def output(rows):
+        np.matmul(hcat[rows], params.fusion_weight, out=probs[rows])
+        probs[rows] += params.fusion_bias
+        softmax(probs[rows], out=probs[rows])
+
+    bounds = [B * j // parts for j in range(parts + 1)]
+    _in_threads([partial(output, slice(lo, hi))
+                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
+    return probs, hcat, cache
 
 
 def forward_batch(params: ModelParams, features,

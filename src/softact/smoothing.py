@@ -96,9 +96,12 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     so the bits do not depend on where the result is stored.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    # a row holds NaN or +inf exactly when its max is not finite, and -inf
+    # exactly when its min is not, so no K-wide isfinite mask is needed
+    top = z.max(axis=-1, keepdims=True)
+    if not (np.isfinite(top).all() and np.isfinite(z.min(axis=-1)).all()):
         raise FloatingPointError("non-finite logits in forward pass")
-    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(z, top, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +544,53 @@ def test_run_comparison_jobs_write_the_same_bytes(tmp_path, tiny_dataset):
     assert len(files) == 3 + 4 * 3
     for rel in files:
         assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+
+_FORK_AFTER_SPLIT = """
+import threading, warnings
+import numpy as np
+from softact import (ExperimentConfig, GrammarConfig, MethodSpec, ModelConfig,
+                     ProtocolConfig, forward_batch, generate_dataset,
+                     init_params, metrics, report_to_csv, run_comparison,
+                     seqmodel)
+# Python 3.12+ warns when it forks a process that has other threads
+warnings.filterwarnings("error", ".*fork", DeprecationWarning)
+for module in (seqmodel, metrics):
+    module._scoring_threads = lambda: 2
+seqmodel._SPLIT_MIN_WORK = metrics._SPLIT_MIN_SCORES = 0
+protocol = ProtocolConfig(encode_steps=3, decode_steps=4)
+grammar = GrammarConfig(3, 3, action_density=1.0,
+                        modalities=(("rgb", 6), ("flow", 5)), seed=7)
+dataset = generate_dataset(grammar, protocol, num_videos=24,
+                           video_length=10, noise_sigma=0.4, seed=7)
+params = init_params(ModelConfig(modalities=dataset.modalities,
+                                 num_classes=dataset.K))
+forward_batch(params, [np.ones((300, 7, d)) for _, d in dataset.modalities],
+              protocol)
+assert threading.active_count() == 1
+config = ExperimentConfig(epochs=1, batch_size=32, trials=2, hidden_size=4,
+                          many_shot_threshold=2)
+methods = [MethodSpec("onehot", "onehot", 0.0),
+           MethodSpec("uniform", "uniform", 0.1)]
+serial, pooled = (report_to_csv(run_comparison(dataset, methods, config,
+                                               jobs=jobs))
+                  for jobs in (1, 2))
+assert pooled == serial, (serial, pooled)
+print("same")
+"""
+
+
+def test_run_comparison_forks_cleanly_after_a_split_forward(tmp_path):
+    # a split forward leaves no thread behind, so --jobs workers forked
+    # after it neither hang nor count differently; in a fresh process,
+    # which a hang cannot take down with the suite
+    src = str(Path(softact.experiment.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FORK_AFTER_SPLIT],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["same"]
 
 
 def test_run_comparison_identical_methods_match(tiny_dataset):

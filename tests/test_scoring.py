@@ -4,6 +4,7 @@ any chunking, with ties, with and without many-shot sets."""
 
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from softact import (ActionVocab, HitCounts, ManyShotSets, MetricCell,
                      aggregate_trials, build_report, evaluate_model,
                      init_params, many_shot_from_labels, report_to_csv,
                      score_model, softmax, topk_accuracy)
+from softact import metrics
 from softact.metrics import cohort_indicator
 
 # ------------------------------------------- the whole-array reference
@@ -160,6 +162,39 @@ def test_counts_give_the_whole_array_report(vocab, chunk, ties, shots):
                        vocab, many_shot)
     assert_same_report(got, want)
     assert_same_report(build_report(evals, PROTOCOL, vocab, many_shot), want)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("ties", [True, False])
+def test_split_counts_match_inline_counts(vocab, monkeypatch, threads, ties):
+    # each (task, step) cell is counted by one thread, so splitting the
+    # cells across threads gives the inline counts, confusion included
+    many_shot = many_shot_sets(vocab)
+    rng = np.random.default_rng(3)
+    probs = softmax(rng.normal(scale=2.0,
+                               size=(N, PROTOCOL.decode_steps, vocab.K)))
+    if ties:
+        probs = np.round(probs, 1)
+    labels = rng.integers(0, vocab.K, size=N)
+
+    def count(min_scores, n):
+        monkeypatch.setattr(metrics, "_SPLIT_MIN_SCORES", min_scores)
+        monkeypatch.setattr(metrics, "_scoring_threads", lambda: n)
+        scorer = Scorer(PROTOCOL.decode_steps, vocab, many_shot)
+        scorer.add(probs, labels)
+        return scorer.counts
+
+    inline = count(math.inf, 1)
+    before = threading.active_count()
+    split = count(0, threads)
+    assert threading.active_count() == before
+    assert split.hits.tobytes() == inline.hits.tobytes()
+    assert split.confusion.keys() == inline.confusion.keys() != set()
+    for task, cells in inline.confusion.items():
+        assert split.confusion[task].tobytes() == cells.tobytes()
+    assert_same_report(
+        build_report([split], PROTOCOL, vocab, many_shot),
+        ref_build_report([(probs, labels)], PROTOCOL, vocab, many_shot))
 
 
 def test_counts_survive_pickling(vocab):

@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from softact import (FormatError, ModelConfig, ProtocolConfig, SoftLabel,
                      adam_step, forward_batch, init_params, load_checkpoint,
                      loss_and_gradients_batch, one_hot, save_checkpoint,
                      topk_accuracy, weight_shapes)
+from softact import seqmodel
 from softact.seqmodel import _sigmoid
 from softact.smoothing import PROB_EPS, softmax
 
@@ -357,16 +359,18 @@ def reference_loss_and_gradients(params, features, targets, protocol):
 def test_sigmoid_matches_masked_formula_bitwise():
     x = np.array([-800.0, -1.0, -0.0, 0.0, 1.0, 800.0, np.inf, -np.inf,
                   np.nan])
-    np.testing.assert_array_equal(_sigmoid(x).view(np.uint64),
-                                  _masked_sigmoid(x).view(np.uint64))
+    np.testing.assert_array_equal(
+        _sigmoid(x, None, np.empty_like(x)).view(np.uint64),
+        _masked_sigmoid(x).view(np.uint64))
     finite = np.concatenate([x[:6], np.random.default_rng(0).normal(
         scale=20.0, size=(64, 256)).ravel()])
+    den = np.empty_like(finite)
     with np.errstate(over="raise"):
-        got = _sigmoid(finite)
+        got = _sigmoid(finite, None, den)
     np.testing.assert_array_equal(got.view(np.uint64),
                                   _masked_sigmoid(finite).view(np.uint64))
     inplace = finite.copy()
-    assert _sigmoid(inplace, out=inplace) is inplace
+    assert _sigmoid(inplace, inplace, den) is inplace
     np.testing.assert_array_equal(inplace, got)
 
 
@@ -495,6 +499,91 @@ def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
                                                    protocol)
     probs = forward_batch(params, feats, protocol)
     assert probs.tobytes() == ref_probs.tobytes()
+
+
+# ------------------------------------------------------ threaded forward
+
+
+@pytest.fixture
+def split_threads(monkeypatch):
+    """Force every forward onto the split path with ``n`` threads."""
+    def force(n):
+        monkeypatch.setattr(seqmodel, "_SPLIT_MIN_WORK", 0)
+        monkeypatch.setattr(seqmodel, "_scoring_threads", lambda: n)
+    return force
+
+
+def test_forward_peak_has_no_k_wide_mask(split_threads):
+    # cli-k1200's eval shape, split as on two CPUs: the peak is hcat and
+    # the (B, S, K) probabilities, 43.7 MB, because softmax checks
+    # finiteness on the row max and min, not with a (B, S, K) bool mask
+    # (4.9 MB more)
+    split_threads(2)
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                      num_classes=1200, hidden_size=64)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, batch=512, steps=protocol.total_steps)
+    tracemalloc.start()
+    try:
+        forward_batch(params, feats, protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44.0e6
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 296, 429, 512])
+def test_split_forward_is_bit_identical_to_reference(split_threads, threads,
+                                                     batch):
+    split_threads(threads)
+    cfg = ModelConfig(modalities=(("a", 5), ("b", 16), ("c", 3)),
+                      num_classes=97, hidden_size=32, seed=5)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, batch, protocol.total_steps, seed=batch)
+    ref_probs, _, _ = reference_loss_and_gradients(params, feats, None,
+                                                   protocol)
+    before = threading.active_count()
+    probs = forward_batch(params, feats, protocol)
+    assert threading.active_count() == before
+    assert probs.tobytes() == ref_probs.tobytes()
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_split_forward_raises_for_one_bad_row(split_threads, row):
+    # a NaN input makes only its own row's logits NaN, so with row=-1 only
+    # the last row block, on a worker thread, sees one
+    split_threads(3)
+    cfg = ModelConfig(modalities=(("a", 4), ("b", 6)), num_classes=11,
+                      hidden_size=8)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, 30, protocol.total_steps)
+    feats[1][row, 3, 2] = np.nan
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        forward_batch(params, feats, protocol)
+    assert threading.active_count() == before
+
+
+def test_scoring_threads_divide_usable_cpus_by_blas_threads(monkeypatch):
+    monkeypatch.setattr(seqmodel.os, "sched_getaffinity",
+                        lambda pid: set(range(8)), raising=False)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    assert seqmodel._scoring_threads() == 1  # BLAS takes every CPU
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert seqmodel._scoring_threads() == 4
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert seqmodel._scoring_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert seqmodel._scoring_threads() == 8
+    for value in ("16", "0", "4,2", "x"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert seqmodel._scoring_threads() == 1
 
 
 # ------------------------------------------------------------------- adam

@@ -146,6 +146,23 @@ def test_softmax_examples():
         softmax(np.array([np.nan, 0.0]))
     with pytest.raises(FloatingPointError, match="non-finite logits"):
         softmax(np.array([np.inf, 0.0]))
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        softmax(np.array([-np.inf, -np.inf]))
+    assert np.isfinite(softmax(np.array([np.finfo(np.float64).max, 0.0]))
+                       ).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 8), (1, 4, 0)])
+def test_softmax_raises_for_any_non_finite_logit(value, where):
+    # the check reads only the row max and min, and must refuse exactly
+    # what a whole-array isfinite refuses, leaving ``out`` untouched
+    z = np.random.default_rng(1).normal(scale=300.0, size=(3, 5, 9))
+    z[where] = value
+    out = np.zeros_like(z)
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        softmax(z, out=out)
+    assert not out.any()
 
 
 def test_softmax_batched_rows_sum_to_one():
