@@ -249,8 +249,11 @@ def _cmd_eval(args) -> int:
     split = getattr(dataset, args.split)
     many_shot = many_shot_from_labels(dataset.train.targets, dataset.vocab,
                                       args.many_shot_threshold)
-    counts = score_model(params, split, dataset.protocol, dataset.vocab,
-                         many_shot)
+    try:
+        counts = score_model(params, split, dataset.protocol, dataset.vocab,
+                             many_shot)
+    except FloatingPointError as exc:  # finite weights that overflow
+        raise FormatError(f"{args.checkpoint}: {exc}") from None
     report = build_report([counts], dataset.protocol, dataset.vocab,
                           many_shot)
     name = args.name or Path(args.checkpoint).stem

@@ -22,23 +22,22 @@ def config_to_json(cfg) -> dict:
     return asdict(cfg)
 
 
-def config_from_json(cls, doc, where: str, defaults=None, ignore=()):
+def config_from_json(cls, doc, where: str, defaults=None):
     """Decode ``doc`` into the dataclass ``cls``.
 
     Each value is checked against its field's type: ``int`` takes JSON
     integers only (not a bool or a float), ``float`` an integer or a finite
     float (not a bool, NaN or an infinity), ``str`` a string, ``tuple[...]``
     a list (or a tuple, for in-memory dicts). A key that is not a field is
-    an error unless it is in ``ignore`` (keys the caller reads itself), and
-    so is a missing one unless ``defaults`` (an instance of ``cls``)
-    supplies it. The ValueError of the class's own checks becomes a
+    an error, and so is a missing one unless ``defaults`` (an instance of
+    ``cls``) supplies it. The ValueError of the class's own checks becomes a
     FormatError too; every message begins with ``where``.
     """
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: not a JSON object")
     hints = _type_hints(cls)
     names = [f.name for f in fields(cls) if f.init]
-    unknown = sorted(set(doc) - set(names) - set(ignore))
+    unknown = sorted(set(doc) - set(names))
     if unknown:
         raise FormatError(f"{where}: unknown keys {unknown}")
     kwargs = {}

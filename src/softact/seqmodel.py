@@ -48,11 +48,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .jsonconfig import config_from_json, config_to_json, json_value
+from .jsonconfig import config_from_json, config_to_json
 from .smoothing import PROB_EPS, softmax
 
 CHECKPOINT_MAGIC = b"LSAM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -118,29 +118,25 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays plus Adam state.
+    """A model: its config and its trainable weights.
 
     ``weights`` is the declaration-order list: per modality the LSTM gate
     matrix (D+H, 4H) and bias (4H,), then the fusion matrix (M*H, K) and
     bias (K,). Gate columns are packed [input | forget | cell | output].
+    A copy or a checkpoint holds the weights only: Adam's state is scratch,
+    so the next ``adam_step`` after either is a first step.
     """
 
     config: ModelConfig
     weights: list[np.ndarray]
-    adam_m: list[np.ndarray] = field(default_factory=list)
-    adam_v: list[np.ndarray] = field(default_factory=list)
-    adam_step: int = 0
     # Scratch, never saved or copied: one flat buffer for the training step
     # arrays of every modality, and their views per (B, T) batch shape,
-    # reused from batch to batch (see _cache_arrays).
+    # reused from batch to batch (see _cache_arrays); and Adam's step count
+    # and moments, made by the first adam_step.
     _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
-
-    def __post_init__(self):
-        if not self.adam_m:
-            self.adam_m = [np.zeros_like(w) for w in self.weights]
-        if not self.adam_v:
-            self.adam_v = [np.zeros_like(w) for w in self.weights]
+    _adam: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def lstm_weight(self, m: int) -> np.ndarray:
         return self.weights[2 * m]
@@ -157,13 +153,7 @@ class ModelParams:
         return self.weights[2 * len(self.config.modalities) + 1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            adam_m=[m.copy() for m in self.adam_m],
-            adam_v=[v.copy() for v in self.adam_v],
-            adam_step=self.adam_step,
-        )
+        return ModelParams(self.config, [w.copy() for w in self.weights])
 
 
 def weight_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
@@ -547,12 +537,15 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
     cfg = params.config
     if len(grads) != len(params.weights):
         raise ValueError("gradient list does not match parameter list")
-    params.adam_step += 1
-    t = params.adam_step
+    if not params._adam:
+        params._adam = [0, [np.zeros_like(w) for w in params.weights],
+                         [np.zeros_like(w) for w in params.weights]]
+    params._adam[0] += 1
+    t, moments1, moments2 = params._adam
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    for w, g, m, v in zip(params.weights, grads, params.adam_m, params.adam_v):
+    for w, g, m, v in zip(params.weights, grads, moments1, moments2):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -563,18 +556,12 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, config JSON (the model config's
-    fields, then ``adam_step``), arrays as f64 LE."""
-    doc = {**config_to_json(params.config), "adam_step": params.adam_step}
-    blob = json.dumps(doc).encode()
-    parts = [CHECKPOINT_MAGIC,
-             struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack("<I", len(blob)),
-             blob]
-    for group in (params.weights, params.adam_m, params.adam_v):
-        for arr in group:
-            parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    """Binary checkpoint: magic, version, the model config's JSON, then the
+    weights as f64 LE in declaration order. Adam's state is not saved."""
+    blob = json.dumps(config_to_json(params.config)).encode()
+    Path(path).write_bytes(b"".join(
+        [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)),
+         blob, *(np.asarray(w, "<f8").tobytes() for w in params.weights)]))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -594,10 +581,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         doc = json.loads(data[12:12 + blob_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{where}: {exc}") from None
-    config = config_from_json(ModelConfig, doc, where, ignore=("adam_step",))
-    adam_step = json_value(int, doc.get("adam_step"), where, "adam_step")
-    # weights, adam_m and adam_v, each in declaration order
-    shapes = weight_shapes(config) * 3
+    config = config_from_json(ModelConfig, doc, where)
+    shapes = weight_shapes(config)
     sizes = [math.prod(shape) for shape in shapes]
     offset = 12 + blob_len
     size = offset + 8 * sum(sizes)
@@ -611,7 +596,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise FormatError(f"{path}: a checkpoint value is not finite")
     arrays = [part.reshape(shape) for part, shape in
               zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    n = len(arrays) // 3
-    return ModelParams(config=config, weights=arrays[:n],
-                       adam_m=arrays[n:2 * n], adam_v=arrays[2 * n:],
-                       adam_step=adam_step)
+    return ModelParams(config=config, weights=arrays)

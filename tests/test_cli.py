@@ -18,6 +18,7 @@ from softact import (ExperimentConfig, GrammarConfig, ModelConfig,
                      load_prior, read_features, save_checkpoint, save_dataset,
                      write_features)
 from softact.cli import main
+from softact.jsonconfig import config_to_json
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
@@ -670,19 +671,57 @@ def test_train_rejects_train_previous_unlike_train_split(tmp_path, data_dir,
             f"{held} ids, train.feat {n} samples") in err
     assert not out.exists()
 
-@pytest.mark.parametrize("group", [0, 1, 2])  # weights, adam m, adam v
+@pytest.mark.parametrize("index", [0, -1])  # first LSTM matrix, fusion bias
 def test_eval_rejects_non_finite_checkpoint(tmp_path, data_dir, capsys,
-                                            group):
+                                            index):
     dataset = load_dataset(data_dir)
     params = init_params(ModelConfig(modalities=dataset.modalities,
                                      num_classes=dataset.K, hidden_size=2))
-    (params.weights, params.adam_m, params.adam_v)[group][0].flat[0] = np.inf
+    params.weights[index].flat[0] = np.inf
     save_checkpoint(params, tmp_path / "model.bin")
     out = tmp_path / "eval.csv"
     assert main(["eval", "--data", str(data_dir), "--checkpoint",
                  str(tmp_path / "model.bin"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "a checkpoint value is not finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_eval_rejects_checkpoint_that_overflows(tmp_path, data_dir, capsys):
+    # finite weights so large that the logits are not
+    dataset = load_dataset(data_dir)
+    params = init_params(ModelConfig(modalities=dataset.modalities,
+                                     num_classes=dataset.K, hidden_size=2))
+    params.weights[-2][:] = params.weights[-1][:] = 1.7e308
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(params, ckpt)
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: non-finite logits in forward pass" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_rejects_version_1_checkpoint(tmp_path, data_dir, capsys):
+    # version 1 held adam_step in its header and Adam's moments after the
+    # weights; there is no converter, so train is rerun instead
+    dataset = load_dataset(data_dir)
+    params = init_params(ModelConfig(modalities=dataset.modalities,
+                                     num_classes=dataset.K, hidden_size=2))
+    blob = json.dumps({**config_to_json(params.config),
+                       "adam_step": 0}).encode()
+    ckpt = tmp_path / "model.bin"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blob)) + blob
+                     + b"".join(w.tobytes() for w in params.weights * 3))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: unsupported checkpoint version 1" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -964,6 +1003,10 @@ def test_eval_rejects_many_shot_threshold_below_one(tmp_path, data_dir,
 @pytest.mark.parametrize("config, message", [
     (b"[1,2]", "not a JSON object"),
     (b'{"modalities": [["rgb", 4]]}', "no key 'num_classes'"),
+    # version 1's header key, in a version 2 header
+    (b'{"modalities": [["rgb", 4]], "num_classes": 3, "hidden_size": 2, '
+     b'"learning_rate": 0.001, "seed": 0, "adam_step": 7}',
+     "bad checkpoint config: unknown keys ['adam_step']"),
 ])
 def test_eval_rejects_bad_checkpoint_config(tmp_path, data_dir, capsys,
                                             config, message):

@@ -6,11 +6,14 @@ Truncations and byte flips of small valid files, random JSON values in
 the checkpoint's config blob, in a dataset bundle's JSON files (the
 manifest's protocol too) and in an experiment config file, and character
 edits of the text files: an annotation CSV, an embedding file and a prior
-CSV.
+CSV. ``eval`` on a truncated, extended or byte-flipped checkpoint exits 0
+or 2 without a traceback.
 Hypothesis runs derandomized and without an example database, so every
 run tries the same inputs.
 """
 
+import contextlib
+import io
 import json
 import struct
 
@@ -27,6 +30,7 @@ from softact import (ActionVocab, ExperimentConfig, FeatureSet, FormatError,
                      load_prior, parse_annotations, read_features,
                      save_checkpoint, save_dataset, save_experiment_config,
                      save_prior, write_features)
+from softact.cli import main
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
@@ -142,7 +146,7 @@ def _with_config(checkpoint_bytes: bytes, edit) -> bytes:
 
 @FUZZ
 @given(field=st.sampled_from(["modalities", "num_classes", "hidden_size",
-                              "learning_rate", "adam_step", "seed"]),
+                              "learning_rate", "seed"]),
        value=edge_values | json_values, drop=st.booleans())
 def test_random_checkpoint_field_raises_only_format_error(
         checkpoint_bytes, work, field, value, drop):
@@ -225,6 +229,37 @@ def test_random_manifest_protocol_raises_only_format_error(bundle, key, value,
         pass
     finally:
         path.write_text(good)
+
+
+@pytest.fixture(scope="module")
+def bundle_checkpoint(bundle, work):
+    """A checkpoint that ``eval`` accepts for ``bundle``."""
+    params = init_params(ModelConfig(modalities=(("rgb", 2),),
+                                     num_classes=load_dataset(bundle).K,
+                                     hidden_size=2))
+    save_checkpoint(params, work / "bundle.bin")
+    return (work / "bundle.bin").read_bytes()
+
+
+@FUZZ
+@given(corruption=st.tuples(st.just("truncate"), st.integers(0, 10_000))
+       | st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16))
+       | st.tuples(st.just("flip"), flips))
+def test_eval_of_a_corrupt_checkpoint_exits_0_or_2(bundle, bundle_checkpoint,
+                                                   work, corruption):
+    # the whole command: a flipped weight also runs the forward pass
+    kind, arg = corruption
+    data = bundle_checkpoint
+    (work / "input").write_bytes(data[:arg % len(data)] if kind == "truncate"
+                                 else data + arg if kind == "extend"
+                                 else _flip(data, arg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--data", str(bundle), "--checkpoint",
+                     str(work / "input"), "--out", str(work / "eval.csv")])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @FUZZ

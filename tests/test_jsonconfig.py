@@ -196,8 +196,7 @@ def _old_checkpoint_dict(params) -> dict:
     c = params.config
     return {"modalities": [[n, d] for n, d in c.modalities],
             "num_classes": c.num_classes, "hidden_size": c.hidden_size,
-            "learning_rate": c.learning_rate, "seed": c.seed,
-            "adam_step": params.adam_step}
+            "learning_rate": c.learning_rate, "seed": c.seed}
 
 
 def _old_grammar_dict(c: GrammarConfig) -> dict:
@@ -222,7 +221,6 @@ def test_writers_give_the_old_bytes(tmp_path, bundle):
 
     params = init_params(ModelConfig(modalities=(("rgb", 3), ("flow", 2)),
                                      num_classes=4, hidden_size=2, seed=5))
-    params.adam_step = 11
     save_checkpoint(params, tmp_path / "model.bin")
     data = (tmp_path / "model.bin").read_bytes()
     blob = json.dumps(_old_checkpoint_dict(params)).encode()

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import threading
 import tracemalloc
@@ -596,11 +597,27 @@ def test_adam_first_step_is_signed_learning_rate():
     rng = np.random.default_rng(1)
     grads = [rng.normal(size=w.shape) for w in params.weights]
     adam_step(params, grads)
-    assert params.adam_step == 1
     for w, w0, g in zip(params.weights, before, grads):
         # first bias-corrected step is -lr * g / (|g| + eps) ~= -lr * sign(g)
         np.testing.assert_allclose(w - w0, -0.01 * np.sign(g), rtol=1e-5,
                                    atol=1e-9)
+
+
+def test_copy_and_checkpoint_start_adam_afresh(tmp_path):
+    # neither carries Adam's state, so their next step is a first step
+    params = init_params(tiny_config(learning_rate=0.01))
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        adam_step(params, [rng.normal(size=w.shape) for w in params.weights])
+    save_checkpoint(params, tmp_path / "model.bin")
+    for fresh in (params.copy(), load_checkpoint(tmp_path / "model.bin")):
+        before = [w.copy() for w in fresh.weights]
+        grads = [rng.normal(size=w.shape) for w in fresh.weights]
+        adam_step(fresh, grads)
+        for w, w0, g in zip(fresh.weights, before, grads):
+            # -lr * sign(g), up to Adam's epsilon
+            np.testing.assert_allclose(w - w0, -0.01 * g / (np.abs(g) + 1e-8),
+                                       rtol=1e-9)
 
 
 def test_adam_zero_gradient_keeps_weights():
@@ -674,16 +691,26 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.config == cfg
-    assert loaded.adam_step == params.adam_step
+    assert len(loaded.weights) == len(params.weights)
     for a, b in zip(loaded.weights, params.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(loaded.adam_m, params.adam_m):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(loaded.adam_v, params.adam_v):
         np.testing.assert_array_equal(a, b)
     # byte-identical re-serialization
     save_checkpoint(loaded, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_is_the_header_and_the_weights(tmp_path):
+    # H=64 with two 16-d modalities; Adam's state is not saved
+    for K, size in ((60, 393_824), (1200, 1_570_306)):
+        cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                          num_classes=K, hidden_size=64)
+        params = init_params(cfg)
+        adam_step(params, [np.ones_like(w) for w in params.weights])
+        save_checkpoint(params, tmp_path / "model.bin")
+        data = (tmp_path / "model.bin").read_bytes()
+        (blob_len,) = struct.unpack_from("<I", data, 8)
+        weights = sum(math.prod(shape) for shape in weight_shapes(cfg))
+        assert len(data) == 12 + blob_len + 8 * weights == size
 
 
 def test_checkpoint_format_errors(tmp_path):
@@ -696,7 +723,7 @@ def test_checkpoint_format_errors(tmp_path):
     bad.write_bytes(b"XXXX" + data[4:])
     with pytest.raises(FormatError, match="magic"):
         load_checkpoint(bad)
-    bad.write_bytes(data[:4] + b"\x02\x00\x00\x00" + data[8:])
+    bad.write_bytes(data[:4] + b"\x01\x00\x00\x00" + data[8:])
     with pytest.raises(FormatError, match="version"):
         load_checkpoint(bad)
     bad.write_bytes(data[:len(data) // 2])
@@ -708,8 +735,7 @@ def test_checkpoint_format_errors(tmp_path):
     # config values of the wrong type; they used to load and fail in use
     (blob_len,) = struct.unpack_from("<I", data, 8)
     doc = json.loads(data[12:12 + blob_len])
-    for key, value in (("learning_rate", "x"), ("hidden_size", 2.5),
-                       ("adam_step", None)):
+    for key, value in (("learning_rate", "x"), ("hidden_size", 2.5)):
         blob = json.dumps({**doc, key: value}).encode()
         bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                         + data[12 + blob_len:])
@@ -726,7 +752,7 @@ def test_checkpoint_errors_name_the_file(tmp_path):
     bad = tmp_path / "bad.bin"
     for corrupt in (b"XXXX" + data[4:],                        # magic
                     data[:8],                                  # header
-                    data[:4] + b"\x02\x00\x00\x00" + data[8:],  # version
+                    data[:4] + b"\x01\x00\x00\x00" + data[8:],  # version
                     data[:12 + blob_len - 1],                  # config
                     data[:-8],                                 # payload
                     data + b"\x00" * 8):                       # trailing
@@ -739,6 +765,6 @@ def test_params_copy_is_deep():
     params = init_params(tiny_config())
     clone = params.copy()
     clone.weights[0][0, 0] += 1.0
-    clone.adam_step = 9
     assert params.weights[0][0, 0] != clone.weights[0][0, 0]
-    assert params.adam_step == 0
+    for w in params.weights:
+        assert not any(np.shares_memory(w, c) for c in clone.weights)
