@@ -27,11 +27,14 @@ formulation to check them. A faster but different formulation (hoisting
 the input projection, one stacked ``dW`` GEMM, a ``tanh``-based sigmoid,
 float32) is a change of results and must come with new reference scores.
 
-A large forward-only batch (evaluation, validation) uses the usable CPUs
-that BLAS leaves free: its modalities' LSTMs, then row blocks of the output
-layer, run on threads that live only for the call, into arrays the caller
-allocated. Each sample meets the same operations on any thread, so the
-split never changes a result. Training stays on the caller's thread.
+A large batch uses the usable CPUs that BLAS leaves free: each modality's
+LSTM runs on a thread that lives only for the call, into arrays the caller
+allocated, and in training so does its BPTT, since the branches share no
+arithmetic before the fusion layer. A forward-only batch (evaluation,
+validation) then splits the output layer into row blocks too; training
+keeps the output layer, the loss and the fusion gradients on the caller's
+thread, so their sums keep their order. Each sample meets the same
+operations on any thread, so the split never changes a result.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +134,9 @@ class ModelParams:
     config: ModelConfig
     weights: list[np.ndarray]
     # Scratch, never saved or copied: one flat buffer for the training step
-    # arrays of every modality, and their views per (B, T) batch shape,
-    # reused from batch to batch (see _cache_arrays); and Adam's step count
-    # and moments, made by the first adam_step.
+    # arrays of every modality, and their views per batch shape and
+    # stacking, reused from batch to batch (see _cache_arrays); and Adam's
+    # step count and moments, made by the first adam_step.
     _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     _adam: list = field(default_factory=list, init=False, repr=False,
@@ -227,47 +231,62 @@ def _check_features(params: ModelParams, features) -> int:
     return batch
 
 
-def _cache_arrays(params: ModelParams, B: int, T: int):
-    """The training step arrays of a (B, T) batch: per modality ``xh``
-    (T+1, B, D+H), then the gates (T, 4, M, B, H), cells (T+1, M, B, H)
-    and ``tanh(c)`` (T, M, B, H) of :func:`_run_lstm`, its GEMM block
-    (M, B, 4H), which BPTT reuses for ``dz``, and a (6, M, B, H) BPTT
-    block, whose last three rows are the forward's sigmoid scratch; then
-    per modality ``dxh`` (B, D+H) and ``dW_t`` (D+H, 4H).
+def _cache_arrays(params: ModelParams, B: int, T: int, size: int) -> list:
+    """The training step arrays of a (B, T) batch whose modalities run in
+    stacks of ``size``: per stack, per modality ``xh`` (T+1, B, D+H), then
+    the gates (T, 4, M, B, H), cells (T+1, M, B, H) and ``tanh(c)``
+    (T, M, B, H) of :func:`_run_lstm`, its GEMM block (M, B, 4H), which
+    BPTT reuses for ``dz``, and a (6, M, B, H) BPTT block, whose last three
+    rows are the forward's sigmoid scratch; then per modality ``dxh``
+    (B, D+H) and ``dW_t`` (D+H, 4H). M counts the stack's modalities, so
+    the total does not depend on ``size``.
 
-    They take about 30 MB at B=256, H=64, and faulting fresh pages of that
-    size in on every batch cost about 15 ms of a 100 ms batch. So
+    They take about 30 MB at B=256, H=64. Where malloc hands back fresh
+    pages for them on every batch (``MALLOC_MMAP_THRESHOLD_=131072``),
+    faulting those in costs about 3 ms of a 41 ms batch on one thread. So
     ``params`` keeps one flat buffer for the largest batch seen, and each
-    batch shape carves C-contiguous arrays from the front of it.
+    batch shape and stacking carves C-contiguous arrays from the front of
+    it.
     """
     held = params._step_arrays
-    if (B, T) not in held:
-        H, M = params.config.hidden_size, len(params.config.modalities)
-        widths = [D + H for D in params.config.feature_dims]
-        shapes = ([(T + 1, B, w) for w in widths]
-                  + [(T, 4, M, B, H), (T + 1, M, B, H), (T, M, B, H),
-                     (M, B, 4 * H), (6, M, B, H)]
-                  + [(B, w) for w in widths] + [(w, 4 * H) for w in widths])
+    if (B, T, size) not in held:
+        H, dims = params.config.hidden_size, params.config.feature_dims
+        stacks = [dims[i:i + size] for i in range(0, len(dims), size)]
+        shapes = []
+        for stack in stacks:
+            M, widths = len(stack), [D + H for D in stack]
+            shapes += ([(T + 1, B, w) for w in widths]
+                       + [(T, 4, M, B, H), (T + 1, M, B, H), (T, M, B, H),
+                          (M, B, 4 * H), (6, M, B, H)]
+                       + [(B, w) for w in widths]
+                       + [(w, 4 * H) for w in widths])
         sizes = [math.prod(shape) for shape in shapes]
         if "flat" not in held or held["flat"].size < sum(sizes):
             held.clear()
             held["flat"] = np.empty(sum(sizes))
-        arrays = [held["flat"][end - size:end].reshape(shape)
-                  for end, size, shape in zip(np.cumsum(sizes), sizes, shapes)]
-        held[B, T] = (arrays[:M], *arrays[M:M + 5], arrays[M + 5:2 * M + 5],
-                      arrays[2 * M + 5:])
-    return held[B, T]
+        arrays = iter([held["flat"][end - n:end].reshape(shape)
+                       for end, n, shape in zip(np.cumsum(sizes), sizes,
+                                                shapes)])
+        held[B, T, size] = [
+            ([next(arrays) for _ in stack], *islice(arrays, 5),
+             [next(arrays) for _ in stack], [next(arrays) for _ in stack])
+            for stack in stacks]
+    return held[B, T, size]
 
 
-def _forward_arrays(B: int, H: int, dims, M: int) -> tuple:
-    """Forward-only :func:`_run_lstm` arrays: ``xh`` (2, B, D+H) for each
-    width in ``dims``, then the gates, cells, ``tanh(c)``, GEMM and
-    (4, M, B, H) scratch blocks of M stacked modalities, with one or two
-    rows where training keeps T, so a forward holds nothing that grows
-    with T. Modalities run one at a time share one set of M=1 blocks."""
-    return ([np.empty((2, B, D + H)) for D in dims],
-            *map(np.empty, [(1, 4, M, B, H), (2, M, B, H), (1, M, B, H),
-                            (M, B, 4 * H), (4, M, B, H)]))
+def _forward_arrays(B: int, H: int, stacks) -> list:
+    """Forward-only :func:`_run_lstm` arrays for stacks of modalities run
+    one after another, given as their widths D: per stack an ``xh``
+    (2, B, D+H) per modality, and one set of gates, cells, ``tanh(c)``,
+    GEMM and (4, M, B, H) scratch blocks that every stack shares, with one
+    or two rows where training keeps T, so a forward holds nothing that
+    grows with T."""
+    M = len(stacks[0])
+    blocks = [np.empty(shape) for shape in [
+        (1, 4, M, B, H), (2, M, B, H), (1, M, B, H), (M, B, 4 * H),
+        (4, M, B, H)]]
+    return [([np.empty((2, B, D + H)) for D in dims], *blocks)
+            for dims in stacks]
 
 
 def _run_lstm(Ws, bs, xs, h_outs, arrays) -> None:
@@ -314,17 +333,17 @@ def _run_lstm(Ws, bs, xs, h_outs, arrays) -> None:
                 h_outs[m][:, t - (T - S)] = h
 
 
-# A forward-only batch of fewer (row x hidden unit) pairs than this runs
-# on the caller's thread with its modalities in one stacked step loop;
-# from it on, each modality runs alone and, with threads to spare, on a
-# thread of its own (see _forward_full for the timings).
-_SPLIT_MIN_WORK = 4096
+# A batch of fewer (row x hidden unit) pairs than this runs on the
+# caller's thread with its modalities in one stacked step loop; from it on,
+# each modality runs alone and, with threads to spare, on a thread of its
+# own (see _forward_full for the timings).
+_SPLIT_MIN_WORK = 8192
 
 
 def _scoring_threads() -> int:
-    """How many threads scoring splits its work across: the usable CPUs
-    over the threads each BLAS call takes, read from the first of
-    ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+    """How many threads scoring and training split their work across: the
+    usable CPUs over the threads each BLAS call takes, read from the first
+    of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
     that is set. Without one, BLAS takes every CPU and this is 1."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -367,20 +386,37 @@ def _in_threads(jobs) -> None:
 
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
-    """The probabilities, hcat and the training step arrays (None without
-    ``keep_cache``) of a batch. The softmax overwrites the logits, and
-    raises FloatingPointError if one is not finite.
+    """The probabilities, hcat and, with ``keep_cache``, the LSTM jobs of a
+    batch (else None): per thread, its (modality slice, step arrays) pairs,
+    which BPTT runs again on the same threads. The softmax overwrites the
+    logits, and raises FloatingPointError if one is not finite.
 
-    Training runs every modality's LSTM in one stacked step loop, and so
-    does a forward-only batch below ``_SPLIT_MIN_WORK``. From the gate on,
-    each modality runs alone, and the work splits across
-    :func:`_scoring_threads`: the modalities' LSTMs, then row blocks of
-    the output layer. Every sample's GEMMs and element-wise ops are the
-    same wherever they run, so the bits are too. Forward times of two
-    modalities, stacked / alone / alone on two threads (2 vCPUs, 1 BLAS
-    thread): 0.43 / 0.50 / 1.06 ms at B=64, H=16, K=16; 1.63 / 1.75 /
-    2.16 ms at B=32, H=64, K=60; 3.17 / 3.19 / 2.63 ms at B=64, H=64;
-    29.5 / 26.4 / 14.7 ms at B=512, H=64, K=60.
+    Below ``_SPLIT_MIN_WORK`` every modality's LSTM runs in one stacked
+    step loop on the caller's thread. From the gate on, each modality runs
+    alone, and the modalities spread across :func:`_scoring_threads`; a
+    forward-only batch then splits the output layer into row blocks too,
+    while training keeps it on the caller's thread. Every sample's GEMMs
+    and element-wise ops are the same wherever they run, so the bits are
+    too. Forward times of two modalities, stacked / alone / alone on two
+    threads (2 vCPUs, 1 BLAS thread): 0.43 / 0.50 / 1.06 ms at B=64, H=16,
+    K=16; 1.63 / 1.75 / 2.16 ms at B=32, H=64, K=60; 3.17 / 3.19 / 2.63 ms
+    at B=64, H=64; 29.5 / 26.4 / 14.7 ms at B=512, H=64, K=60.
+
+    Training batches of two 16-d modalities at K=60, stacked / alone on
+    two threads: medians of five runs that alternate the two, and the range
+    of the five ratios (2 vCPUs, 1 BLAS thread, a box whose second vCPU is
+    shared, so single runs scatter widely):
+
+        B x H     B    H   stacked     split   stacked / split
+         4096    64   64   13.2 ms   12.2 ms   0.98 - 1.26
+         4096   256   16   11.5 ms   11.8 ms   0.79 - 1.04
+         8192   128   64   20.8 ms   18.0 ms   1.05 - 1.42
+         8192   512   16   21.6 ms   17.6 ms   1.12 - 1.32
+        16384   256   64   42.5 ms   30.3 ms   1.38 - 1.71
+
+    So the gate sits at 8192, where every run gained. In the same runs a
+    forward at 4096 came out 0.88 - 1.27 times as fast split, so it loses
+    little by staying stacked there.
     """
     B = _check_features(params, features)
     cfg = params.config
@@ -394,28 +430,28 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     hcat = np.empty((B, protocol.decode_steps, M * H))
     Ws, bs = params.weights[0:2 * M:2], params.weights[1:2 * M:2]
     h_outs = [hcat[:, :, m * H:(m + 1) * H] for m in range(M)]
-    cache, parts = None, 1
+    size, parts = (M, 1) if B * H < _SPLIT_MIN_WORK else \
+        (1, _scoring_threads())
+    stacks = [slice(i, i + size) for i in range(0, M, size)]
+    # thread j runs the stacks j, j + parts, ...
     if keep_cache:
-        cache = _cache_arrays(params, B, T)
-        _run_lstm(Ws, bs, features, h_outs, cache)
-    elif B * H < _SPLIT_MIN_WORK:
-        _run_lstm(Ws, bs, features, h_outs,
-                  _forward_arrays(B, H, cfg.feature_dims, M))
+        held = _cache_arrays(params, B, T, size)
+        jobs = [list(zip(stacks[j::parts], held[j::parts]))
+                for j in range(min(parts, len(stacks)))]
     else:
-        parts = _scoring_threads()
-        jobs = [range(j, M, parts) for j in range(min(parts, M))]
-        arrays = [_forward_arrays(B, H, [cfg.feature_dims[m] for m in job], 1)
-                  for job in jobs]
+        jobs = [list(zip(stacks[j::parts], _forward_arrays(
+                    B, H, [cfg.feature_dims[g] for g in stacks[j::parts]])))
+                for j in range(min(parts, len(stacks)))]
 
-        def lstms(job, own):
-            xhs, *blocks = own
-            for m, xh in zip(job, xhs):
-                g = slice(m, m + 1)
-                _run_lstm(Ws[g], bs[g], features[g], h_outs[g],
-                          ([xh], *blocks))
+    def lstms(job):
+        for g, arrays in job:
+            _run_lstm(Ws[g], bs[g], features[g], h_outs[g], arrays)
 
-        _in_threads([partial(lstms, *job) for job in zip(jobs, arrays)])
-        del arrays
+    _in_threads([partial(lstms, job) for job in jobs])
+    if keep_cache:  # training keeps the output layer on this thread
+        parts = 1
+    else:  # free the step arrays before the (B, S, K) one is made
+        jobs = None
     # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
     # this batched one, one GEMM per sample (checked at K=60), and the
     # recorded references depend on these bits.
@@ -429,7 +465,7 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     bounds = [B * j // parts for j in range(parts + 1)]
     _in_threads([partial(output, slice(lo, hi))
                  for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
-    return probs, hcat, cache
+    return probs, hcat, jobs
 
 
 def forward_batch(params: ModelParams, features,
@@ -441,47 +477,16 @@ def forward_batch(params: ModelParams, features,
     return _forward_full(params, features, protocol, keep_cache=False)[0]
 
 
-def loss_and_gradients_batch(params: ModelParams, features,
-                             targets: np.ndarray,
-                             protocol: ProtocolConfig = ProtocolConfig()):
-    """Mean soft cross-entropy over decode steps and batch, with exact
-    BPTT gradients in declaration order.
-
-    ``targets`` is (B, K); the same soft target applies at every decode
-    step of a sample.
-    """
-    probs, hcat, cache = _forward_full(params, features, protocol,
-                                       keep_cache=True)
-    cfg = params.config
-    B, S, K = probs.shape
-    T, H = features[0].shape[1], cfg.hidden_size
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (B, K):
-        raise ValueError(f"targets shape {targets.shape}, expected {(B, K)}")
-
-    # One (B, S, K) buffer holds the loss terms; the logit gradient then
-    # overwrites the probabilities, which nothing reads after it.
-    terms = np.maximum(probs, PROB_EPS)
-    np.log(terms, out=terms)
-    terms *= targets[:, None, :]
-    loss = float(-terms.sum() / (B * S))
-    del terms
-    if not np.isfinite(loss):
-        raise FloatingPointError("non-finite loss")
-
-    # Fused softmax + cross-entropy gradient, averaged over steps and batch.
-    dlogits = probs
-    dlogits -= targets[:, None, :]
-    dlogits /= B * S
-
-    M = len(cfg.modalities)
-    grads = [np.zeros_like(w) for w in params.weights[:2 * M]]
-    grads.append(hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K))
-    grads.append(dlogits.sum(axis=(0, 1)))
-
-    dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
-    xhs, gates, cs, tanh_cs, zs, bptt, dxhs, dW_ts = cache
-    Ws, dims = params.weights[0:2 * M:2], cfg.feature_dims
+def _bptt(Ws, dh_outs, arrays, dWs, dbs) -> None:
+    """Backpropagate through the stacked LSTMs that :func:`_run_lstm` ran
+    into ``arrays`` (from :func:`_cache_arrays`): ``dh_outs`` are the
+    gradients of the last S hidden states, (B, S, H) per modality, and each
+    modality's weight and bias gradients are added into ``dWs`` and
+    ``dbs``. This allocates nothing that grows with B."""
+    M, H = len(Ws), Ws[0].shape[1] // 4
+    dims = [W.shape[0] - H for W in Ws]
+    xhs, gates, cs, tanh_cs, zs, bptt, dxhs, dW_ts = arrays
+    T, (B, S) = gates.shape[0], dh_outs[0].shape[:2]
     # dz is built gate-major in the spent GEMM block, then copied into step
     # t's spent gates as (B, 4H) rows, [i | f | g | o], for the GEMMs
     dz = zs.reshape(4, M, B, H)
@@ -493,8 +498,7 @@ def loss_and_gradients_batch(params: ModelParams, features,
         gi, gf, go, gg = z
         for m in range(M):
             if t >= T - S:
-                np.add(dh_next[m], dhcat[:, t - (T - S), m * H:(m + 1) * H],
-                       out=dh[m])
+                np.add(dh_next[m], dh_outs[m][:, t - (T - S)], out=dh[m])
             else:
                 dh[m] = dh_next[m]
         # dc = dc_next + dh * go * (1 - tanh_c**2)
@@ -524,11 +528,62 @@ def loss_and_gradients_batch(params: ModelParams, features,
         db = np.add.reduce(rows, axis=1)
         for m in range(M):
             np.matmul(xhs[m][t].T, rows[m], out=dW_ts[m])
-            grads[2 * m] += dW_ts[m]
-            grads[2 * m + 1] += db[m]
+            dWs[m] += dW_ts[m]
+            dbs[m] += db[m]
             if t:
                 np.matmul(rows[m], Ws[m].T, out=dxhs[m])
                 dh_next[m] = dxhs[m][:, dims[m]:]
+
+
+def loss_and_gradients_batch(params: ModelParams, features,
+                             targets: np.ndarray,
+                             protocol: ProtocolConfig = ProtocolConfig()):
+    """Mean soft cross-entropy over decode steps and batch, with exact
+    BPTT gradients in declaration order.
+
+    ``targets`` is (B, K); the same soft target applies at every decode
+    step of a sample. The modalities' BPTT runs on the threads their
+    forward ran on; the loss, the fusion gradients and ``dhcat`` are summed
+    on the caller's thread, in one fixed order.
+    """
+    cfg = params.config
+    B, K = _check_features(params, features), cfg.num_classes
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (B, K):
+        raise ValueError(f"targets shape {targets.shape}, expected {(B, K)}")
+    probs, hcat, jobs = _forward_full(params, features, protocol,
+                                      keep_cache=True)
+    S, H, M = probs.shape[1], cfg.hidden_size, len(cfg.modalities)
+
+    # One (B, S, K) buffer holds the loss terms; the logit gradient then
+    # overwrites the probabilities, which nothing reads after it.
+    terms = np.maximum(probs, PROB_EPS)
+    np.log(terms, out=terms)
+    terms *= targets[:, None, :]
+    loss = float(-terms.sum() / (B * S))
+    del terms
+    if not np.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+
+    # Fused softmax + cross-entropy gradient, averaged over steps and batch.
+    dlogits = probs
+    dlogits -= targets[:, None, :]
+    dlogits /= B * S
+
+    grads = [np.zeros_like(w) for w in params.weights[:2 * M]]
+    grads.append(hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K))
+    grads.append(dlogits.sum(axis=(0, 1)))
+
+    dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
+    dh_outs = [dhcat[:, :, m * H:(m + 1) * H] for m in range(M)]
+    Ws, dWs, dbs = params.weights[0:2 * M:2], grads[0:2 * M:2], \
+        grads[1:2 * M:2]
+
+    def backward(job):
+        for g, arrays in job:
+            _bptt(Ws[g], dh_outs[g], arrays, dWs[g], dbs[g])
+
+    _in_threads([partial(backward, job) for job in jobs])
     return loss, grads
 
 

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softact import (FormatError, ModelConfig, ProtocolConfig, SoftLabel,
-                     adam_step, forward_batch, init_params, load_checkpoint,
+from softact import (ExperimentConfig, FeatureSet, FormatError, ModelConfig,
+                     ProtocolConfig, SoftLabel, TrainingDiverged, adam_step,
+                     forward_batch, init_params, load_checkpoint,
                      loss_and_gradients_batch, one_hot, save_checkpoint,
-                     topk_accuracy, weight_shapes)
+                     topk_accuracy, train_model, weight_shapes)
 from softact import seqmodel
 from softact.seqmodel import _sigmoid
 from softact.smoothing import PROB_EPS, softmax
@@ -227,9 +228,11 @@ def test_loss_target_shape_error():
     params = init_params(cfg)
     protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
     feats = random_features(cfg, batch=2, steps=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="targets shape"):
         loss_and_gradients_batch(params, feats, np.full((2, 4), 0.25),
                                  protocol)
+    # checked before the forward makes any step arrays
+    assert params._step_arrays == {}
 
 
 def numerical_gradients(params, feats, targets, protocol, h=1e-5):
@@ -466,6 +469,18 @@ def test_forward_allocates_its_step_arrays_per_call():
 def test_training_holds_its_step_arrays_at_the_per_modality_size():
     # train-k60's shape. The per-modality kernels this replaced held
     # 30.2 MB between batches and peaked at 36.0 MB in the first batch.
+    check_training_memory()
+
+
+def test_split_training_holds_its_step_arrays_at_the_same_size(
+        split_threads):
+    # the same bounds with each modality's LSTM and BPTT on its own thread:
+    # the workers allocate nothing large
+    split_threads(2)
+    check_training_memory()
+
+
+def check_training_memory():
     cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
                       num_classes=60, hidden_size=64)
     params = init_params(cfg)
@@ -507,7 +522,8 @@ def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
 
 @pytest.fixture
 def split_threads(monkeypatch):
-    """Force every forward onto the split path with ``n`` threads."""
+    """Force every forward and training batch onto the split path with
+    ``n`` threads."""
     def force(n):
         monkeypatch.setattr(seqmodel, "_SPLIT_MIN_WORK", 0)
         monkeypatch.setattr(seqmodel, "_scoring_threads", lambda: n)
@@ -566,6 +582,54 @@ def test_split_forward_raises_for_one_bad_row(split_threads, row):
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="non-finite logits"):
         forward_batch(params, feats, protocol)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_split_training_is_bit_identical_to_reference(split_threads,
+                                                      threads):
+    split_threads(threads)
+    cfg = ModelConfig(modalities=(("a", 5), ("b", 16), ("c", 3)),
+                      num_classes=13, hidden_size=16, seed=6)
+    params = init_params(cfg)
+    protocol = ProtocolConfig()
+    rng = np.random.default_rng(threads)
+    before = threading.active_count()
+    # 100 rows after 256 reuse the held buffer
+    for batch in (1, 33, 256, 100):
+        feats = random_features(cfg, batch, protocol.total_steps, seed=batch)
+        targets = rng.random((batch, cfg.num_classes))
+        targets /= targets.sum(axis=1, keepdims=True)
+        _, ref_loss, ref_grads = reference_loss_and_gradients(
+            params, feats, targets, protocol)
+        loss, grads = loss_and_gradients_batch(params, feats, targets,
+                                               protocol)
+        assert loss == ref_loss
+        assert [g.tobytes() for g in grads] == \
+            [ref.tobytes() for ref in ref_grads]
+    assert threading.active_count() == before
+
+
+def test_split_training_raises_for_a_bad_last_modality(split_threads):
+    # the last modality's LSTM runs on a worker thread; its NaN reaches the
+    # logits, which the caller's thread checks
+    split_threads(2)
+    cfg = ModelConfig(modalities=(("a", 4), ("b", 6)), num_classes=5,
+                      hidden_size=8)
+    protocol = ProtocolConfig()
+    feats = random_features(cfg, 30, protocol.total_steps)
+    feats[-1][7, 2, 1] = np.nan
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        loss_and_gradients_batch(init_params(cfg), feats,
+                                 np.full((30, 5), 0.2), protocol)
+    assert threading.active_count() == before
+    train = FeatureSet(dims=cfg.feature_dims, features=tuple(feats),
+                       targets=np.arange(30) % 5)
+    with pytest.raises(TrainingDiverged, match="epoch 1, batch 0"):
+        train_model(cfg, protocol, train, None, train,
+                    ExperimentConfig(epochs=1, batch_size=30,
+                                     hidden_size=8), alpha=0.0)
     assert threading.active_count() == before
 
 
