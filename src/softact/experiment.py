@@ -9,7 +9,6 @@ order, so a rerun reproduces every CSV byte for byte.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -568,11 +567,13 @@ def _comparison_task(args):
 
 def _outcomes(tasks: list, jobs: int):
     """:func:`_comparison_task` of each task, in task order, as each is
-    done, on at most ``jobs`` worker processes."""
+    done, on at most ``jobs`` worker processes. The pool is imported
+    here, so ``import softact`` does not load ``multiprocessing``."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
         yield from map(_comparison_task, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_comparison_task, tasks)
 

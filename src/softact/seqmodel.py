@@ -15,17 +15,19 @@ The LSTM step kernel is bit-identical by contract to the plain per-step
 formulation (concatenate ``[x_t | h]``, one GEMM, a two-branch sigmoid on
 each gate slice, then BPTT with freshly built ``dz``): every floating-point
 operation and GEMM is the same, in the same order, so a seeded run gives
-the same bytes. Only where results are stored changed: the modalities'
-LSTMs advance in one step loop, with gates, cells and BPTT scratch in
-gate-major (4, M, B, H) blocks, so each element-wise op is one ``out=``
-call and only the GEMMs stay per modality. The K-wide output layer keeps
-the plain order too (logits plus bias, softmax, loss terms, ``dlogits``),
-in place: the forward holds one (B, S, K) array, training one more.
-Training results, checkpoints and the benchmark's recorded reference scores
-depend on those bits, and ``tests/test_seqmodel.py`` keeps the plain
-formulation to check them. A faster but different formulation (hoisting
-the input projection, one stacked ``dW`` GEMM, a ``tanh``-based sigmoid,
-float32) is a change of results and must come with new reference scores.
+the same bytes. Only where results are stored changed: the LSTMs of a
+stack, a run of consecutive modalities of one width D, advance in one step
+loop, with ``[x_t | h]`` in a stacked (M, B, D+H) block and gates, cells
+and BPTT scratch in gate-major (4, M, B, H) blocks, so each element-wise op
+is one ``out=`` call and each GEMM one call per stack, which numpy runs as
+one 2-D GEMM per modality. The K-wide output layer keeps the plain order
+too (logits plus bias, softmax, loss terms, ``dlogits``), in place: the
+forward holds one (B, S, K) array, training one more. Training results,
+checkpoints and the benchmark's recorded reference scores depend on those
+bits, and ``tests/test_seqmodel.py`` keeps the plain formulation to check
+them. A faster but different formulation (hoisting the input projection,
+one ``dW`` GEMM over all steps, a ``tanh``-based sigmoid, float32) is a
+change of results and must come with new reference scores.
 
 A large batch uses the usable CPUs that BLAS leaves free: each modality's
 LSTM runs on a thread that lives only for the call, into arrays the caller
@@ -46,7 +48,6 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +137,8 @@ class ModelParams:
     # Scratch, never saved or copied: one flat buffer for the training step
     # arrays of every modality, and their views per batch shape and
     # stacking, reused from batch to batch (see _cache_arrays); and Adam's
-    # step count and moments, made by the first adam_step.
+    # step count, flat moments and flat scratch, made by the first
+    # adam_step.
     _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     _adam: list = field(default_factory=list, init=False, repr=False,
@@ -231,94 +233,120 @@ def _check_features(params: ModelParams, features) -> int:
     return batch
 
 
-def _cache_arrays(params: ModelParams, B: int, T: int, size: int) -> list:
+def _stacks(dims, split: bool) -> list[slice]:
+    """The stacks a batch's modalities run in, as slices of the modality
+    list: each modality alone when ``split``, else each run of consecutive
+    modalities of one width D."""
+    bounds = [0] + [i for i in range(1, len(dims))
+                    if split or dims[i] != dims[i - 1]] + [len(dims)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _carve(flat: np.ndarray, shapes) -> list:
+    """C-contiguous arrays of ``shapes``, one after another from the front
+    of ``flat``."""
+    arrays, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(flat[start:start + size].reshape(shape))
+        start += size
+    return arrays
+
+
+def _cache_arrays(params: ModelParams, B: int, T: int, split: bool) -> list:
     """The training step arrays of a (B, T) batch whose modalities run in
-    stacks of ``size``: per stack, per modality ``xh`` (T+1, B, D+H), then
-    the gates (T, 4, M, B, H), cells (T+1, M, B, H) and ``tanh(c)``
-    (T, M, B, H) of :func:`_run_lstm`, its GEMM block (M, B, 4H), which
-    BPTT reuses for ``dz``, and a (6, M, B, H) BPTT block, whose last three
-    rows are the forward's sigmoid scratch; then per modality ``dxh``
-    (B, D+H) and ``dW_t`` (D+H, 4H). M counts the stack's modalities, so
-    the total does not depend on ``size``.
+    the stacks of :func:`_stacks`: per stack of M modalities of width D,
+    ``xh`` (T+1, M, B, D+H), the gates (T, 4, M, B, H), cells
+    (T+1, M, B, H) and ``tanh(c)`` (T, M, B, H) of :func:`_run_lstm`, its
+    GEMM block (M, B, 4H), which BPTT reuses for ``dz``, a (6, M, B, H)
+    BPTT block, whose last three rows are the forward's sigmoid scratch,
+    ``dxh`` (M, B, D+H) and ``dW_t`` (M, D+H, 4H). Each is the per-modality
+    arrays of its stack side by side, so the total does not depend on the
+    stacking.
 
     They take about 30 MB at B=256, H=64. Where malloc hands back fresh
     pages for them on every batch (``MALLOC_MMAP_THRESHOLD_=131072``),
     faulting those in costs about 3 ms of a 41 ms batch on one thread. So
     ``params`` keeps one flat buffer for the largest batch seen, and each
-    batch shape and stacking carves C-contiguous arrays from the front of
-    it.
+    batch shape and stacking carves its arrays from the front of it.
     """
     held = params._step_arrays
-    if (B, T, size) not in held:
+    if (B, T, split) not in held:
         H, dims = params.config.hidden_size, params.config.feature_dims
-        stacks = [dims[i:i + size] for i in range(0, len(dims), size)]
         shapes = []
-        for stack in stacks:
-            M, widths = len(stack), [D + H for D in stack]
-            shapes += ([(T + 1, B, w) for w in widths]
-                       + [(T, 4, M, B, H), (T + 1, M, B, H), (T, M, B, H),
-                          (M, B, 4 * H), (6, M, B, H)]
-                       + [(B, w) for w in widths]
-                       + [(w, 4 * H) for w in widths])
-        sizes = [math.prod(shape) for shape in shapes]
-        if "flat" not in held or held["flat"].size < sum(sizes):
+        for g in _stacks(dims, split):
+            M, w = g.stop - g.start, dims[g.start] + H
+            shapes += [(T + 1, M, B, w), (T, 4, M, B, H), (T + 1, M, B, H),
+                       (T, M, B, H), (M, B, 4 * H), (6, M, B, H), (M, B, w),
+                       (M, w, 4 * H)]
+        size = sum(math.prod(shape) for shape in shapes)
+        if "flat" not in held or held["flat"].size < size:
             held.clear()
-            held["flat"] = np.empty(sum(sizes))
-        arrays = iter([held["flat"][end - n:end].reshape(shape)
-                       for end, n, shape in zip(np.cumsum(sizes), sizes,
-                                                shapes)])
-        held[B, T, size] = [
-            ([next(arrays) for _ in stack], *islice(arrays, 5),
-             [next(arrays) for _ in stack], [next(arrays) for _ in stack])
-            for stack in stacks]
-    return held[B, T, size]
+            held["flat"] = np.empty(size)
+        arrays = _carve(held["flat"], shapes)
+        held[B, T, split] = [tuple(arrays[i:i + 8])
+                             for i in range(0, len(arrays), 8)]
+    return held[B, T, split]
 
 
-def _forward_arrays(B: int, H: int, stacks) -> list:
-    """Forward-only :func:`_run_lstm` arrays for stacks of modalities run
-    one after another, given as their widths D: per stack an ``xh``
-    (2, B, D+H) per modality, and one set of gates, cells, ``tanh(c)``,
-    GEMM and (4, M, B, H) scratch blocks that every stack shares, with one
-    or two rows where training keeps T, so a forward holds nothing that
-    grows with T."""
-    M = len(stacks[0])
-    blocks = [np.empty(shape) for shape in [
-        (1, 4, M, B, H), (2, M, B, H), (1, M, B, H), (M, B, 4 * H),
-        (4, M, B, H)]]
-    return [([np.empty((2, B, D + H)) for D in dims], *blocks)
-            for dims in stacks]
+def _forward_arrays(B: int, H: int, widths) -> list:
+    """Forward-only :func:`_run_lstm` arrays for stacks run one after
+    another, given as their modalities' widths D: per stack an ``xh``
+    (2, M, B, D+H), and gates, cells, ``tanh(c)``, GEMM and (4, M, B, H)
+    scratch blocks that every stack shares, carved from the front of one
+    allocation each, with one or two rows where training keeps T, so a
+    forward holds nothing that grows with T.
+
+    One allocation per block, not one buffer for all five: with a single
+    3.9 MB buffer per thread at B=512, H=64, cli-k1200's peak RSS read
+    about 19 MB higher in 14 of 20 runs of ``bench/collect.py``, and in
+    none of 16 with separate blocks."""
+    def shapes(M):
+        return [(1, 4, M, B, H), (2, M, B, H), (1, M, B, H), (M, B, 4 * H),
+                (4, M, B, H)]
+
+    blocks = [np.empty(math.prod(shape))
+              for shape in shapes(max(map(len, widths)))]
+    return [(np.empty((2, len(dims), B, dims[0] + H)),
+             *(block[:math.prod(shape)].reshape(shape)
+               for block, shape in zip(blocks, shapes(len(dims)))))
+            for dims in widths]
 
 
-def _run_lstm(Ws, bs, xs, h_outs, arrays) -> None:
-    """Run one LSTM per modality over its (B, T, D) input from zero state,
-    all in one step loop, and write the hidden states of the last S steps
-    into ``h_outs``, (B, S, H) each. The bias add moves each GEMM output,
-    [i | f | g | o], into gate-major gates ordered [i | f | o | g], so one
-    sigmoid call covers three gates. ``arrays`` come from
-    :func:`_cache_arrays`, which keeps every step's ``[x_t | h_{t-1}]``,
-    gates, cell and ``tanh(c_t)`` for the backward pass, or from
-    :func:`_forward_arrays`; this allocates nothing that grows with B.
+def _run_lstm(W, bs, xs, h_out, arrays) -> None:
+    """Run the LSTMs of one stack, M modalities of one width D, over their
+    (B, T, D) inputs from zero state in one step loop, and write the hidden
+    states of the last S steps into ``h_out``, (S, M, B, H). ``W`` is the
+    stack's (M, D+H, 4H) gate matrices and ``bs`` its biases. Each step
+    copies each modality's input into its ``xh`` row, makes one GEMM call
+    for the stack and writes its hidden states into the next ``xh`` row
+    with one multiply. The bias is added in the GEMM's contiguous
+    (M, B, 4H) block; two copies then move it, [i | f | g | o], into
+    gate-major gates ordered [i | f | o | g], so one sigmoid call covers
+    three gates. ``arrays`` come from :func:`_cache_arrays`, which keeps
+    every step's ``[x_t | h_{t-1}]``, gates, cell and ``tanh(c_t)`` for the
+    backward pass, or from :func:`_forward_arrays`; this allocates nothing
+    that grows with B.
     """
-    M, (B, T), H, S = len(Ws), xs[0].shape[:2], bs[0].size // 4, \
-        h_outs[0].shape[1]
-    xhs, gates, cs, tanh_cs, zs, scratch = arrays[:6]
+    xh, gates, cs, tanh_cs, zs, scratch = arrays[:6]
+    (M, B, H4), (T, D), S = zs.shape, xs[0].shape[1:], h_out.shape[0]
+    H = H4 // 4
     gi_gg, den = scratch[0], scratch[-3:]
     n_rows, n_steps = cs.shape[0], gates.shape[0]
-    # the [i | f] and [o | g] gate blocks of the GEMM outputs and biases
+    # the GEMM outputs' gate blocks, and the biases as (M, 1, 4H) rows
     z4 = zs.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
-    b4 = np.stack(bs).reshape(M, 4, 1, H).transpose(1, 0, 2, 3)
-    dims = [x.shape[2] for x in xs]
-    for xh, D in zip(xhs, dims):
-        xh[0, :, D:] = 0.0
+    b = np.stack(bs)[:, None, :]
+    xh[0, :, :, D:] = 0.0
     cs[0] = 0.0
     for t in range(T):
-        for m in range(M):
-            row = xhs[m][t % n_rows]
-            row[:, :dims[m]] = xs[m][:, t, :]
-            np.matmul(row, Ws[m], out=zs[m])
+        row = xh[t % n_rows]
+        for m, x in enumerate(xs):
+            row[m, :, :D] = x[:, t]
+        np.matmul(row, W, out=zs)
+        zs += b
         z = gates[t % n_steps]
-        np.add(z4[:2], b4[:2], out=z[:2])
-        np.add(z4[3:1:-1], b4[3:1:-1], out=z[2:])
+        np.copyto(z[:2], z4[:2])
+        np.copyto(z[2:], z4[3:1:-1])
         _sigmoid(z[:3], z[:3], den)
         np.tanh(z[3], out=z[3])
         c, tanh_c = cs[(t + 1) % n_rows], tanh_cs[t % n_steps]
@@ -326,17 +354,16 @@ def _run_lstm(Ws, bs, xs, h_outs, arrays) -> None:
         np.multiply(z[0], z[3], out=gi_gg)
         c += gi_gg
         np.tanh(c, out=tanh_c)
-        for m in range(M):
-            h = xhs[m][(t + 1) % n_rows, :, dims[m]:]
-            np.multiply(z[2, m], tanh_c[m], out=h)
-            if t >= T - S:
-                h_outs[m][:, t - (T - S)] = h
+        h = xh[(t + 1) % n_rows, :, :, D:]
+        np.multiply(z[2], tanh_c, out=h)
+        if t >= T - S:
+            h_out[t - (T - S)] = h
 
 
 # A batch of fewer (row x hidden unit) pairs than this runs on the
-# caller's thread with its modalities in one stacked step loop; from it on,
-# each modality runs alone and, with threads to spare, on a thread of its
-# own (see _forward_full for the timings).
+# caller's thread, each run of equal-width modalities in one stacked step
+# loop; from it on, each modality runs alone and, with threads to spare, on
+# a thread of its own (see _forward_full for the timings).
 _SPLIT_MIN_WORK = 8192
 
 
@@ -387,12 +414,14 @@ def _in_threads(jobs) -> None:
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
     """The probabilities, hcat and, with ``keep_cache``, the LSTM jobs of a
-    batch (else None): per thread, its (modality slice, step arrays) pairs,
-    which BPTT runs again on the same threads. The softmax overwrites the
-    logits, and raises FloatingPointError if one is not finite.
+    batch (else None): per thread, its (modality slice, stacked gate
+    matrices, step arrays) triples, which BPTT runs again on the same
+    threads. The softmax overwrites the logits, and raises
+    FloatingPointError if one is not finite.
 
-    Below ``_SPLIT_MIN_WORK`` every modality's LSTM runs in one stacked
-    step loop on the caller's thread. From the gate on, each modality runs
+    Below ``_SPLIT_MIN_WORK`` the LSTMs of each run of equal-width
+    modalities advance in one stacked step loop on the caller's thread
+    (see :func:`_stacks`). From the gate on, each modality runs
     alone, and the modalities spread across :func:`_scoring_threads`; a
     forward-only batch then splits the output layer into row blocks too,
     while training keeps it on the caller's thread. Every sample's GEMMs
@@ -427,25 +456,30 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
             f"({protocol.encode_steps}+{protocol.decode_steps}), got {T}"
         )
     H, M, K = cfg.hidden_size, len(cfg.modalities), cfg.num_classes
-    hcat = np.empty((B, protocol.decode_steps, M * H))
-    Ws, bs = params.weights[0:2 * M:2], params.weights[1:2 * M:2]
-    h_outs = [hcat[:, :, m * H:(m + 1) * H] for m in range(M)]
-    size, parts = (M, 1) if B * H < _SPLIT_MIN_WORK else \
-        (1, _scoring_threads())
-    stacks = [slice(i, i + size) for i in range(0, M, size)]
+    dims, S = cfg.feature_dims, protocol.decode_steps
+    hcat = np.empty((B, S, M * H))
+    # per modality, its (S, B, H) hidden states in hcat
+    h_outs = hcat.reshape(B, S, M, H).transpose(1, 2, 0, 3)
+    split = B * H >= _SPLIT_MIN_WORK
+    parts = _scoring_threads() if split else 1
+    stacks = _stacks(dims, split)
+    weights = params.weights
+    Ws = [weights[2 * g.start][None] if g.stop - g.start == 1
+          else np.stack(weights[2 * g.start:2 * g.stop:2]) for g in stacks]
     # thread j runs the stacks j, j + parts, ...
     if keep_cache:
-        held = _cache_arrays(params, B, T, size)
-        jobs = [list(zip(stacks[j::parts], held[j::parts]))
+        held = _cache_arrays(params, B, T, split)
+        jobs = [list(zip(stacks[j::parts], Ws[j::parts], held[j::parts]))
                 for j in range(min(parts, len(stacks)))]
     else:
-        jobs = [list(zip(stacks[j::parts], _forward_arrays(
-                    B, H, [cfg.feature_dims[g] for g in stacks[j::parts]])))
+        jobs = [list(zip(stacks[j::parts], Ws[j::parts], _forward_arrays(
+                    B, H, [dims[g] for g in stacks[j::parts]])))
                 for j in range(min(parts, len(stacks)))]
 
     def lstms(job):
-        for g, arrays in job:
-            _run_lstm(Ws[g], bs[g], features[g], h_outs[g], arrays)
+        for g, W, step_arrays in job:
+            _run_lstm(W, weights[2 * g.start + 1:2 * g.stop:2], features[g],
+                      h_outs[:, g], step_arrays)
 
     _in_threads([partial(lstms, job) for job in jobs])
     if keep_cache:  # training keeps the output layer on this thread
@@ -455,7 +489,7 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
     # this batched one, one GEMM per sample (checked at K=60), and the
     # recorded references depend on these bits.
-    probs = np.empty((B, protocol.decode_steps, K))
+    probs = np.empty((B, S, K))
 
     def output(rows):
         np.matmul(hcat[rows], params.fusion_weight, out=probs[rows])
@@ -477,32 +511,32 @@ def forward_batch(params: ModelParams, features,
     return _forward_full(params, features, protocol, keep_cache=False)[0]
 
 
-def _bptt(Ws, dh_outs, arrays, dWs, dbs) -> None:
-    """Backpropagate through the stacked LSTMs that :func:`_run_lstm` ran
-    into ``arrays`` (from :func:`_cache_arrays`): ``dh_outs`` are the
-    gradients of the last S hidden states, (B, S, H) per modality, and each
-    modality's weight and bias gradients are added into ``dWs`` and
-    ``dbs``. This allocates nothing that grows with B."""
-    M, H = len(Ws), Ws[0].shape[1] // 4
-    dims = [W.shape[0] - H for W in Ws]
-    xhs, gates, cs, tanh_cs, zs, bptt, dxhs, dW_ts = arrays
-    T, (B, S) = gates.shape[0], dh_outs[0].shape[:2]
+def _bptt(W, dh_out, arrays, dW, db) -> None:
+    """Backpropagate through the LSTMs of the stack that :func:`_run_lstm`
+    ran into ``arrays`` (from :func:`_cache_arrays`): ``dh_out`` is the
+    gradient of the last S hidden states, (S, M, B, H), and the stack's
+    weight and bias gradients are added into ``dW`` (M, D+H, 4H) and ``db``
+    (M, 4H). Each step makes one call for the stack per operation, GEMMs
+    included. This allocates nothing that grows with B."""
+    xh, gates, cs, tanh_cs, zs, bptt, dxh, dW_t = arrays
+    T, (S, M, B, H) = gates.shape[0], dh_out.shape
+    D = xh.shape[3] - H
     # dz is built gate-major in the spent GEMM block, then copied into step
     # t's spent gates as (B, 4H) rows, [i | f | g | o], for the GEMMs
     dz = zs.reshape(4, M, B, H)
     (dh, dc, dc_next), tmp3, tmp = bptt[:3], bptt[3:], bptt[3]
     bptt[:3] = 0.0
-    dh_next = list(dh)
+    dh_next, W_T = dh, W.transpose(0, 2, 1)
     for t in range(T - 1, -1, -1):
         z = gates[t]
         gi, gf, go, gg = z
-        for m in range(M):
-            if t >= T - S:
-                np.add(dh_next[m], dh_outs[m][:, t - (T - S)], out=dh[m])
-            else:
-                dh[m] = dh_next[m]
+        if t >= T - S:
+            np.add(dh_next, dh_out[t - (T - S)], out=dh)
+            dh_t = dh
+        else:
+            dh_t = dh_next
         # dc = dc_next + dh * go * (1 - tanh_c**2)
-        np.multiply(dh, go, out=dc)
+        np.multiply(dh_t, go, out=dc)
         np.multiply(tanh_cs[t], tanh_cs[t], out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         dc *= tmp
@@ -510,7 +544,7 @@ def _bptt(Ws, dh_outs, arrays, dWs, dbs) -> None:
         # i, f and o: dc * gg, dc * c_prev, dh * tanh_c; * gate * (1 - gate)
         np.multiply(dc, gg, out=dz[0])
         np.multiply(dc, cs[t], out=dz[1])
-        np.multiply(dh, tanh_cs[t], out=dz[2])
+        np.multiply(dh_t, tanh_cs[t], out=dz[2])
         dz[:3] *= z[:3]
         np.subtract(1.0, z[:3], out=tmp3)
         dz[:3] *= tmp3
@@ -525,14 +559,12 @@ def _bptt(Ws, dh_outs, arrays, dWs, dbs) -> None:
         rows4 = z.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
         np.copyto(rows4[:2], dz[:2])
         np.copyto(rows4[3:1:-1], dz[2:])
-        db = np.add.reduce(rows, axis=1)
-        for m in range(M):
-            np.matmul(xhs[m][t].T, rows[m], out=dW_ts[m])
-            dWs[m] += dW_ts[m]
-            dbs[m] += db[m]
-            if t:
-                np.matmul(rows[m], Ws[m].T, out=dxhs[m])
-                dh_next[m] = dxhs[m][:, dims[m]:]
+        db += np.add.reduce(rows, axis=1)
+        np.matmul(xh[t].transpose(0, 2, 1), rows, out=dW_t)
+        dW += dW_t
+        if t:
+            np.matmul(rows, W_T, out=dxh)
+            dh_next = dxh[:, :, D:]
 
 
 def loss_and_gradients_batch(params: ModelParams, features,
@@ -544,7 +576,9 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample. The modalities' BPTT runs on the threads their
     forward ran on; the loss, the fusion gradients and ``dhcat`` are summed
-    on the caller's thread, in one fixed order.
+    on the caller's thread, in one fixed order. The gradients are fresh
+    arrays: a stack's LSTM gradients are views of one zero block made for
+    the call.
     """
     cfg = params.config
     B, K = _check_features(params, features), cfg.num_classes
@@ -570,43 +604,80 @@ def loss_and_gradients_batch(params: ModelParams, features,
     dlogits -= targets[:, None, :]
     dlogits /= B * S
 
-    grads = [np.zeros_like(w) for w in params.weights[:2 * M]]
+    grads = [None] * (2 * M)
     grads.append(hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K))
     grads.append(dlogits.sum(axis=(0, 1)))
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
-    dh_outs = [dhcat[:, :, m * H:(m + 1) * H] for m in range(M)]
-    Ws, dWs, dbs = params.weights[0:2 * M:2], grads[0:2 * M:2], \
-        grads[1:2 * M:2]
+    dh_outs = dhcat.reshape(B, S, M, H).transpose(1, 2, 0, 3)
+    work = []
+    for job in jobs:
+        work.append([])
+        for g, W, arrays in job:
+            n, w, h4 = W.shape
+            dW, db = _carve(np.zeros(n * (w + 1) * h4), [W.shape, (n, h4)])
+            grads[2 * g.start:2 * g.stop:2] = list(dW)
+            grads[2 * g.start + 1:2 * g.stop:2] = list(db)
+            work[-1].append((W, dh_outs[:, g], arrays, dW, db))
 
     def backward(job):
-        for g, arrays in job:
-            _bptt(Ws[g], dh_outs[g], arrays, dWs[g], dbs[g])
+        for args in job:
+            _bptt(*args)
 
-    _in_threads([partial(backward, job) for job in jobs])
+    _in_threads([partial(backward, job) for job in work])
     return loss, grads
 
 
 def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
-    """One in-place Adam update with bias correction."""
-    cfg = params.config
-    if len(grads) != len(params.weights):
+    """One in-place Adam update with bias correction.
+
+    The step count, both moments and two scratch vectors live in
+    ``params._adam``, made by the first call, as flat vectors over the
+    weights in declaration order: the gradients are copied into one, each
+    operation is one call over the whole vector, and each weight then
+    subtracts its slice. Every element meets the operations of the
+    per-array formula in the same order, so the bits are the same. The
+    scratch is held, not made per call: at K=1200 (H=64, 2x16-d) it is
+    3.1 MB, and a call took 2.6-2.9 ms with it made per call against
+    1.7-1.9 ms held (2 vCPUs, 1 BLAS thread). Raises ValueError, with
+    nothing updated, if a gradient's shape is not its weight's.
+    """
+    cfg, weights = params.config, params.weights
+    if len(grads) != len(weights):
         raise ValueError("gradient list does not match parameter list")
+    for i, (w, g) in enumerate(zip(weights, grads)):
+        if np.shape(g) != w.shape:
+            raise ValueError(f"gradient {i} has shape {np.shape(g)}, "
+                             f"expected {w.shape}")
     if not params._adam:
-        params._adam = [0, [np.zeros_like(w) for w in params.weights],
-                         [np.zeros_like(w) for w in params.weights]]
+        size = sum(w.size for w in weights)
+        params._adam = [0, np.zeros(size), np.zeros(size), np.empty(size),
+                        np.empty(size)]
     params._adam[0] += 1
-    t, moments1, moments2 = params._adam
+    t, m, v, step, tmp = params._adam
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
-    for w, g, m, v in zip(params.weights, grads, moments1, moments2):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        w -= cfg.learning_rate * (m / correction1) \
-            / (np.sqrt(v / correction2) + ADAM_EPS)
+    np.concatenate([np.ravel(g) for g in grads], out=step)
+    # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+    m *= b1
+    np.multiply(step, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(step, step, out=tmp)
+    tmp *= 1.0 - b2
+    v += tmp
+    # step = lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    np.divide(m, correction1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, correction2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step /= tmp
+    start = 0
+    for w in weights:
+        w -= step[start:start + w.size].reshape(w.shape)
+        start += w.size
     return params
 
 

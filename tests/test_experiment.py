@@ -593,6 +593,19 @@ def test_run_comparison_forks_cleanly_after_a_split_forward(tmp_path):
     assert done.stdout.split() == ["same"]
 
 
+def test_import_does_not_load_the_process_pool():
+    # the pool is imported only where compare --jobs starts one, so no
+    # command pays for importing multiprocessing
+    src = str(Path(softact.experiment.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, softact; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_run_comparison_identical_methods_match(tiny_dataset):
     config = ExperimentConfig(epochs=2, batch_size=32, trials=1,
                               hidden_size=8)
@@ -641,7 +654,8 @@ class _RecordingPool:
 ])
 def test_run_comparison_bounds_workers_by_tasks(tiny_dataset, monkeypatch,
                                                 jobs, trials, workers):
-    monkeypatch.setattr("softact.experiment.ProcessPoolExecutor",
+    # _outcomes imports the pool when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
     config = ExperimentConfig(epochs=1, batch_size=32, trials=trials,

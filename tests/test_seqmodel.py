@@ -393,6 +393,11 @@ SWEEP_K16 = ProtocolConfig(encode_steps=3, decode_steps=4)
                      id="3-4-dims2-3-1.0-float64"),
         pytest.param(64, 16, (8, 8), 16, 1.0, np.float32, SWEEP_K16,
                      id="sweep-k16"),
+        # a stack of three, and two stacks of one split by a narrower middle
+        pytest.param(64, 16, (8, 8, 8), 16, 1.0, np.float32, SWEEP_K16,
+                     id="sweep-k16-one-stack-of-three"),
+        pytest.param(64, 16, (8, 5, 8), 16, 1.0, np.float32, SWEEP_K16,
+                     id="sweep-k16-equal-widths-apart"),
         # a stack of one, as every forward-only pass runs
         pytest.param(40, 8, (6,), 5, 1.0, np.float64, SWEEP_K16,
                      id="one-modality"),
@@ -480,27 +485,45 @@ def test_split_training_holds_its_step_arrays_at_the_same_size(
     check_training_memory()
 
 
+def test_stacked_training_carves_its_step_arrays_from_one_buffer():
+    # sweep-k16's shape, where both modalities run as one stack: the first
+    # batch's step arrays take 1.11 MB, and the 14-row last batch's would
+    # take 0.26 MB of their own; carved from the same buffer, they add only
+    # their array objects, about 2 KB
+    held, _, held_after_small = training_memory(
+        hidden=16, width=8, classes=16, batch=64, last_batch=14,
+        protocol=SWEEP_K16)
+    assert abs(held_after_small - held) < 4096
+
+
 def check_training_memory():
-    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
-                      num_classes=60, hidden_size=64)
+    held, peak, held_after_small = training_memory()
+    assert peak <= 38.0e6
+    assert held <= 31.0e6
+    assert abs(held_after_small - held) < 0.1e6
+
+
+def training_memory(hidden=64, width=16, classes=60, batch=256,
+                    last_batch=100, protocol=ProtocolConfig()):
+    """Train on a batch of two modalities, then on a smaller one: the bytes
+    held after the first, its peak, and the bytes held after the second."""
+    cfg = ModelConfig(modalities=(("rgb", width), ("flow", width)),
+                      num_classes=classes, hidden_size=hidden)
     params = init_params(cfg)
-    protocol = ProtocolConfig()
-    feats = random_features(cfg, batch=256, steps=protocol.total_steps)
-    targets = np.full((256, 60), 1 / 60)
+    feats = random_features(cfg, batch=batch, steps=protocol.total_steps)
+    targets = np.full((batch, classes), 1 / classes)
     tracemalloc.start()
     try:
         loss_and_gradients_batch(params, feats, targets, protocol)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         # a smaller batch carves its arrays from the same buffer
-        loss_and_gradients_batch(params, [x[:100] for x in feats],
-                                 targets[:100], protocol)
+        loss_and_gradients_batch(params, [x[:last_batch] for x in feats],
+                                 targets[:last_batch], protocol)
         held_after_small, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 38.0e6
-    assert held <= 31.0e6
-    assert abs(held_after_small - held) < 0.1e6
+    return held, peak, held_after_small
 
 
 def test_forward_kernel_is_bit_identical_to_reference_at_k1200():
@@ -714,6 +737,68 @@ def test_adam_two_steps_match_reference():
         vhat = v / (1 - 0.999 ** t)
         w -= 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
     assert params.weights[w_index][0] == pytest.approx(w, rel=1e-12)
+
+
+def reference_adam_step(weights, grads, state, lr):
+    """The per-array Adam update that the flat one replaced, kept operation
+    for operation; ``state`` is [step count, first moments, second
+    moments], the moments made by the caller."""
+    state[0] += 1
+    t, moments1, moments2 = state
+    for w, g, m, v in zip(weights, grads, moments1, moments2):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        w -= lr * (m / (1.0 - 0.9 ** t)) \
+            / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+
+
+def test_adam_steps_are_bit_identical_to_per_array_formula():
+    # sweep-k16's shape and learning rate; each step's LSTM gradients are
+    # views of one stacked block, as loss_and_gradients_batch returns them
+    cfg = ModelConfig(modalities=(("rgb", 8), ("flow", 8)), num_classes=16,
+                      hidden_size=16, learning_rate=3e-3)
+    params = init_params(cfg)
+    weights = [w.copy() for w in params.weights]
+    state = [0, [np.zeros_like(w) for w in weights],
+             [np.zeros_like(w) for w in weights]]
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        dW = rng.normal(size=(2, 24, 64))
+        db = rng.normal(size=(2, 64))
+        grads = [dW[0], db[0], dW[1], db[1],
+                 rng.normal(size=(32, 16)), rng.normal(size=16)]
+        adam_step(params, grads)
+        reference_adam_step(weights, grads, state, cfg.learning_rate)
+        assert [w.tobytes() for w in params.weights] == \
+            [w.tobytes() for w in weights]
+
+
+@pytest.mark.parametrize("index, shape", [
+    (0, (1, 16)),   # would broadcast over a (7, 16) gate matrix
+    (1, ()),        # a 0-d gradient for a bias
+    (4, (3, 8)),    # the fusion matrix's shape, transposed
+])
+def test_adam_refuses_a_gradient_of_the_wrong_shape(index, shape):
+    # the refused call changes nothing: not the weights, not Adam's state,
+    # so the next step matches a twin's that never saw it
+    params, twin = init_params(tiny_config()), init_params(tiny_config())
+    rng = np.random.default_rng(4)
+    steps = [[rng.normal(size=w.shape) for w in params.weights]
+             for _ in range(2)]
+    adam_step(params, steps[0])
+    adam_step(twin, steps[0])
+    bad = list(steps[1])
+    bad[index] = np.ones(shape)
+    with pytest.raises(ValueError, match=f"gradient {index} has shape"):
+        adam_step(params, bad)
+    assert [w.tobytes() for w in params.weights] == \
+        [w.tobytes() for w in twin.weights]
+    adam_step(params, steps[1])
+    adam_step(twin, steps[1])
+    assert [w.tobytes() for w in params.weights] == \
+        [w.tobytes() for w in twin.weights]
 
 
 def test_adam_gradient_list_length_error():
