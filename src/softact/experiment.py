@@ -356,7 +356,8 @@ def _best_line(best_epoch: int, best_score: float) -> str:
 def evaluate_model(params: ModelParams, feature_set: FeatureSet,
                    protocol: ProtocolConfig) -> np.ndarray:
     """Per-step class probabilities, (num_samples, decode_steps, K),
-    scored ``SCORE_BLOCK`` samples at a time into one preallocated array."""
+    scored ``SCORE_BLOCK`` samples at a time into one preallocated array;
+    besides it, one chunk's forward output is held."""
     probs = np.empty((feature_set.num_samples, protocol.decode_steps,
                       params.config.num_classes))
     for rows, feats in feature_set.batches(SCORE_BLOCK):

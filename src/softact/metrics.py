@@ -24,8 +24,9 @@ from .seqmodel import ProtocolConfig, _in_threads, _scoring_threads
 from .vocab import ActionVocab
 
 PRIMARY_METRIC = "action_top5"
-# Rows a Scorer counts at once, and the chunk size of evaluation.
-SCORE_BLOCK = 512
+# Rows a Scorer counts at once, and the chunk size of evaluation; a chunk's
+# (SCORE_BLOCK, S, K) float64 forward is scoring's largest array.
+SCORE_BLOCK = 256
 # A block of fewer (row x class) scores than this is counted on the
 # caller's thread (see Scorer._add_block).
 _SPLIT_MIN_SCORES = 32768
@@ -213,11 +214,11 @@ class Scorer:
     scores use the action distribution marginalized over cohorts, and the
     many-shot sets, if given, add tp/fp/fn of each task's top-1.
 
-    A chunk is counted in blocks of ``SCORE_BLOCK`` rows, so no temporary
-    grows with n. The marginals are one GEMM per block, whose last bits
-    depend on its row count (BLAS takes other kernels for a few rows), so
-    a whole split and the same split in ``SCORE_BLOCK``-row chunks give
-    the same counts.
+    A chunk is counted in blocks of ``SCORE_BLOCK`` rows (cohort marginals
+    and (rows, K) rank masks), so no temporary grows with n. The marginals
+    are one GEMM per block, whose last bits depend on its row count (BLAS
+    takes other kernels for a few rows), so a whole split and the same
+    split in ``SCORE_BLOCK``-row chunks give the same counts.
     """
 
     def __init__(self, decode_steps: int, vocab: ActionVocab,

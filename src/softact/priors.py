@@ -39,6 +39,7 @@ KINDS = {
 }
 
 _WORD_SPLIT = re.compile(r"[^a-zA-Z]+")
+_MIX_BLOCK = 64  # rows of a weighted prior that mix_priors forms at once
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ def build_glove_prior(vocab: ActionVocab, table: EmbeddingTable) -> PriorMatrix:
     falls back to uniform.
     """
     phi = action_embedding_matrix(vocab, table)
-    sims = np.abs(phi @ phi.T)
-    return _normalize_rows(sims, vocab.K, kind="glove")
+    sims = np.asarray(phi @ phi.T, dtype=np.float64)
+    return _normalize_rows(np.abs(sims, out=sims), vocab.K, kind="glove")
 
 
 def build_temporal_prior(pairs, vocab: ActionVocab) -> PriorMatrix:
@@ -193,8 +194,10 @@ def build_temporal_prior(pairs, vocab: ActionVocab) -> PriorMatrix:
     return _normalize_rows(preceder, K, kind="temporal")
 
 
-def _normalize_rows(weights: np.ndarray, K: int, kind: str) -> PriorMatrix:
-    rows = np.array(weights, dtype=np.float64)
+def _normalize_rows(rows: np.ndarray, K: int, kind: str) -> PriorMatrix:
+    """Each row over its sum (uniform if 0), in place: this takes
+    ownership of ``rows``, a fresh (K, K) float64 array that becomes the
+    read-only prior, so it holds no second K x K matrix."""
     denom = rows.sum(axis=1)
     zero = denom == 0.0
     rows[zero] = 1.0 / K
@@ -204,7 +207,8 @@ def _normalize_rows(weights: np.ndarray, K: int, kind: str) -> PriorMatrix:
 
 
 def mix_priors(priors: list[PriorMatrix], weights: list[float]) -> PriorMatrix:
-    """Weighted row-wise average; weights are normalized to sum to 1."""
+    """Weighted row-wise average; weights are normalized to sum to 1.
+    Besides the priors and the sum it holds one (_MIX_BLOCK, K) block."""
     if not priors:
         raise ValueError("need at least one prior to mix")
     if len(priors) != len(weights):
@@ -222,7 +226,8 @@ def mix_priors(priors: list[PriorMatrix], weights: list[float]) -> PriorMatrix:
     w = w / total
     rows = np.zeros((K, K))
     for weight, p in zip(w, priors):
-        rows += weight * p.rows
+        for b in range(0, K, _MIX_BLOCK):
+            rows[b:b + _MIX_BLOCK] += weight * p.rows[b:b + _MIX_BLOCK]
     kind = "+".join(p.kind for p in priors)
     return PriorMatrix(rows, kind=kind)
 
@@ -269,6 +274,10 @@ def save_prior(prior: PriorMatrix, path: str | Path,
     one ``%`` call on a template, not a Python-level step per entry, and
     each row is written as it is formatted."""
     path = Path(path)
+    sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"{path}: a prior CSV may not end in .json, the "
+                         f"suffix of its sidecar")
     row_format = ",".join(["%.17g"] * prior.K) + "\n"
     with path.open("w") as out:
         for row in prior.rows:
@@ -284,8 +293,8 @@ def save_prior(prior: PriorMatrix, path: str | Path,
             column_texts = np.array(texts, dtype=object)[
                 np.searchsorted(distinct, bits)]
             out.write(",".join(column_texts.tolist()) + "\n")
-    sidecar = {"kind": prior.kind, "K": prior.K, "vocab_hash": vocab_hash}
-    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    sidecar.write_text(json.dumps(
+        {"kind": prior.kind, "K": prior.K, "vocab_hash": vocab_hash}))
 
 
 def load_prior(path: str | Path) -> PriorMatrix:

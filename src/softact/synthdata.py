@@ -27,6 +27,7 @@ from .vocab import ActionVocab
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
+_FEATURE_CHUNK = 512  # samples gen_features makes at once
 
 
 def _letters(i: int) -> str:
@@ -258,7 +259,10 @@ def gen_features(grammar: SyntheticGrammar, walks: np.ndarray,
     The observed snippet sequence drifts linearly from the previous
     action's mean to the target action's mean (reaching it exactly at the
     last timestep), with Gaussian noise of scale ``noise_sigma``, drawn
-    once per modality in sample order.
+    modality by modality in sample order. Each float32 (n, T, D) block is
+    filled ``_FEATURE_CHUNK`` samples at a time, so only one chunk's
+    float64 path and noise are held; a ``rng.normal`` call per chunk draws
+    what one whole-block call would, in the same order.
     """
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got "
@@ -268,11 +272,15 @@ def gen_features(grammar: SyntheticGrammar, walks: np.ndarray,
     previous, targets = walks[:, :-1].ravel(), walks[:, 1:].ravel()
     blocks = []
     for means in grammar.class_means:
-        path = (1.0 - lam) * means[previous][:, None]
-        path += lam * means[targets][:, None]
-        if noise_sigma > 0:
-            path += rng.normal(scale=noise_sigma, size=path.shape)
-        blocks.append(path.astype(np.float32))
+        block = np.empty((targets.size, lam.size, means.shape[1]), np.float32)
+        for start in range(0, targets.size, _FEATURE_CHUNK):
+            rows = slice(start, start + _FEATURE_CHUNK)
+            path = (1.0 - lam) * means[previous[rows]][:, None]
+            path += lam * means[targets[rows]][:, None]
+            if noise_sigma > 0:
+                path += rng.normal(scale=noise_sigma, size=path.shape)
+            block[rows] = path
+        blocks.append(block)
     return FeatureSet(dims=tuple(d for _, d in grammar.config.modalities),
                       features=tuple(blocks), targets=targets)
 

@@ -169,6 +169,21 @@ def test_build_prior_annotation_errors_name_the_file(tmp_path, ab_vocab,
         assert err.startswith(f"error: {ann_path}: ") and message in err
     assert not out.exists()
 
+
+def test_build_prior_refuses_a_json_out(tmp_path, toy_vocab, capsys):
+    # the sidecar would overwrite the matrix; exit 1 before writing
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(toy_vocab.to_json())
+    out = tmp_path / "prior.json"
+    assert main(["build-prior", "--kind", "vn", "--vocab", str(vocab_path),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err == f"error: {out}: a prior CSV may not end in " \
+                           f".json, the suffix of its sidecar\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.json"]
+
+
 def test_build_prior_glove_and_mix(tmp_path, toy_vocab, capsys):
     vocab_path = tmp_path / "vocab.json"
     vocab_path.write_text(toy_vocab.to_json())

@@ -6,8 +6,10 @@ Truncations and byte flips of small valid files, random JSON values in
 the checkpoint's config blob, in a dataset bundle's JSON files (the
 manifest's protocol too) and in an experiment config file, and character
 edits of the text files: an annotation CSV, an embedding file and a prior
-CSV. ``eval`` on a truncated, extended or byte-flipped checkpoint exits 0
-or 2 without a traceback.
+CSV. Edited files are written with ``errors="surrogatepass"``, so a lone
+surrogate among the edits becomes bytes that are not UTF-8, which the
+readers must refuse too. ``eval`` on a truncated, extended or byte-flipped
+checkpoint exits 0 or 2 without a traceback.
 Hypothesis runs derandomized and without an example database, so every
 run tries the same inputs.
 """
@@ -301,7 +303,7 @@ def test_edited_annotations_raise_only_parse_error(edits):
 def test_edited_embeddings_raise_only_parse_or_format_error(work, edits):
     path = work / "embeddings.txt"
     path.write_text(_edit("cut 1 0.5\nwash -0.25 1e-3\n\nonion 0 2\n", edits),
-                    encoding="utf-8")
+                    encoding="utf-8", errors="surrogatepass")
     try:
         table = load_embeddings(path)
     except (ParseError, FormatError):
@@ -321,7 +323,8 @@ def test_edited_prior_csv_raises_only_parse_or_format_error(work, prior_text,
                                                            edits):
     # the sidecar stays beside the edited CSV
     path = work / "prior.csv"
-    path.write_text(_edit(prior_text, edits), encoding="utf-8")
+    path.write_text(_edit(prior_text, edits), encoding="utf-8",
+                    errors="surrogatepass")
     try:
         prior = load_prior(path)
     except (ParseError, FormatError):

@@ -199,6 +199,19 @@ def test_glove_prior_scale_invariance(toy_vocab):
     np.testing.assert_allclose(p1.rows, p0.rows, rtol=0, atol=1e-12)
 
 
+def test_glove_prior_of_a_float32_table_normalizes_in_float64(toy_vocab):
+    # the float32 similarities are widened before the rows are normalized
+    rng = np.random.default_rng(5)
+    words = set(toy_vocab.verbs) | set(toy_vocab.nouns)
+    table = EmbeddingTable(5, {w: rng.normal(size=5).astype(np.float32)
+                               for w in words})
+    phi = action_embedding_matrix(toy_vocab, table)
+    sims = np.abs(phi @ phi.T).astype(np.float64)
+    want = sims / sims.sum(axis=1)[:, None]
+    got = build_glove_prior(toy_vocab, table)
+    assert got.rows.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- temporal
 
 
@@ -309,6 +322,32 @@ def test_mix_priors_errors(toy_vocab):
         mix_priors([vn, vn], [0.0, 0.0])
 
 
+def test_mix_prior_peaks_at_about_three_matrices():
+    # glove+verb_noun holds the two priors and their sum, plus one block of
+    # rows: no fourth K x K product, and the glove and verb-noun builders
+    # make no second matrix beside their own
+    letters = "abcdefghijklmnopqrst"
+    vocab = ActionVocab(verbs=tuple("v" + c for c in letters),
+                        nouns=tuple("n" + c for c in letters[:15]),
+                        actions=tuple((v, n) for v in range(20)
+                                      for n in range(15)))
+    rng = np.random.default_rng(8)
+    table = EmbeddingTable(6, {t: rng.normal(size=6)
+                               for t in vocab.verbs + vocab.nouns})
+    tracemalloc.start()
+    try:
+        mixed = build_prior("glove+verb_noun", vocab, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * vocab.K ** 2 * 8
+    # the sum by blocks of rows has the bits of the whole-matrix sum
+    whole = np.zeros((vocab.K, vocab.K))
+    for p in (build_glove_prior(vocab, table), build_verb_noun_prior(vocab)):
+        whole += 0.5 * p.rows
+    assert mixed.rows.tobytes() == whole.tobytes()
+
+
 # ------------------------------------------------------------- dispatch
 
 
@@ -355,6 +394,14 @@ def test_prior_save_load_roundtrip(tmp_path, toy_vocab):
     # without the sidecar the kind falls back to "custom"
     path.with_suffix(".json").unlink()
     assert load_prior(path).kind == "custom"
+
+
+def test_save_prior_refuses_a_json_path(tmp_path, toy_vocab):
+    # the sidecar would overwrite the CSV, so nothing is written
+    path = tmp_path / "prior.json"
+    with pytest.raises(ValueError, match="may not end in .json"):
+        save_prior(build_verb_noun_prior(toy_vocab), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _per_entry_csv(prior: PriorMatrix) -> str:

@@ -5,17 +5,18 @@ any chunking, with ties, with and without many-shot sets."""
 import math
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from softact import (ActionVocab, HitCounts, ManyShotSets, MetricCell,
-                     MetricsReport, ModelConfig, ProtocolConfig, Scorer,
-                     aggregate_trials, build_report, evaluate_model,
+from softact import (ActionVocab, FeatureSet, HitCounts, ManyShotSets,
+                     MetricCell, MetricsReport, ModelConfig, ProtocolConfig,
+                     Scorer, aggregate_trials, build_report, evaluate_model,
                      init_params, many_shot_from_labels, report_to_csv,
                      score_model, softmax, topk_accuracy)
 from softact import metrics
-from softact.metrics import cohort_indicator
+from softact.metrics import SCORE_BLOCK, cohort_indicator
 
 # ------------------------------------------- the whole-array reference
 
@@ -86,7 +87,7 @@ def ref_build_report(trial_evals, protocol, vocab, many_shot=None):
 # ---------------------------------------------------------------- inputs
 
 PROTOCOL = ProtocolConfig(decode_steps=3)
-N = 1100  # two full 512-row blocks and a partial one
+N = 2 * SCORE_BLOCK + 76  # two full blocks and a partial one
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,7 @@ def trial_evals(vocab, ties: bool, trials: int = 2, seed: int = 0):
 
 def many_shot_sets(vocab, seed: int = 1):
     labels = np.random.default_rng(seed).integers(0, vocab.K, size=N)
-    return many_shot_from_labels(labels, vocab, threshold=85)
+    return many_shot_from_labels(labels, vocab, threshold=N // vocab.K)
 
 
 def counted(evals, vocab, many_shot, chunk: int) -> list[HitCounts]:
@@ -142,7 +143,8 @@ def assert_same_report(got: MetricsReport, want: MetricsReport) -> None:
 # ----------------------------------------------------------------- tests
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 512, N])
+# 512 is two full blocks; 1100 is more than N, so the split comes in one add
+@pytest.mark.parametrize("chunk", [1, 7, 512, 1100])
 @pytest.mark.parametrize("ties", [True, False])
 @pytest.mark.parametrize("shots", ["none", "counted", "one_or_none"])
 def test_counts_give_the_whole_array_report(vocab, chunk, ties, shots):
@@ -248,6 +250,32 @@ def test_score_model_matches_evaluate_then_report(tiny_dataset):
         build_report([counts], ds.protocol, ds.vocab, many_shot),
         ref_build_report([(probs, ds.test.targets)], ds.protocol, ds.vocab,
                          many_shot))
+
+
+def test_score_model_peaks_near_one_256_row_block():
+    # two full blocks and a partial one: whatever the split's size, the
+    # peak is about one chunk's (256, S, K) float64 forward, 19.7 MB at
+    # S=8, K=1200
+    vocab = ActionVocab(verbs=tuple(f"v{i}" for i in range(20)),
+                        nouns=tuple(f"n{i}" for i in range(15)),
+                        actions=tuple((v, n) for v in range(20)
+                                      for n in range(15)))
+    protocol = ProtocolConfig()
+    params = init_params(ModelConfig(modalities=(("rgb", 4),),
+                                     num_classes=vocab.K, hidden_size=8))
+    rng = np.random.default_rng(4)
+    n = 2 * SCORE_BLOCK + 44
+    split = FeatureSet(dims=(4,), features=(rng.normal(
+        size=(n, protocol.total_steps, 4)).astype(np.float32),),
+        targets=rng.integers(0, vocab.K, size=n))
+    tracemalloc.start()
+    try:
+        counts = score_model(params, split, protocol, vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.samples == n
+    assert peak < 1.5 * 256 * protocol.decode_steps * vocab.K * 8
 
 
 def test_scorer_rejects_bad_input(vocab):

@@ -14,6 +14,7 @@ from softact import (FeatureSet, FormatError, GrammarConfig, ProtocolConfig,
                      gen_annotation_sequences, gen_features, gen_grammar,
                      gen_synthetic_embeddings, generate_dataset,
                      parse_annotations, read_features, write_features)
+from softact import synthdata
 from softact.cli import main
 from softact.jsonconfig import config_to_json
 from softact.synthdata import _check_grammar
@@ -291,6 +292,39 @@ def test_gen_features_match_per_sample_draws():
             path = (1.0 - lam) * means[prev] + lam * means[tgt]
             noise = rng.normal(scale=0.7, size=path.shape)
             assert np.array_equal(block[i], (path + noise).astype(np.float32))
+
+
+def whole_block_features(grammar, walks, protocol, noise_sigma, seed):
+    # the whole-block body: each modality's float64 (n, T, D) path and one
+    # noise draw of that shape
+    rng = np.random.default_rng(seed)
+    lam = np.linspace(0.0, 1.0, protocol.total_steps)[:, None]
+    previous, targets = walks[:, :-1].ravel(), walks[:, 1:].ravel()
+    blocks = []
+    for means in grammar.class_means:
+        path = (1.0 - lam) * means[previous][:, None]
+        path += lam * means[targets][:, None]
+        if noise_sigma > 0:
+            path += rng.normal(scale=noise_sigma, size=path.shape)
+        blocks.append(path.astype(np.float32))
+    return blocks
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("noise", [0.0, 0.7])
+def test_gen_features_match_whole_block_draws(monkeypatch, chunk, noise):
+    # two videos of chunk + 19 samples: more than two chunks, and chunks
+    # that cross from one video into the next and end part-full
+    if chunk is not None:
+        monkeypatch.setattr(synthdata, "_FEATURE_CHUNK", chunk)
+    chunk = synthdata._FEATURE_CHUNK
+    grammar = gen_grammar(small_grammar(seed=4))
+    walks = gen_annotation_sequences(grammar, 2, chunk + 20, seed=2)
+    fs = gen_features(grammar, walks, SMALL_PROTOCOL, noise, seed=11)
+    assert fs.num_samples > 2 * chunk and fs.num_samples % chunk
+    want = whole_block_features(grammar, walks, SMALL_PROTOCOL, noise, 11)
+    for got, block in zip(fs.features, want):
+        assert got.tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("make", [
