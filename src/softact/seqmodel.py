@@ -123,17 +123,19 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """A model: its config and its trainable weights.
+    """A model: its config and its trainable weights, one float64 vector.
 
-    ``weights`` is the declaration-order list: per modality the LSTM gate
-    matrix (D+H, 4H) and bias (4H,), then the fusion matrix (M*H, K) and
-    bias (K,). Gate columns are packed [input | forget | cell | output].
-    A copy or a checkpoint holds the weights only: Adam's state is scratch,
-    so the next ``adam_step`` after either is a first step.
+    ``weights`` is a tuple of views of ``flat`` in declaration order: per
+    modality the LSTM gate matrix (D+H, 4H) and bias (4H,), then the fusion
+    matrix (M*H, K) and bias (K,). Gate columns are packed [input | forget
+    | cell | output]. A copy or a checkpoint holds the weights only: Adam's
+    state is scratch, so the next ``adam_step`` after either is a first
+    step. ``flat`` must be a 1-D float64 vector of the weights' total size.
     """
 
     config: ModelConfig
-    weights: list[np.ndarray]
+    flat: np.ndarray
+    weights: tuple = field(init=False, repr=False, compare=False)
     # Scratch, never saved or copied: one flat buffer for the training step
     # arrays of every modality, and their views per batch shape and
     # stacking, reused from batch to batch (see _cache_arrays); and Adam's
@@ -144,22 +146,23 @@ class ModelParams:
     _adam: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
 
-    def lstm_weight(self, m: int) -> np.ndarray:
-        return self.weights[2 * m]
-
-    def lstm_bias(self, m: int) -> np.ndarray:
-        return self.weights[2 * m + 1]
+    def __post_init__(self):
+        size = _weight_count(self.config)
+        if getattr(self.flat, "dtype", None) != np.float64 \
+                or np.shape(self.flat) != (size,):
+            raise ValueError(f"expected a float64 vector of {size} weights")
+        self.weights = tuple(_carve(self.flat, weight_shapes(self.config)))
 
     @property
     def fusion_weight(self) -> np.ndarray:
-        return self.weights[2 * len(self.config.modalities)]
+        return self.weights[-2]
 
     @property
     def fusion_bias(self) -> np.ndarray:
-        return self.weights[2 * len(self.config.modalities) + 1]
+        return self.weights[-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, [w.copy() for w in self.weights])
+        return ModelParams(self.config, self.flat.copy())
 
 
 def weight_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
@@ -174,6 +177,10 @@ def weight_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _weight_count(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in weight_shapes(config))
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
 
@@ -181,18 +188,25 @@ def init_params(config: ModelConfig) -> ModelParams:
     """
     rng = np.random.default_rng(config.seed)
     H = config.hidden_size
-    weights: list[np.ndarray] = []
-    for _, dim in config.modalities:
-        bound = 1.0 / np.sqrt(dim + H)
-        weights.append(rng.uniform(-bound, bound, size=(dim + H, 4 * H)))
-        bias = np.zeros(4 * H)
+    params = ModelParams(config, np.zeros(_weight_count(config)))
+    for W in params.weights[0::2]:  # the matrices, fan_in rows each
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    for bias in params.weights[1:-1:2]:
         bias[H:2 * H] = 1.0
-        weights.append(bias)
-    fan_in = len(config.modalities) * H
-    bound = 1.0 / np.sqrt(fan_in)
-    weights.append(rng.uniform(-bound, bound, size=(fan_in, config.num_classes)))
-    weights.append(np.zeros(config.num_classes))
-    return ModelParams(config=config, weights=weights)
+    return params
+
+
+def _stack_views(flat: np.ndarray, config: ModelConfig, g: slice):
+    """The (M, D+H, 4H) gate matrices and (M, 4H) biases of the stack
+    ``g`` (see :func:`_stacks`) as views of ``flat``, laid out as
+    ``ModelParams.flat``: a modality's matrix and bias are one adjacent
+    (D+H+1, 4H) block, and so are those of consecutive modalities."""
+    H, dims = config.hidden_size, config.feature_dims
+    start = sum((d + H + 1) * 4 * H for d in dims[:g.start])
+    size = (g.stop - g.start) * (dims[g.start] + H + 1) * 4 * H
+    block = flat[start:start + size].reshape(g.stop - g.start, -1, 4 * H)
+    return block[:, :-1], block[:, -1]
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None,
@@ -313,20 +327,20 @@ def _forward_arrays(B: int, H: int, widths) -> list:
             for dims in widths]
 
 
-def _run_lstm(W, bs, xs, h_out, arrays) -> None:
+def _run_lstm(W, b, xs, h_out, arrays) -> None:
     """Run the LSTMs of one stack, M modalities of one width D, over their
     (B, T, D) inputs from zero state in one step loop, and write the hidden
     states of the last S steps into ``h_out``, (S, M, B, H). ``W`` is the
-    stack's (M, D+H, 4H) gate matrices and ``bs`` its biases. Each step
-    copies each modality's input into its ``xh`` row, makes one GEMM call
-    for the stack and writes its hidden states into the next ``xh`` row
-    with one multiply. The bias is added in the GEMM's contiguous
-    (M, B, 4H) block; two copies then move it, [i | f | g | o], into
-    gate-major gates ordered [i | f | o | g], so one sigmoid call covers
-    three gates. ``arrays`` come from :func:`_cache_arrays`, which keeps
-    every step's ``[x_t | h_{t-1}]``, gates, cell and ``tanh(c_t)`` for the
-    backward pass, or from :func:`_forward_arrays`; this allocates nothing
-    that grows with B.
+    stack's (M, D+H, 4H) gate matrices and ``b`` its (M, 4H) biases, from
+    :func:`_stack_views`. Each step copies each modality's input into its
+    ``xh`` row, makes one GEMM call for the stack and writes its hidden
+    states into the next ``xh`` row with one multiply. The bias is added in
+    the GEMM's contiguous (M, B, 4H) block; two copies then move it,
+    [i | f | g | o], into gate-major gates ordered [i | f | o | g], so one
+    sigmoid call covers three gates. ``arrays`` come from
+    :func:`_cache_arrays`, which keeps every step's ``[x_t | h_{t-1}]``,
+    gates, cell and ``tanh(c_t)`` for the backward pass, or from
+    :func:`_forward_arrays`; this allocates nothing that grows with B.
     """
     xh, gates, cs, tanh_cs, zs, scratch = arrays[:6]
     (M, B, H4), (T, D), S = zs.shape, xs[0].shape[1:], h_out.shape[0]
@@ -335,7 +349,7 @@ def _run_lstm(W, bs, xs, h_out, arrays) -> None:
     n_rows, n_steps = cs.shape[0], gates.shape[0]
     # the GEMM outputs' gate blocks, and the biases as (M, 1, 4H) rows
     z4 = zs.reshape(M, B, 4, H).transpose(2, 0, 1, 3)
-    b = np.stack(bs)[:, None, :]
+    b = b[:, None, :]
     xh[0, :, :, D:] = 0.0
     cs[0] = 0.0
     for t in range(T):
@@ -414,10 +428,9 @@ def _in_threads(jobs) -> None:
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
     """The probabilities, hcat and, with ``keep_cache``, the LSTM jobs of a
-    batch (else None): per thread, its (modality slice, stacked gate
-    matrices, step arrays) triples, which BPTT runs again on the same
-    threads. The softmax overwrites the logits, and raises
-    FloatingPointError if one is not finite.
+    batch (else None): per thread, its (modality slice, step arrays) pairs,
+    which BPTT runs again on the same threads. The softmax overwrites the
+    logits, and raises FloatingPointError if one is not finite.
 
     Below ``_SPLIT_MIN_WORK`` the LSTMs of each run of equal-width
     modalities advance in one stacked step loop on the caller's thread
@@ -463,22 +476,18 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
     split = B * H >= _SPLIT_MIN_WORK
     parts = _scoring_threads() if split else 1
     stacks = _stacks(dims, split)
-    weights = params.weights
-    Ws = [weights[2 * g.start][None] if g.stop - g.start == 1
-          else np.stack(weights[2 * g.start:2 * g.stop:2]) for g in stacks]
-    # thread j runs the stacks j, j + parts, ...
-    if keep_cache:
-        held = _cache_arrays(params, B, T, split)
-        jobs = [list(zip(stacks[j::parts], Ws[j::parts], held[j::parts]))
-                for j in range(min(parts, len(stacks)))]
-    else:
-        jobs = [list(zip(stacks[j::parts], Ws[j::parts], _forward_arrays(
-                    B, H, [dims[g] for g in stacks[j::parts]])))
-                for j in range(min(parts, len(stacks)))]
+
+    def arrays(j):  # thread j runs the stacks j, j + parts, ...
+        if keep_cache:
+            return _cache_arrays(params, B, T, split)[j::parts]
+        return _forward_arrays(B, H, [dims[g] for g in stacks[j::parts]])
+
+    jobs = [list(zip(stacks[j::parts], arrays(j)))
+            for j in range(min(parts, len(stacks)))]
 
     def lstms(job):
-        for g, W, step_arrays in job:
-            _run_lstm(W, weights[2 * g.start + 1:2 * g.stop:2], features[g],
+        for g, step_arrays in job:
+            _run_lstm(*_stack_views(params.flat, cfg, g), features[g],
                       h_outs[:, g], step_arrays)
 
     _in_threads([partial(lstms, job) for job in jobs])
@@ -576,9 +585,8 @@ def loss_and_gradients_batch(params: ModelParams, features,
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample. The modalities' BPTT runs on the threads their
     forward ran on; the loss, the fusion gradients and ``dhcat`` are summed
-    on the caller's thread, in one fixed order. The gradients are fresh
-    arrays: a stack's LSTM gradients are views of one zero block made for
-    the call.
+    on the caller's thread, in one fixed order. The gradients are views
+    of one fresh vector laid out as the weights are in ``flat``.
     """
     cfg = params.config
     B, K = _check_features(params, features), cfg.num_classes
@@ -604,21 +612,17 @@ def loss_and_gradients_batch(params: ModelParams, features,
     dlogits -= targets[:, None, :]
     dlogits /= B * S
 
-    grads = [None] * (2 * M)
-    grads.append(hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K))
-    grads.append(dlogits.sum(axis=(0, 1)))
+    grad = np.zeros(params.flat.size)
+    grads = _carve(grad, weight_shapes(cfg))
+    np.matmul(hcat.reshape(B * S, M * H).T, dlogits.reshape(B * S, K),
+              out=grads[-2])
+    np.sum(dlogits, axis=(0, 1), out=grads[-1])
 
     dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
     dh_outs = dhcat.reshape(B, S, M, H).transpose(1, 2, 0, 3)
-    work = []
-    for job in jobs:
-        work.append([])
-        for g, W, arrays in job:
-            n, w, h4 = W.shape
-            dW, db = _carve(np.zeros(n * (w + 1) * h4), [W.shape, (n, h4)])
-            grads[2 * g.start:2 * g.stop:2] = list(dW)
-            grads[2 * g.start + 1:2 * g.stop:2] = list(db)
-            work[-1].append((W, dh_outs[:, g], arrays, dW, db))
+    work = [[(_stack_views(params.flat, cfg, g)[0], dh_outs[:, g], arrays,
+              *_stack_views(grad, cfg, g)) for g, arrays in job]
+            for job in jobs]
 
     def backward(job):
         for args in job:
@@ -632,15 +636,15 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
     """One in-place Adam update with bias correction.
 
     The step count, both moments and two scratch vectors live in
-    ``params._adam``, made by the first call, as flat vectors over the
-    weights in declaration order: the gradients are copied into one, each
-    operation is one call over the whole vector, and each weight then
-    subtracts its slice. Every element meets the operations of the
-    per-array formula in the same order, so the bits are the same. The
-    scratch is held, not made per call: at K=1200 (H=64, 2x16-d) it is
-    3.1 MB, and a call took 2.6-2.9 ms with it made per call against
-    1.7-1.9 ms held (2 vCPUs, 1 BLAS thread). Raises ValueError, with
-    nothing updated, if a gradient's shape is not its weight's.
+    ``params._adam``, made by the first call, laid out as ``params.flat``:
+    the gradients are copied into one, and each operation, the update of
+    ``flat`` included, is one call over the whole vector. Every element
+    meets the operations of the per-array formula in the same order, so
+    the bits are the same. The scratch is held, not made per call: at
+    K=1200 (H=64, 2x16-d) it is 3.1 MB, and a call took 2.6-2.9 ms with it
+    made per call against 1.7-1.9 ms held (2 vCPUs, 1 BLAS thread). Raises
+    ValueError, with nothing updated, if a gradient's shape is not its
+    weight's.
     """
     cfg, weights = params.config, params.weights
     if len(grads) != len(weights):
@@ -650,7 +654,7 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
             raise ValueError(f"gradient {i} has shape {np.shape(g)}, "
                              f"expected {w.shape}")
     if not params._adam:
-        size = sum(w.size for w in weights)
+        size = params.flat.size
         params._adam = [0, np.zeros(size), np.zeros(size), np.empty(size),
                         np.empty(size)]
     params._adam[0] += 1
@@ -674,20 +678,18 @@ def adam_step(params: ModelParams, grads: list[np.ndarray]) -> ModelParams:
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     step /= tmp
-    start = 0
-    for w in weights:
-        w -= step[start:start + w.size].reshape(w.shape)
-        start += w.size
+    params.flat -= step
     return params
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, the model config's JSON, then the
-    weights as f64 LE in declaration order. Adam's state is not saved."""
+    """Binary checkpoint: magic, version, the model config's JSON, then
+    ``params.flat``, the weights in declaration order, as f64 LE. Adam's
+    state is not saved."""
     blob = json.dumps(config_to_json(params.config)).encode()
     Path(path).write_bytes(b"".join(
         [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)),
-         blob, *(np.asarray(w, "<f8").tobytes() for w in params.weights)]))
+         blob, params.flat.astype("<f8").tobytes()]))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -708,10 +710,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{where}: {exc}") from None
     config = config_from_json(ModelConfig, doc, where)
-    shapes = weight_shapes(config)
-    sizes = [math.prod(shape) for shape in shapes]
     offset = 12 + blob_len
-    size = offset + 8 * sum(sizes)
+    size = offset + 8 * _weight_count(config)
     if len(data) < size:
         raise FormatError(f"{path}: truncated checkpoint payload")
     if len(data) > size:
@@ -720,6 +720,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     flat = np.frombuffer(data, "<f8", offset=offset).astype(np.float64)
     if not np.isfinite(flat).all():
         raise FormatError(f"{path}: a checkpoint value is not finite")
-    arrays = [part.reshape(shape) for part, shape in
-              zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    return ModelParams(config=config, weights=arrays)
+    return ModelParams(config, flat)

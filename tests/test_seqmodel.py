@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from softact import (ExperimentConfig, FeatureSet, FormatError, ModelConfig,
-                     ProtocolConfig, SoftLabel, TrainingDiverged, adam_step,
-                     forward_batch, init_params, load_checkpoint,
+                     ModelParams, ProtocolConfig, SoftLabel, TrainingDiverged,
+                     adam_step, forward_batch, init_params, load_checkpoint,
                      loss_and_gradients_batch, one_hot, save_checkpoint,
                      topk_accuracy, train_model, weight_shapes)
 from softact import seqmodel
@@ -22,6 +23,12 @@ def tiny_config(**kw) -> ModelConfig:
     kw.setdefault("num_classes", 3)
     kw.setdefault("hidden_size", 4)
     return ModelConfig(**kw)
+
+
+# a stack of two 3-d modalities, then a 5-d one: a stack view that ran on
+# past the first two would read the third's weights
+MIXED_WIDTHS = ModelConfig(modalities=(("a", 3), ("b", 3), ("c", 5)),
+                           num_classes=7, hidden_size=4)
 
 
 def random_features(config: ModelConfig, batch: int, steps: int,
@@ -79,13 +86,59 @@ def test_init_params_shapes_and_bias():
         (7, 16), (16,), (6, 16), (16,), (8, 3), (3,)]
     H = cfg.hidden_size
     for m in range(2):
-        bias = params.lstm_bias(m)
+        bias = params.weights[2 * m + 1]
         np.testing.assert_array_equal(bias[H:2 * H], 1.0)  # forget gates
         np.testing.assert_array_equal(bias[:H], 0.0)
         np.testing.assert_array_equal(bias[2 * H:], 0.0)
     np.testing.assert_array_equal(params.fusion_bias, 0.0)
     bound = 1.0 / np.sqrt(7)
-    assert np.all(np.abs(params.lstm_weight(0)) <= bound)
+    assert np.all(np.abs(params.weights[0]) <= bound)
+
+
+def address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def test_weights_and_gradients_are_views_of_one_flat_vector():
+    cfg = MIXED_WIDTHS
+    params = init_params(cfg)
+    shapes = weight_shapes(cfg)
+    offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    assert params.flat.shape == (offsets[-1],)
+    for w, shape, offset in zip(params.weights, shapes, offsets):
+        assert w.shape == shape and w.flags.c_contiguous
+        assert w.base is params.flat
+        assert address(w) == address(params.flat) + 8 * offset
+    # a stack's matrices and biases are views of its modalities' weights
+    for split in (False, True):
+        for g in seqmodel._stacks(cfg.feature_dims, split):
+            W, b = seqmodel._stack_views(params.flat, cfg, g)
+            assert len(W) == len(b) == g.stop - g.start
+            for m, (W_m, b_m) in enumerate(zip(W, b), g.start):
+                for view, w in ((W_m, params.weights[2 * m]),
+                                (b_m, params.weights[2 * m + 1])):
+                    assert view.shape == w.shape
+                    assert view.strides == w.strides
+                    assert address(view) == address(w)
+    with pytest.raises(TypeError):
+        params.weights[0] = np.zeros(shapes[0])
+    for bad in (np.zeros(offsets[-1] - 1), np.zeros(offsets[-1] + 1),
+                np.zeros((1, offsets[-1])), params.flat.astype(np.float32),
+                list(params.flat)):
+        with pytest.raises(ValueError, match="float64 vector"):
+            ModelParams(cfg, bad)
+
+    protocol = ProtocolConfig(encode_steps=2, decode_steps=3)
+    _, grads = loss_and_gradients_batch(
+        params, random_features(cfg, batch=4, steps=5),
+        np.full((4, cfg.num_classes), 1 / cfg.num_classes), protocol)
+    grad = grads[0].base
+    assert grad.shape == params.flat.shape
+    assert len(grads) == len(shapes)
+    for g, shape, offset in zip(grads, shapes, offsets):
+        assert g.shape == shape and g.flags.c_contiguous
+        assert g.base is grad
+        assert address(g) == address(grad) + 8 * offset
 
 
 def test_init_params_deterministic():
@@ -172,13 +225,13 @@ def test_forward_modality_symmetry():
                               num_classes=3, hidden_size=4)
     swapped = init_params(swapped_cfg)
     H = 4
-    swapped.weights[0] = params.weights[2].copy()
-    swapped.weights[1] = params.weights[3].copy()
-    swapped.weights[2] = params.weights[0].copy()
-    swapped.weights[3] = params.weights[1].copy()
+    swapped.weights[0][...] = params.weights[2]
+    swapped.weights[1][...] = params.weights[3]
+    swapped.weights[2][...] = params.weights[0]
+    swapped.weights[3][...] = params.weights[1]
     fusion = params.fusion_weight
-    swapped.weights[4] = np.concatenate([fusion[H:], fusion[:H]], axis=0)
-    swapped.weights[5] = params.fusion_bias.copy()
+    swapped.weights[4][...] = np.concatenate([fusion[H:], fusion[:H]], axis=0)
+    swapped.weights[5][...] = params.fusion_bias
     probs_swapped = forward_batch(swapped, [feats[1], feats[0]], protocol)
     np.testing.assert_allclose(probs_swapped, probs, rtol=0, atol=1e-12)
 
@@ -311,7 +364,7 @@ def reference_loss_and_gradients(params, features, targets, protocol):
     B = features[0].shape[0]
     hs_all, caches = [], []
     for m in range(M):
-        W, b = params.lstm_weight(m), params.lstm_bias(m)
+        W, b = params.weights[2 * m], params.weights[2 * m + 1]
         x = np.asarray(features[m], dtype=np.float64)
         h, c = np.zeros((B, H)), np.zeros((B, H))
         hs, cache = np.empty((B, T, H)), []
@@ -341,7 +394,7 @@ def reference_loss_and_gradients(params, features, targets, protocol):
     grads[2 * M + 1] = dlogits.sum(axis=(0, 1))
     dhcat = dlogits @ params.fusion_weight.T
     for m in range(M):
-        dim, W = cfg.modalities[m][1], params.lstm_weight(m)
+        dim, W = cfg.modalities[m][1], params.weights[2 * m]
         dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
         for t in range(T - 1, -1, -1):
             xh, gi, gf, gg, go, c_prev, tanh_c = caches[m][t]
@@ -403,6 +456,9 @@ SWEEP_K16 = ProtocolConfig(encode_steps=3, decode_steps=4)
                      id="one-modality"),
         pytest.param(33, 8, (5, 16, 3), 7, 2.0, np.float32, ProtocolConfig(),
                      id="three-unequal-modalities"),
+        # MIXED_WIDTHS' stack of two, then a wider modality
+        pytest.param(32, 4, (3, 3, 5), 7, 1.0, np.float64, SWEEP_K16,
+                     id="a-stack-of-two-then-a-wider-one"),
     ])
 def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
                                                     classes, weight_scale,
@@ -412,7 +468,7 @@ def test_step_kernel_is_bit_identical_to_reference(batch, hidden, dims,
                       hidden_size=hidden, seed=4)
     params = init_params(cfg)
     for m in range(len(dims)):
-        params.lstm_weight(m)[...] *= weight_scale
+        params.weights[2 * m][...] *= weight_scale
     rng = np.random.default_rng(11)
     feats = [rng.normal(size=(batch, protocol.total_steps, d)).astype(dtype)
              for d in dims]
@@ -756,7 +812,7 @@ def reference_adam_step(weights, grads, state, lr):
 
 def test_adam_steps_are_bit_identical_to_per_array_formula():
     # sweep-k16's shape and learning rate; each step's LSTM gradients are
-    # views of one stacked block, as loss_and_gradients_batch returns them
+    # views of one stacked (M, D+H, 4H) block
     cfg = ModelConfig(modalities=(("rgb", 8), ("flow", 8)), num_classes=16,
                       hidden_size=16, learning_rate=3e-3)
     params = init_params(cfg)
@@ -860,6 +916,19 @@ def test_checkpoint_is_the_header_and_the_weights(tmp_path):
         (blob_len,) = struct.unpack_from("<I", data, 8)
         weights = sum(math.prod(shape) for shape in weight_shapes(cfg))
         assert len(data) == 12 + blob_len + 8 * weights == size
+
+
+def test_checkpoint_payload_is_the_flat_vector(tmp_path):
+    # Checkpoint version 2's bytes, pinned. init_params draws from numpy's
+    # seeded generator and calls no BLAS, so the hash is the same on any
+    # machine; a change of the weights' layout must bump CHECKPOINT_VERSION.
+    params = init_params(MIXED_WIDTHS)
+    save_checkpoint(params, tmp_path / "model.bin")
+    data = (tmp_path / "model.bin").read_bytes()
+    assert struct.unpack_from("<I", data, 4) == (seqmodel.CHECKPOINT_VERSION,)
+    assert data.endswith(params.flat.astype("<f8").tobytes())
+    assert hashlib.sha256(data).hexdigest() == (
+        "8c07ee20ad0a4d0520ba227ad512e47b5b8b6ccb64da33dc6b4cb5d7ebc89aca")
 
 
 def test_checkpoint_format_errors(tmp_path):
