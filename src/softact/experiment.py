@@ -9,7 +9,7 @@ order, so a rerun reproduces every CSV byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -380,12 +380,18 @@ def score_model(params: ModelParams, feature_set: FeatureSet,
 def _val_score(params: ModelParams, val: FeatureSet, protocol: ProtocolConfig,
                early_stop_time: float) -> float:
     """Validation top-5 action accuracy at the early-stop step, counted
-    chunk by chunk."""
+    chunk by chunk. The forward stops at that step: it sees the features up
+    to it, as a protocol whose one decode step is the early-stop step, so no
+    LSTM step or output row after it is computed."""
     step = protocol.step_for_time(early_stop_time)
+    upto = replace(protocol, encode_steps=protocol.encode_steps + step,
+                   decode_steps=1)
     k = min(5, params.config.num_classes)
     hits = sum(
-        topk_hit_count(forward_batch(params, feats, protocol)[:, step],
-                       val.targets[rows], k)
+        topk_hit_count(
+            forward_batch(params, [x[:, :upto.total_steps] for x in feats],
+                          upto)[:, 0],
+            val.targets[rows], k)
         for rows, feats in val.batches(SCORE_BLOCK))
     return percent(hits, val.num_samples)
 

@@ -20,23 +20,33 @@ stack, a run of consecutive modalities of one width D, advance in one step
 loop, with ``[x_t | h]`` in a stacked (M, B, D+H) block and gates, cells
 and BPTT scratch in gate-major (4, M, B, H) blocks, so each element-wise op
 is one ``out=`` call and each GEMM one call per stack, which numpy runs as
-one 2-D GEMM per modality. The K-wide output layer keeps the plain order
-too (logits plus bias, softmax, loss terms, ``dlogits``), in place: the
-forward holds one (B, S, K) array, training one more. Training results,
-checkpoints and the benchmark's recorded reference scores depend on those
-bits, and ``tests/test_seqmodel.py`` keeps the plain formulation to check
-them. A faster but different formulation (hoisting the input projection,
-one ``dW`` GEMM over all steps, a ``tanh``-based sigmoid, float32) is a
-change of results and must come with new reference scores.
+one 2-D GEMM per modality.
+
+The K-wide output layer works on fixed chunks of ``_OUTPUT_ROWS`` = 128
+samples. Each chunk is one 2-D GEMM over its (sample, step) rows, then the
+bias add and the softmax, in place; in training each chunk then writes its
+loss terms, its ``dlogits`` and, with one more 2-D GEMM, its ``dhcat``. The
+forward holds one (B, S, K) array, training one more. These results differ
+from the per-sample GEMMs this layer used to make only where OpenBLAS gives
+a row other bits in a GEMM of another row count: the forward where K leaves
+a column tail (at K=60, 97 and 2513, not at 16, 24, 64 or 1200), the
+``dhcat`` GEMM at some K (60, 64, 96, 97 and 128, not 16, 24, 1200 or
+2513). All 40 of the benchmark's recorded train-k60 reference scores held.
+Training results, checkpoints and those references depend on these bits,
+and ``tests/test_seqmodel.py`` keeps the plain LSTM formulation, with the
+output layer in the same chunks, to check them.
+A faster but different formulation (hoisting the input projection, one
+``dW`` GEMM over all steps, a ``tanh``-based sigmoid, float32) is a change
+of results and must come with new reference scores.
 
 A large batch uses the usable CPUs that BLAS leaves free: each modality's
 LSTM runs on a thread that lives only for the call, into arrays the caller
 allocated, and in training so does its BPTT, since the branches share no
-arithmetic before the fusion layer. A forward-only batch (evaluation,
-validation) then splits the output layer into row blocks too; training
-keeps the output layer, the loss and the fusion gradients on the caller's
-thread, so their sums keep their order. Each sample meets the same
-operations on any thread, so the split never changes a result.
+arithmetic before the fusion layer. The output chunks are then dealt out
+to the threads, in training too; the loss and the fusion gradients are
+summed whole on the caller's thread, so their sums keep their order. The
+chunks depend on the batch size alone, and a chunk meets the same
+operations on any thread, so the CPU count never changes a result.
 """
 
 from __future__ import annotations
@@ -121,7 +131,7 @@ class ModelConfig:
         return tuple(d for _, d in self.modalities)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """A model: its config and its trainable weights, one float64 vector.
 
@@ -131,20 +141,19 @@ class ModelParams:
     | cell | output]. A copy or a checkpoint holds the weights only: Adam's
     state is scratch, so the next ``adam_step`` after either is a first
     step. ``flat`` must be a 1-D float64 vector of the weights' total size.
+    Two models compare equal only if they are the same object.
     """
 
     config: ModelConfig
     flat: np.ndarray
-    weights: tuple = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False)
     # Scratch, never saved or copied: one flat buffer for the training step
     # arrays of every modality, and their views per batch shape and
     # stacking, reused from batch to batch (see _cache_arrays); and Adam's
     # step count, flat moments and flat scratch, made by the first
     # adam_step.
-    _step_arrays: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    _adam: list = field(default_factory=list, init=False, repr=False,
-                        compare=False)
+    _step_arrays: dict = field(default_factory=dict, init=False, repr=False)
+    _adam: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         size = _weight_count(self.config)
@@ -425,20 +434,38 @@ def _in_threads(jobs) -> None:
         raise errors[0]
 
 
+# The output layer works on chunks of this many samples. OpenBLAS can give a
+# row other bits in a GEMM of another row count when K leaves a column tail
+# (at K=60, GEMMs of up to 130 rows gave other bits than larger ones; at
+# K=2513 most row counts did; at K=16, 24, 64 and 1200 none did), so the
+# chunks depend on the batch size alone, never on the thread count.
+_OUTPUT_ROWS = 128
+
+
+def _output_chunks(B: int, parts: int) -> list:
+    """A batch's output-layer chunks, slices of ``_OUTPUT_ROWS`` samples (the
+    last may be shorter), dealt out to ``parts`` threads: thread j takes the
+    chunks j, j + parts, ..."""
+    chunks = [slice(lo, min(lo + _OUTPUT_ROWS, B))
+              for lo in range(0, B, _OUTPUT_ROWS)]
+    return [chunks[j::parts] for j in range(min(parts, len(chunks)))]
+
+
 def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                   keep_cache: bool):
-    """The probabilities, hcat and, with ``keep_cache``, the LSTM jobs of a
-    batch (else None): per thread, its (modality slice, step arrays) pairs,
-    which BPTT runs again on the same threads. The softmax overwrites the
-    logits, and raises FloatingPointError if one is not finite.
+    """The probabilities, hcat, with ``keep_cache`` the LSTM jobs of a batch
+    (else None), and the output layer's chunks per thread (see
+    :func:`_output_chunks`). A job is one thread's (modality slice, step
+    arrays) pairs, which BPTT runs again on the same threads, as the loss
+    runs again on the same chunks. The softmax overwrites the logits, and
+    raises FloatingPointError if one is not finite.
 
     Below ``_SPLIT_MIN_WORK`` the LSTMs of each run of equal-width
     modalities advance in one stacked step loop on the caller's thread
-    (see :func:`_stacks`). From the gate on, each modality runs
-    alone, and the modalities spread across :func:`_scoring_threads`; a
-    forward-only batch then splits the output layer into row blocks too,
-    while training keeps it on the caller's thread. Every sample's GEMMs
-    and element-wise ops are the same wherever they run, so the bits are
+    (see :func:`_stacks`), and the output layer runs there too. From the
+    gate on, each modality runs alone, and the modalities and then the
+    output chunks spread across :func:`_scoring_threads`. A chunk's GEMM
+    and element-wise ops are the same wherever it runs, so the bits are
     too. Forward times of two modalities, stacked / alone / alone on two
     threads (2 vCPUs, 1 BLAS thread): 0.43 / 0.50 / 1.06 ms at B=64, H=16,
     K=16; 1.63 / 1.75 / 2.16 ms at B=32, H=64, K=60; 3.17 / 3.19 / 2.63 ms
@@ -491,24 +518,25 @@ def _forward_full(params: ModelParams, features, protocol: ProtocolConfig,
                       h_outs[:, g], step_arrays)
 
     _in_threads([partial(lstms, job) for job in jobs])
-    if keep_cache:  # training keeps the output layer on this thread
-        parts = 1
-    else:  # free the step arrays before the (B, S, K) one is made
+    if not keep_cache:  # free the step arrays before the (B, S, K) one is made
         jobs = None
-    # A 2-D (B*S, M*H) GEMM would be faster, but it is not bit-identical to
-    # this batched one, one GEMM per sample (checked at K=60), and the
-    # recorded references depend on these bits.
     probs = np.empty((B, S, K))
 
-    def output(rows):
-        np.matmul(hcat[rows], params.fusion_weight, out=probs[rows])
-        probs[rows] += params.fusion_bias
-        softmax(probs[rows], out=probs[rows])
+    # One 2-D GEMM per chunk over its (sample, step) rows: at B=256, S=8,
+    # M*H=128 (2 vCPUs, 1 BLAS thread) 12.0 ms at K=1200 and 23.4 ms at
+    # K=2513, against 23.6 and 56.7 ms as one GEMM per sample; the dhcat
+    # GEMMs take 13.9 and 29.4 ms, against 32.5 and 71.8 ms.
+    def output(chunks):
+        for rows in chunks:
+            logits = probs[rows].reshape(-1, K)
+            np.matmul(hcat[rows].reshape(-1, M * H), params.fusion_weight,
+                      out=logits)
+            logits += params.fusion_bias
+            softmax(logits, out=logits)
 
-    bounds = [B * j // parts for j in range(parts + 1)]
-    _in_threads([partial(output, slice(lo, hi))
-                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
-    return probs, hcat, jobs
+    groups = _output_chunks(B, parts)
+    _in_threads([partial(output, chunks) for chunks in groups])
+    return probs, hcat, jobs, groups
 
 
 def forward_batch(params: ModelParams, features,
@@ -584,33 +612,43 @@ def loss_and_gradients_batch(params: ModelParams, features,
 
     ``targets`` is (B, K); the same soft target applies at every decode
     step of a sample. The modalities' BPTT runs on the threads their
-    forward ran on; the loss, the fusion gradients and ``dhcat`` are summed
-    on the caller's thread, in one fixed order. The gradients are views
-    of one fresh vector laid out as the weights are in ``flat``.
+    forward ran on, and each output chunk's loss terms, ``dlogits`` and
+    ``dhcat`` rows on the thread its forward ran on; the loss and the
+    fusion gradients are summed whole on the caller's thread, in one fixed
+    order. The gradients are views of one fresh vector laid out as the
+    weights are in ``flat``.
     """
     cfg = params.config
     B, K = _check_features(params, features), cfg.num_classes
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (B, K):
         raise ValueError(f"targets shape {targets.shape}, expected {(B, K)}")
-    probs, hcat, jobs = _forward_full(params, features, protocol,
-                                      keep_cache=True)
+    probs, hcat, jobs, groups = _forward_full(params, features, protocol,
+                                              keep_cache=True)
     S, H, M = probs.shape[1], cfg.hidden_size, len(cfg.modalities)
 
-    # One (B, S, K) buffer holds the loss terms; the logit gradient then
-    # overwrites the probabilities, which nothing reads after it.
-    terms = np.maximum(probs, PROB_EPS)
-    np.log(terms, out=terms)
-    terms *= targets[:, None, :]
+    # One more (B, S, K) array holds the loss terms; the fused softmax +
+    # cross-entropy gradient, averaged over steps and batch, then overwrites
+    # the probabilities, which nothing reads after it.
+    terms = np.empty_like(probs)
+    dlogits = probs
+    dhcat = np.empty_like(hcat)
+
+    def output_grad(chunks):
+        for rows in chunks:
+            np.maximum(probs[rows], PROB_EPS, out=terms[rows])
+            np.log(terms[rows], out=terms[rows])
+            terms[rows] *= targets[rows, None, :]
+            dlogits[rows] -= targets[rows, None, :]
+            dlogits[rows] /= B * S
+            np.matmul(dlogits[rows].reshape(-1, K), params.fusion_weight.T,
+                      out=dhcat[rows].reshape(-1, M * H))
+
+    _in_threads([partial(output_grad, chunks) for chunks in groups])
     loss = float(-terms.sum() / (B * S))
     del terms
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-
-    # Fused softmax + cross-entropy gradient, averaged over steps and batch.
-    dlogits = probs
-    dlogits -= targets[:, None, :]
-    dlogits /= B * S
 
     grad = np.zeros(params.flat.size)
     grads = _carve(grad, weight_shapes(cfg))
@@ -618,7 +656,6 @@ def loss_and_gradients_batch(params: ModelParams, features,
               out=grads[-2])
     np.sum(dlogits, axis=(0, 1), out=grads[-1])
 
-    dhcat = dlogits @ params.fusion_weight.T  # (B, S, M*H)
     dh_outs = dhcat.reshape(B, S, M, H).transpose(1, 2, 0, 3)
     work = [[(_stack_views(params.flat, cfg, g)[0], dh_outs[:, g], arrays,
               *_stack_views(grad, cfg, g)) for g, arrays in job]

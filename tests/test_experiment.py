@@ -10,17 +10,19 @@ import pytest
 import softact.experiment
 from softact import (AlphaGrid, Dataset, ExperimentConfig, FeatureSet,
                      FormatError, GrammarConfig, GridPoint, GridSearchResult,
-                     MethodSpec, ParseError, ProtocolConfig, TrainingDiverged,
-                     build_prior_for_kind, build_uniform_prior,
-                     build_verb_noun_prior, default_methods, evaluate_model,
-                     forward_batch, gen_grammar, generate_dataset,
-                     grid_search_alpha, grid_to_csv, load_dataset,
+                     MethodSpec, ModelConfig, ParseError, ProtocolConfig,
+                     TrainingDiverged, build_prior_for_kind,
+                     build_uniform_prior, build_verb_noun_prior,
+                     default_methods, evaluate_model, forward_batch,
+                     gen_grammar, generate_dataset, grid_search_alpha,
+                     grid_to_csv, init_params, load_dataset,
                      load_experiment_config, mix_priors, parse_annotations,
                      run_comparison, run_trial, save_dataset,
                      save_experiment_config, split_dataset, topk_accuracy,
                      train_model, train_trial)
-from softact.experiment import DEFAULT_ALPHAS, _model_config
+from softact.experiment import DEFAULT_ALPHAS, _model_config, _val_score
 from softact.jsonconfig import config_from_json, config_to_json
+from softact.metrics import topk_hit_count
 
 from conftest import SMALL_PROTOCOL, assert_same_features
 
@@ -468,6 +470,33 @@ def test_evaluate_model_chunking_consistent(tiny_dataset, fast_config):
         forward_batch(result.params, feats, tiny_dataset.protocol)
         for _, feats in val.batches(7)])
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+
+def test_validation_forwards_up_to_the_early_stop_step(monkeypatch):
+    # K=16 leaves no column tail, so the one-step forward gives the full
+    # forward's bits at that step; 300 samples are two score chunks
+    protocol = ProtocolConfig()
+    cfg = ModelConfig(modalities=(("rgb", 8), ("flow", 8)), num_classes=16,
+                      hidden_size=64, seed=3)
+    params = init_params(cfg)
+    rng = np.random.default_rng(5)
+    val = FeatureSet(dims=cfg.feature_dims, features=tuple(
+        rng.normal(size=(300, protocol.total_steps, d)) for d in (8, 8)),
+        targets=rng.integers(16, size=300))
+    step = protocol.step_for_time(1.0)
+    hits = sum(topk_hit_count(forward_batch(params, feats, protocol)[:, step],
+                              val.targets[rows], 5)
+               for rows, feats in val.batches(300))
+    seen = []
+
+    def recording_forward(params, features, protocol):
+        seen.append((features[0].shape[1], protocol.decode_steps))
+        return forward_batch(params, features, protocol)
+
+    monkeypatch.setattr(softact.experiment, "forward_batch",
+                        recording_forward)
+    assert _val_score(params, val, protocol, 1.0) == hits / 300 * 100
+    assert seen == [(protocol.encode_steps + step + 1, 1)] * 2
 
 
 # ------------------------------------------------------------ grid search

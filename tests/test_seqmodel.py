@@ -357,11 +357,19 @@ def _masked_sigmoid(x):
 
 def reference_loss_and_gradients(params, features, targets, protocol):
     """The per-step LSTM forward and BPTT that the step kernel replaced,
-    kept operation for operation: (probs, loss, grads)."""
+    kept operation for operation, and the output layer as one 2-D GEMM per
+    128-sample chunk, forward and back: (probs, loss, grads)."""
     cfg = params.config
-    H, M = cfg.hidden_size, len(cfg.modalities)
+    H, M, K = cfg.hidden_size, len(cfg.modalities), cfg.num_classes
     T, S = protocol.total_steps, protocol.decode_steps
     B = features[0].shape[0]
+    chunks = [slice(lo, lo + 128) for lo in range(0, B, 128)]
+
+    def chunked_gemm(x, w):  # (B, S, n) @ (n, m) -> (B, S, m)
+        return np.concatenate([
+            (x[rows].reshape(-1, x.shape[2]) @ w).reshape(-1, S, w.shape[1])
+            for rows in chunks])
+
     hs_all, caches = [], []
     for m in range(M):
         W, b = params.weights[2 * m], params.weights[2 * m + 1]
@@ -382,17 +390,17 @@ def reference_loss_and_gradients(params, features, targets, protocol):
         hs_all.append(hs)
         caches.append(cache)
     hcat = np.concatenate([hs[:, T - S:, :] for hs in hs_all], axis=2)
-    probs = softmax(hcat @ params.fusion_weight + params.fusion_bias)
+    probs = softmax(chunked_gemm(hcat, params.fusion_weight)
+                    + params.fusion_bias)
     if targets is None:
         return probs, None, None
-    K = probs.shape[2]
     loss = float(-(targets[:, None, :]
                    * np.log(np.maximum(probs, PROB_EPS))).sum() / (B * S))
     dlogits = (probs - targets[:, None, :]) / (B * S)
     grads = [np.zeros_like(w) for w in params.weights]
     grads[2 * M] = hcat.reshape(B * S, M * H).T @ dlogits.reshape(B * S, K)
     grads[2 * M + 1] = dlogits.sum(axis=(0, 1))
-    dhcat = dlogits @ params.fusion_weight.T
+    dhcat = chunked_gemm(dlogits, params.fusion_weight.T)
     for m in range(M):
         dim, W = cfg.modalities[m][1], params.weights[2 * m]
         dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
@@ -689,6 +697,41 @@ def test_split_training_is_bit_identical_to_reference(split_threads,
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("protocol", [
+    pytest.param(ProtocolConfig(), id="8-steps"),
+    # validation's one step at 1 s: a chunk is as many GEMM rows as samples
+    pytest.param(ProtocolConfig(encode_steps=10, decode_steps=1),
+                 id="1-step"),
+])
+@pytest.mark.parametrize("classes,batch", [
+    (60, 429),  # train-k60's validation split
+    (60, 210),  # train-k60's last training batch
+    (97, 300),
+    (2513, 40),  # the paper's EPIC-Kitchens K
+])
+def test_thread_count_never_changes_a_result(split_threads, classes, batch,
+                                             protocol):
+    # K leaves a column tail at these shapes, where OpenBLAS can give a row
+    # other bits in a GEMM of another row count (at K=60, in GEMMs of up to
+    # about 130 rows), so output chunks that followed the thread count
+    # would change the bytes
+    cfg = ModelConfig(modalities=(("rgb", 16), ("flow", 16)),
+                      num_classes=classes, hidden_size=64, seed=8)
+    params = init_params(cfg)
+    feats = random_features(cfg, batch, protocol.total_steps, seed=batch)
+    targets = np.random.default_rng(classes).random((batch, classes))
+    targets /= targets.sum(axis=1, keepdims=True)
+    results = []
+    for threads in (1, 2, 3):
+        split_threads(threads)
+        probs = forward_batch(params, feats, protocol)
+        loss, grads = loss_and_gradients_batch(params, feats, targets,
+                                               protocol)
+        results.append((probs.tobytes(), loss, [g.tobytes() for g in grads]))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
 def test_split_training_raises_for_a_bad_last_modality(split_threads):
     # the last modality's LSTM runs on a worker thread; its NaN reaches the
     # logits, which the caller's thread checks
@@ -978,6 +1021,13 @@ def test_checkpoint_errors_name_the_file(tmp_path):
         with pytest.raises(FormatError) as info:
             load_checkpoint(bad)
         assert str(info.value).startswith(f"{bad}: ")
+
+
+def test_params_compare_by_identity():
+    params = init_params(tiny_config())
+    assert params == params
+    assert (params == params.copy()) is False
+
 
 def test_params_copy_is_deep():
     params = init_params(tiny_config())
