@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: build-prior, synth, train, grid-search, compare, eval,
-report. train, grid-search and compare read an optional JSON config of
-ExperimentConfig's keys, which flags override. Exit codes: 0 on success,
-1 for usage problems, 2 for data/format/training failures.
+report. synth, train, grid-search and compare read an optional JSON config
+of their settings, checked on its own, which flags then override. Exit
+codes: 0 on success, 1 for usage problems (a bad flag value among them),
+2 for data/format/training failures (a bad config file among them).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import FormatError, ParseError, TrainingDiverged, read_text
 from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
@@ -21,7 +23,7 @@ from .experiment import (DEFAULT_ALPHAS, AlphaGrid, ExperimentConfig,
                          grid_search_alpha, grid_to_csv, load_dataset,
                          load_experiment_config, run_comparison, save_dataset,
                          score_model, train_trial)
-from .jsonconfig import config_from_json, json_value
+from .jsonconfig import config_from_json, json_object, json_value
 from .metrics import (PRIMARY_METRIC, build_report, many_shot_from_labels,
                       parse_report_csv, report_to_csv, report_to_plotdata,
                       report_to_table)
@@ -49,82 +51,113 @@ def _parse_modalities(spec: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
+# Hand-written help for the settings whose name and default say too little.
+_HELP = {"trials": "seeds per method in compare and grid-search; train runs one",
+         "early_stop_time": "anticipation time (s) scored for model selection",
+         "modalities": "e.g. rgb:16,flow:16"}
+
+
+def _settings(defaults) -> dict:
+    """Field -> (type, default) of the config instance ``defaults``."""
+    hints = get_type_hints(type(defaults))
+    return {f.name: (hints[f.name], getattr(defaults, f.name))
+            for f in fields(defaults)}
+
+
+def _add_settings(p: argparse.ArgumentParser, settings: dict,
+                  prefix: str = "") -> None:
+    """A ``--<prefix><name>`` flag per setting (name -> (type, default)): an
+    int or float setting takes its type, a tuple one its text spec. Each is
+    None unless given, so an unset flag leaves a config file's value."""
+    for name, (tp, default) in settings.items():
+        scalar = tp in (int, float)
+        shown = f"(default {default})" if scalar and default is not None else ""
+        p.add_argument(f"--{prefix}{name}".replace("_", "-"),
+                       type=tp if scalar else None, default=None,
+                       help=f"{_HELP.get(name, '')} {shown}".strip())
+
+
+def _given_flags(args, names, prefix: str = "") -> dict:
+    """The ``--<prefix><name>`` flags given, for each of ``names``."""
+    given = {name: getattr(args, prefix + name) for name in names}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+_EXPERIMENT_SETTINGS = _settings(ExperimentConfig())
+_ALPHA_SETTINGS = _settings(AlphaGrid())
+
+
 def _add_training_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default="",
                    help="JSON experiment config; flags below override it")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None,
-                   help="seeds per method in compare and grid-search; "
-                        "train runs one")
-    p.add_argument("--hidden-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--early-stop-time", type=float, default=None,
-                   help="anticipation time (s) scored for model selection")
-    p.add_argument("--many-shot-threshold", type=int, default=None)
-
-
-def _given_flags(args, cls, prefix: str = "") -> dict:
-    """The ``--<prefix><field>`` flags given for the fields of ``cls``."""
-    given = {f.name: getattr(args, prefix + f.name, None) for f in fields(cls)}
-    return {name: value for name, value in given.items() if value is not None}
+    _add_settings(p, _EXPERIMENT_SETTINGS)
 
 
 def _experiment_config(args) -> ExperimentConfig:
     config = (load_experiment_config(args.config) if args.config
               else ExperimentConfig())
-    return replace(config, **_given_flags(args, ExperimentConfig))
+    return replace(config, **_given_flags(args, _EXPERIMENT_SETTINGS))
 
 
-# synth setting -> keyword of GrammarConfig, ProtocolConfig and
-# generate_dataset (with the JSON type of generate_dataset's counts, which
-# have no config class); ``seed`` seeds both the grammar and the rollout.
-_GRAMMAR_KEYS = {"verbs": "num_verbs", "nouns": "num_nouns",
-                 "density": "action_density", "sigma_within": "sigma_within",
-                 "sigma_between": "sigma_between",
-                 "markov_concentration": "markov_concentration",
-                 "modalities": "modalities", "seed": "seed"}
-_PROTOCOL_KEYS = {"stride": "snippet_stride", "encode_steps": "encode_steps",
-                  "decode_steps": "decode_steps", "snippet_len": "snippet_len"}
-_DATASET_KEYS = {"videos": ("num_videos", int),
-                 "video_length": ("video_length", int),
-                 "noise": ("noise_sigma", float),
-                 "embed_dim": ("embed_dim", int),
-                 "cohort_similarity": ("cohort_similarity", float),
-                 "seed": ("seed", int)}
+# owner -> {synth setting: keyword}: the fields of GrammarConfig and
+# ProtocolConfig, and the counts of generate_dataset, which has no config
+# class, by their type. ``seed`` seeds both the grammar and the rollout.
+_SYNTH_KEYS = {
+    GrammarConfig: {"verbs": "num_verbs", "nouns": "num_nouns",
+                    "density": "action_density",
+                    "sigma_within": "sigma_within",
+                    "sigma_between": "sigma_between",
+                    "markov_concentration": "markov_concentration",
+                    "modalities": "modalities", "seed": "seed"},
+    ProtocolConfig: {"stride": "snippet_stride", "encode_steps": "encode_steps",
+                     "decode_steps": "decode_steps",
+                     "snippet_len": "snippet_len"},
+    int: {"videos": "num_videos", "video_length": "video_length",
+          "embed_dim": "embed_dim"},
+    float: {"noise": "noise_sigma", "cohort_similarity": "cohort_similarity"}}
 # Unset grammar settings come from here: the library has no default for
 # verbs and nouns, and the CLI sets density on purpose; the rest, and every
-# protocol and dataset setting, default in the library.
+# protocol and count setting, default in the library.
 _SYNTH_GRAMMAR = GrammarConfig(num_verbs=10, num_nouns=12, action_density=0.5)
+_SYNTH_BASE = {GrammarConfig: _SYNTH_GRAMMAR, ProtocolConfig: ProtocolConfig()}
+_SYNTH_SETTINGS = {key: _settings(_SYNTH_BASE[owner])[kw]
+                   if owner in _SYNTH_BASE
+                   else (owner, generate_dataset.__kwdefaults__[kw])
+                   for owner, keys in _SYNTH_KEYS.items()
+                   for key, kw in keys.items()}
+
+
+def _pick(settings: dict, *owners) -> dict:
+    """The synth ``settings`` (key -> value) of ``owners``, by keyword."""
+    return {kw: settings[key] for owner in owners
+            for key, kw in _SYNTH_KEYS[owner].items() if key in settings}
 
 
 def _cmd_synth(args) -> int:
-    where = args.config or "synth flags"
-    settings = _read_json(args.config) if args.config else {}
-    if not isinstance(settings, dict):
-        raise FormatError(f"{where}: not a JSON object")
-    known = {**_GRAMMAR_KEYS, **_PROTOCOL_KEYS, **_DATASET_KEYS}
-    unknown = set(settings) - set(known)
-    if unknown:
-        raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-    for key in known:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    if isinstance(settings.get("modalities"), str):
-        settings["modalities"] = _parse_modalities(settings["modalities"])
-
-    def pick(keys: dict) -> dict:
-        return {kw: settings[key] for key, kw in keys.items() if key in settings}
-
-    grammar = config_from_json(GrammarConfig, pick(_GRAMMAR_KEYS), where,
-                               defaults=_SYNTH_GRAMMAR)
-    protocol = config_from_json(ProtocolConfig, pick(_PROTOCOL_KEYS), where,
-                                defaults=ProtocolConfig())
-    counts = {kw: json_value(tp, settings[key], where, key)
-              for key, (kw, tp) in _DATASET_KEYS.items() if key in settings}
-    dataset = generate_dataset(grammar, protocol, **counts)
+    # the config file on its own, as train reads its own: a bad value is a
+    # FormatError; its modalities may also be the flag's text spec
+    where = args.config
+    doc = json_object(_read_json(where) if where else {}, where,
+                      _SYNTH_SETTINGS)
+    if isinstance(doc.get("modalities"), str):
+        try:
+            doc["modalities"] = _parse_modalities(doc["modalities"])
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+    grammar, protocol = (config_from_json(owner, _pick(doc, owner), where,
+                                          defaults=base)
+                         for owner, base in _SYNTH_BASE.items())
+    counts = {kw: json_value(tp, doc[key], where, key)
+              for tp in (int, float) for key, kw in _SYNTH_KEYS[tp].items()
+              if key in doc}
+    # then the flags, through the constructors: a bad value is a ValueError
+    flags = _given_flags(args, _SYNTH_SETTINGS)
+    if "modalities" in flags:
+        flags["modalities"] = _parse_modalities(flags["modalities"])
+    grammar = replace(grammar, **_pick(flags, GrammarConfig))
+    protocol = replace(protocol, **_pick(flags, ProtocolConfig))
+    counts.update(_pick(flags, int, float))
+    dataset = generate_dataset(grammar, protocol, seed=grammar.seed, **counts)
     save_dataset(dataset, args.out_dir)
     print(f"wrote dataset to {args.out_dir}: K={dataset.K}, "
           f"train={dataset.train.num_samples}, val={dataset.val.num_samples}, "
@@ -178,7 +211,7 @@ def _cmd_grid_search(args) -> int:
     dataset = load_dataset(args.data)
     config = _experiment_config(args)
     kind = _CLI_KINDS[args.method]
-    grid = AlphaGrid(**_given_flags(args, AlphaGrid, prefix="alpha_"))
+    grid = AlphaGrid(**_given_flags(args, _ALPHA_SETTINGS, prefix="alpha_"))
     log = print if args.verbose else None
     result = grid_search_alpha(dataset, kind, config, grid, log=log)
     out = Path(args.out_dir)
@@ -289,30 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default="",
                    help="JSON with the keys below; flags override it")
-    p.add_argument("--verbs", type=int, default=None,
-                   help="number of verbs (default 10)")
-    p.add_argument("--nouns", type=int, default=None,
-                   help="number of nouns (default 12)")
-    p.add_argument("--density", type=float, default=None,
-                   help="fraction of verb-noun cells that are actions "
-                        "(default 0.5)")
-    p.add_argument("--videos", type=int, default=None)
-    p.add_argument("--video-length", type=int, default=None,
-                   help="actions per video")
-    p.add_argument("--noise", type=float, default=None,
-                   help="feature noise sigma")
-    p.add_argument("--sigma-within", type=float, default=None)
-    p.add_argument("--sigma-between", type=float, default=None)
-    p.add_argument("--markov-concentration", type=float, default=None)
-    p.add_argument("--modalities", default=None, help="e.g. rgb:16,flow:16")
-    p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--cohort-similarity", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stride", type=float, default=None,
-                   help="snippet stride in seconds")
-    p.add_argument("--encode-steps", type=int, default=None)
-    p.add_argument("--decode-steps", type=int, default=None)
-    p.add_argument("--snippet-len", type=int, default=None)
+    _add_settings(p, _SYNTH_SETTINGS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("build-prior",
@@ -341,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--method", choices=_PRIOR_CHOICES, required=True)
-    p.add_argument("--alpha-start", type=float, default=None)
-    p.add_argument("--alpha-stop", type=float, default=None)
-    p.add_argument("--alpha-step", type=float, default=None)
+    _add_settings(p, _ALPHA_SETTINGS, prefix="alpha_")
     p.add_argument("--verbose", action="store_true")
     _add_training_args(p)
     p.set_defaults(func=_cmd_grid_search)

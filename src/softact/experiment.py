@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, TrainingDiverged, read_text
-from .jsonconfig import config_from_json, config_to_json, json_value
+from .jsonconfig import (config_from_json, config_to_json, json_object,
+                         json_value)
 from .metrics import (SCORE_BLOCK, HitCounts, ManyShotSets, MetricsReport,
                       Scorer, build_report, many_shot_from_labels, percent,
                       report_to_csv, topk_hit_count)
@@ -163,6 +164,10 @@ def generate_dataset(grammar_config: GrammarConfig,
                      noise_sigma: float = 0.25, embed_dim: int | None = None,
                      cohort_similarity: float = 0.6, seed: int = 0) -> Dataset:
     """Sample a grammar, roll out videos, featurize, embed, and split."""
+    if num_videos < 1:
+        raise ValueError(f"num_videos must be >= 1, got {num_videos}")
+    if video_length < 2:
+        raise ValueError(f"video_length must be >= 2, got {video_length}")
     grammar = gen_grammar(grammar_config)
     walks = gen_annotation_sequences(grammar, num_videos, video_length,
                                      seed=seed + 1)
@@ -241,9 +246,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
-    unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))
-    if unknown:
-        raise FormatError(f"{manifest_path}: unknown keys {unknown}")
+    json_object(manifest, str(manifest_path), _MANIFEST_KEYS)
     vocab_path = root / "vocab.json"
     vocab = ActionVocab.from_json(read_text(vocab_path), str(vocab_path))
     if vocab.content_hash() != manifest["vocab_sha256"]:
@@ -253,9 +256,14 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                                 f"{where} protocol")
     modalities = json_value(tuple[tuple[str, int], ...],
                             manifest["modalities"], where, "modalities")
-    previous = json_value(tuple[int, ...], manifest["train_previous"], where,
-                          "train_previous")
-    if not all(0 <= k < vocab.K for k in previous):
+    ids = json_value(tuple[int, ...], manifest["train_previous"], where,
+                     "train_previous")
+    try:  # one comparison: a negative id views as an unsigned one past K
+        previous = np.array(ids, dtype=np.int64)
+        outside = np.any(previous.view(np.uint64) >= vocab.K)
+    except OverflowError:  # an id past int64
+        outside = True
+    if outside:
         raise FormatError(f"{where}: 'train_previous' has an action id "
                           f"outside [0, {vocab.K})")
     dims = tuple(d for _, d in modalities)
@@ -292,7 +300,7 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     if annotations_path.exists():
         read_text(annotations_path)
     return Dataset(vocab=vocab, protocol=protocol, modalities=modalities,
-                   train_previous=np.array(previous, dtype=np.int64),
+                   train_previous=previous,
                    embeddings=embeddings, grammar=grammar, **splits)
 
 

@@ -33,13 +33,9 @@ def config_from_json(cls, doc, where: str, defaults=None):
     ``cls``) supplies it. The ValueError of the class's own checks becomes a
     FormatError too; every message begins with ``where``.
     """
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: not a JSON object")
-    hints = _type_hints(cls)
     names = [f.name for f in fields(cls) if f.init]
-    unknown = sorted(set(doc) - set(names))
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {unknown}")
+    json_object(doc, where, names)
+    hints = _type_hints(cls)
     kwargs = {}
     for name in names:
         if name in doc:
@@ -52,6 +48,17 @@ def config_from_json(cls, doc, where: str, defaults=None):
         return cls(**kwargs)
     except (OverflowError, ValueError) as exc:
         raise FormatError(f"{where}: {exc}") from None
+
+
+def json_object(doc, where: str, names) -> dict:
+    """``doc``, if it is a JSON object whose keys are all in ``names``;
+    otherwise a FormatError that begins with ``where``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: not a JSON object")
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise FormatError(f"{where}: unknown keys {unknown}")
+    return doc
 
 
 def json_value(tp, value, where: str, key: str):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -17,7 +18,7 @@ from softact import (ExperimentConfig, GrammarConfig, ModelConfig,
                      init_params, load_dataset, load_experiment_config,
                      load_prior, read_features, save_checkpoint, save_dataset,
                      write_features)
-from softact.cli import main
+from softact.cli import build_parser, main
 from softact.jsonconfig import config_to_json
 from softact.priors import KINDS
 from softact.seqmodel import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -78,6 +79,64 @@ def test_exit_codes(tmp_path, toy_vocab, data_dir, capsys):
                  str(vocab_path), "--annotations", str(ann_path),
                  "--out", str(tmp_path / "p.csv")]) == 2  # unknown action
     assert "unknown action ('jump', 'rope')" in capsys.readouterr().err
+
+
+_TRAINING_FLAGS = {
+    "--config": (None, ""), "--epochs": (int, None),
+    "--batch-size": (int, None), "--trials": (int, None),
+    "--hidden-size": (int, None), "--learning-rate": (float, None),
+    "--seed": (int, None), "--early-stop-time": (float, None),
+    "--many-shot-threshold": (int, None)}
+# each subcommand's options -> (type, default), as the hand-written parser
+# had them before the settings flags came from their config declarations
+_PARSER_TABLE = {
+    "synth": {
+        "--out-dir": (None, None), "--config": (None, ""),
+        "--verbs": (int, None), "--nouns": (int, None),
+        "--density": (float, None), "--videos": (int, None),
+        "--video-length": (int, None), "--noise": (float, None),
+        "--sigma-within": (float, None), "--sigma-between": (float, None),
+        "--markov-concentration": (float, None),
+        "--modalities": (None, None), "--embed-dim": (int, None),
+        "--cohort-similarity": (float, None), "--seed": (int, None),
+        "--stride": (float, None), "--encode-steps": (int, None),
+        "--decode-steps": (int, None), "--snippet-len": (int, None)},
+    "build-prior": {
+        "--kind": (None, None), "--vocab": (None, None),
+        "--embeddings": (None, ""), "--annotations": (None, ""),
+        "--out": (None, None)},
+    "train": {
+        "--data": (None, None), "--out-dir": (None, None),
+        "--method": (None, "onehot"), "--alpha": (float, None),
+        "--verbose": (None, False), **_TRAINING_FLAGS},
+    "grid-search": {
+        "--data": (None, None), "--out-dir": (None, None),
+        "--method": (None, None), "--alpha-start": (float, None),
+        "--alpha-stop": (float, None), "--alpha-step": (float, None),
+        "--verbose": (None, False), **_TRAINING_FLAGS},
+    "compare": {
+        "--data": (None, None), "--out-dir": (None, None),
+        "--methods": (None, ""), "--set-alpha": (None, None),
+        "--jobs": (int, 1), **_TRAINING_FLAGS},
+    "eval": {
+        "--data": (None, None), "--checkpoint": (None, None),
+        "--split": (None, "test"), "--out": (None, ""), "--name": (None, ""),
+        "--many-shot-threshold": (int, 100)},
+    "report": {
+        "--runs": (None, None), "--format": (None, "table"),
+        "--metric": (None, "action_top5"), "--out": (None, "")},
+}
+
+
+def test_parser_options_types_and_defaults_are_frozen():
+    # a config field gained or lost cannot add or drop a flag unseen
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = {name: {a.option_strings[-1]: (a.type, a.default)
+                    for a in p._actions
+                    if not isinstance(a, argparse._HelpAction)}
+             for name, p in sub.choices.items()}
+    assert table == _PARSER_TABLE
 
 
 def test_python_m_softact_runs_the_cli():
@@ -343,18 +402,45 @@ def test_synth_config_errors(tmp_path, capsys):
     bad = tmp_path / "synth.json"
     bad.write_text('{"verbz": 3}')
     assert main(["synth", "--out-dir", str(tmp_path / "ds"),
-                 "--config", str(bad)]) == 1
+                 "--config", str(bad)]) == 2
     bad.write_text("{oops")
     assert main(["synth", "--out-dir", str(tmp_path / "ds"),
                  "--config", str(bad)]) == 2
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, key, flag, bad", [
+    ("synth", "decode_steps", "0", 0),
+    ("synth", "modalities", "rgb:0", "rgb:0"),
+    ("synth", "density", "2", 2),
+    ("synth", "noise", "nan", float("nan")),
+    ("train", "epochs", "0", 0),
+    ("train", "learning_rate", "inf", float("inf")),
+])
+def test_bad_value_exits_1_as_flag_and_2_in_config(tmp_path, data_dir,
+                                                   capsys, command, key,
+                                                   flag, bad):
+    # a flag is a usage problem; a config file is data, checked on its own
+    # before the flags apply, and so is one with an unknown key
+    out = tmp_path / "out"
+    argv = [command, "--out-dir", str(out)]
+    if command == "train":
+        argv += ["--data", str(data_dir), *FAST_FLAGS]
+    assert main([*argv, "--" + key.replace("_", "-"), flag]) == 1
+    config = tmp_path / "config.json"
+    for doc, code in (({key: bad}, 2), ({key + "z": 1}, 2)):
+        config.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert "config.json: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modalities", ["rgb:0", "rgb:8,flow:-2"])
 def test_synth_rejects_dims_below_one(tmp_path, capsys, modalities):
     out = tmp_path / "ds"
     assert main(["synth", "--out-dir", str(out), "--verbs", "2", "--nouns",
-                 "2", "--modalities", modalities]) == 2
+                 "2", "--modalities", modalities]) == 1
     assert "feature dims must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 

@@ -122,6 +122,18 @@ def test_split_dataset_errors():
 # ---------------------------------------------------------------- dataset
 
 
+@pytest.mark.parametrize("counts, message", [
+    # used to be numpy's "negative dimensions are not allowed" and the
+    # split's "0 samples are too few to split"
+    ({"num_videos": -1}, "num_videos must be >= 1, got -1"),
+    ({"num_videos": 0}, "num_videos must be >= 1, got 0"),
+    ({"video_length": 1}, "video_length must be >= 2, got 1"),
+])
+def test_generate_dataset_rejects_too_few_videos_or_steps(counts, message):
+    with pytest.raises(ValueError, match=message):
+        generate_dataset(GrammarConfig(2, 2), SMALL_PROTOCOL, **counts)
+
+
 def test_generate_dataset_shapes(tiny_dataset):
     ds = tiny_dataset
     total = ds.train.num_samples + ds.val.num_samples + ds.test.num_samples
